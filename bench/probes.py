@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import gc
 import random
-import statistics
 import time
 
 import gen
+import reference
 from shelfpack import geometry, greedy, hardness, linear, oracle, svg
 from shelfpack.scalars import Backend, parse_scalar
 
@@ -34,7 +34,7 @@ HOME = {
 DOUBLING = ("greedy.greedy_solve", "geometry.verify", "geometry.compact",
             "hardness.decode_partition")
 # Base size n of each distribution: disks, or m for hardness instances.
-BASE_N = {"greedy-float": 5000, "linear-exact": 200, "hardness-exact": 80, "oracle-exact": 8}
+BASE_N = {"greedy-float": 5000, "linear-exact": 200, "hardness-exact": 80, "oracle-exact": 7}
 
 
 def _disks(literals: list[str]) -> list:
@@ -98,14 +98,16 @@ def layer_call(layer: str, distribution: str, data):
 
 
 def time_call(fn) -> float:
-    """Median seconds per call over at least three calls and PROBE_SECONDS."""
+    """Lowest seconds per call over at least three calls and PROBE_SECONDS,
+    scaled by reference runs before and after the calls."""
     gc.collect()
+    before = reference.seconds()
     times: list[float] = []
     while len(times) < 3 or sum(times) < PROBE_SECONDS:
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    return min(times) * reference.scale(before, reference.seconds())
 
 
 def probe(workload: str, flow: dict[str, float], seed: int) -> dict[str, float]:
@@ -118,8 +120,6 @@ def probe(workload: str, flow: dict[str, float], seed: int) -> dict[str, float]:
             continue
         distribution = workload if in_flow else home
         n = BASE_N[distribution]
-        if layer == "oracle.exact_solve":
-            n -= 1  # a single 8-disk search takes seconds
         rng = random.Random(f"{layer}-{seed}")
         small = make_input(distribution, n, rng)
         at_n = time_call(layer_call(layer, distribution, small))

@@ -28,6 +28,8 @@ import sys
 import time
 from pathlib import Path
 
+import reference
+
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 SETUP_REPEATS = 5
@@ -35,8 +37,11 @@ SETUP_REPEATS = 5
 
 class Round:
     def __init__(self) -> None:
-        self.times: dict[str, list[float]] = {}
-        self.item_totals: list[float] = []
+        # kind -> item -> seconds, scaled by the reference (see reference.py)
+        self.times: dict[str, dict[str, float]] = {}
+        self.raw: dict[str, dict[str, float]] = {}  # the same, as measured
+        self.item_totals: dict[str, float] = {}
+        self.log: list[dict] = []  # one record per timed operation
         self.attempted = 0
         self.failed = 0
 
@@ -48,6 +53,7 @@ class Session:
         self.main = main
         self.tracer = tracer
         self.round = Round()
+        self.item = ""
         self._item_total = 0.0
 
     def _call(self, fn, traced_name=None):
@@ -85,6 +91,8 @@ class Session:
         """``reps`` identical CLI calls, each counted; a timed op books its
         mean time per call.  Untimed ops are neither timed nor traced."""
         gc.collect()
+        first_span = len(self.tracer.spans) if self.tracer else 0
+        before = reference.before() if timed else 0.0
         total = 0.0
         for _ in range(reps):
             seconds, rc, out = self._cli(argv, traced=timed)
@@ -92,12 +100,14 @@ class Session:
             self.round.attempted += 1
             self.round.failed += rc != 0
         if timed:
-            self._book(kind, total / reps)
+            self._book(kind, total / reps, before, first_span)
         return out
 
     def call(self, kind: str, fn):
         """One timed library call, counted; an exception is a failure."""
         gc.collect()
+        first_span = len(self.tracer.spans) if self.tracer else 0
+        before = reference.before()
         self.round.attempted += 1
         try:
             seconds, result = self._call(fn, "bench." + kind)
@@ -105,16 +115,30 @@ class Session:
             print(f"{kind} raised {exc!r}", file=sys.stderr)
             self.round.failed += 1
             return None
-        self._book(kind, seconds)
+        self._book(kind, seconds, before, first_span)
         return result
 
-    def _book(self, kind: str, seconds: float) -> None:
-        self.round.times.setdefault(kind, []).append(seconds)
-        self._item_total += seconds
+    def _book(self, kind: str, seconds: float, before: float, first_span: int) -> None:
+        """Books ``seconds`` scaled by the reference runs just before and
+        after the operation, and hands the scale to its root spans."""
+        after = reference.seconds()
+        scale = reference.scale(before, after)
+        self.round.log.append({"kind": kind, "item": self.item, "seconds": seconds,
+                               "ref_before": before, "ref_after": after})
+        if self.tracer:
+            for rec in self.tracer.spans[first_span:]:
+                if rec["parent"] < 0:
+                    rec["scale"] = scale
+        self.round.times.setdefault(kind, {})[self.item] = seconds * scale
+        self.round.raw.setdefault(kind, {})[self.item] = seconds
+        self._item_total += seconds * scale
+
+    def start_item(self, name: str) -> None:
+        self.item = name
+        self._item_total = 0.0
 
     def end_item(self) -> None:
-        self.round.item_totals.append(self._item_total)
-        self._item_total = 0.0
+        self.round.item_totals[self.item] = self._item_total
 
 
 def digest(paths: list[Path]) -> str:
@@ -140,14 +164,17 @@ def run_workload(workload, seed: int, seconds: float, trace: bool, work: Path):
     for _ in range(SETUP_REPEATS):
         shutil.rmtree(work, ignore_errors=True)
         work.mkdir(parents=True)
+        before = reference.seconds()
         start = time.perf_counter()
         items = workload.prepare(random.Random(seed), work)
         for item in items:  # warm the parser on the run's own files
             if item.instance.exists():
                 files.read_instance(item.instance)
-        setups.append(time.perf_counter() - start)
+        took = time.perf_counter() - start
+        setups.append(took * reference.scale(before, reference.seconds()))
 
     # Warm-up: the first item's operations, run once and discarded.
+    sess.start_item(items[0].name)
     workload.run_item(sess, items[0])
     sess.end_item()
     if tracer:
@@ -166,7 +193,8 @@ def run_workload(workload, seed: int, seconds: float, trace: bool, work: Path):
             tracer.round = r
         start = time.perf_counter()
         outputs = []
-        for item in workload.round_items(items, r):
+        for item in items:
+            sess.start_item(item.name)
             outputs.append((item, workload.run_item(sess, item)))
             sess.end_item()
         measured += time.perf_counter() - start
@@ -187,18 +215,29 @@ def run_workload(workload, seed: int, seconds: float, trace: bool, work: Path):
     return setups, rounds, ratios, tracer
 
 
-def e2e_metrics(import_s, setups, rounds, ratios) -> dict[str, float]:
-    def per_round(kind):
-        return statistics.median(statistics.fmean(r.times[kind]) for r in rounds)
+def typical(per_item: list[dict[str, float]]) -> float:
+    """Each item's median time over the rounds, averaged over the items."""
+    return statistics.fmean(statistics.median(times[name] for times in per_item)
+                            for name in per_item[0])
 
+
+def e2e_metrics(import_s, setups, rounds, ratios) -> dict[str, float]:
     return {
         "setup_s": import_s + statistics.median(setups),
-        "solve_s": per_round("solve"),
-        "verify_s": per_round("verify"),
-        "roundtrip_s": statistics.median(statistics.fmean(r.item_totals) for r in rounds),
+        "solve_s": typical([r.times["solve"] for r in rounds]),
+        "verify_s": typical([r.times["verify"] for r in rounds]),
+        "roundtrip_s": typical([r.item_totals for r in rounds]),
         "span_over_lb": math.exp(statistics.fmean(math.log(x) for x in ratios)),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
+
+
+def write_log(rounds: list[Round], path: Path) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as out:
+        for r, measured in enumerate(rounds):
+            for record in measured.log:
+                out.write(json.dumps({"round": r, **record}) + "\n")
 
 
 def main() -> int:
@@ -213,10 +252,12 @@ def main() -> int:
         print(f"error: no shelfpack sources under {ROOT / 'src'}", file=sys.stderr)
         return 2
     sys.path[:0] = [str(BENCH), str(ROOT / "src")]
+    before = reference.seconds()
     start = time.perf_counter()
     import shelfpack.cli  # noqa: F401  (first import: counted in setup_s)
 
     import_s = time.perf_counter() - start
+    import_s *= reference.scale(before, reference.seconds())
     import checks
     from workloads import WORKLOADS
 
@@ -234,6 +275,7 @@ def main() -> int:
         shutil.rmtree(work, ignore_errors=True)
 
     e2e = e2e_metrics(import_s, setups, rounds, ratios)
+    write_log(rounds, BENCH / "out" / f"ops-{workload.name}-{args.seed}.jsonl")
     metrics = e2e
     if tracer:
         from probes import probe
@@ -250,6 +292,9 @@ def main() -> int:
           f"{attempted} operations, {failed} failed", file=sys.stderr)
     for name, value in {**e2e, **metrics}.items():
         print(f"  {name:40s} {value:12.6g} {units[name]}", file=sys.stderr)
+    for kind in ("solve", "verify"):
+        raw = typical([r.raw[kind] for r in rounds])
+        print(f"  {kind + ' as measured, unscaled':40s} {raw:12.6g} s", file=sys.stderr)
     print(json.dumps({
         "correct": True,
         "attempted": attempted,

@@ -1,4 +1,4 @@
-"""Tests of the benchmark's own checks.
+"""Tests of the benchmark's own checks and of its reference scaling.
 
 Run from the repository root with ``python3 bench/selftest.py``.
 """
@@ -8,6 +8,7 @@ from __future__ import annotations
 import unittest
 from fractions import Fraction as F
 
+import reference
 from checks import (
     CheckError,
     check_placement,
@@ -74,6 +75,21 @@ class PlacementChecks(unittest.TestCase):
         check_touching_chain(chain)
         with self.assertRaises(CheckError):
             check_touching_chain(rows_of(("a", 1, 1), ("b", 1, 4)))
+
+
+class ReferenceScale(unittest.TestCase):
+    def test_scale_maps_reference_time_to_ref_seconds(self):
+        ref = reference.REF_SECONDS
+        self.assertEqual(reference.scale(ref, ref), 1.0)
+        # A machine running the reference twice as slow halves every time.
+        self.assertEqual(reference.scale(2 * ref, 2 * ref), 0.5)
+        self.assertEqual(reference.scale(ref, 3 * ref), 0.5)
+
+    def test_before_reuses_a_fresh_run_only(self):
+        last = reference.seconds()
+        self.assertEqual(reference.before(), last)
+        reference._last_end -= reference.REUSE_WITHIN
+        self.assertNotEqual(reference.before(), last)
 
 
 if __name__ == "__main__":

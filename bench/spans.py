@@ -77,16 +77,23 @@ class Tracer:
     def layer_metrics(self) -> dict[str, float]:
         """Per layer: mean seconds per call within each round, median over
         rounds.  ``cli.<cmd>.self_s`` is a subcommand's span minus the
-        spans of the layers it called directly."""
+        spans of the layers it called directly.  Every duration is scaled
+        by the reference runs around its operation (``scale`` on the root
+        span, see reference.py)."""
         child_time = [0.0] * len(self.spans)
-        for rec in self.spans:
+        scale = [1.0] * len(self.spans)
+        for index, rec in enumerate(self.spans):
             if rec["parent"] >= 0:
                 child_time[rec["parent"]] += rec["end"] - rec["start"]
+                scale[index] = scale[rec["parent"]]  # parents come first
+            else:
+                scale[index] = rec.get("scale", 1.0)  # unset if the call raised
         per_round: dict[str, dict[int, list[float]]] = {}
         for index, rec in enumerate(self.spans):
-            duration = rec["end"] - rec["start"]
+            duration = (rec["end"] - rec["start"]) * scale[index]
             if rec["name"] in SELF_TIMED:
-                key, value = rec["name"] + ".self_s", duration - child_time[index]
+                key = rec["name"] + ".self_s"
+                value = duration - child_time[index] * scale[index]
             elif rec["name"].startswith(("cli.", "bench.")):
                 continue  # roots: an operation, not a layer
             else:

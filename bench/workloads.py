@@ -1,7 +1,7 @@
 """The four workloads: inputs, timed operation sequence and output checks.
 
 A workload writes its inputs in ``prepare``; a run then repeats whole
-rounds, each round running ``run_item`` on the items ``round_items`` picks.
+rounds, each round running ``run_item`` on every item.
 ``check`` runs the independent checks on an item's outputs the first time
 the item runs and returns the item's span over the benchmark's own lower
 bound; later runs of the same item must write byte-identical outputs.
@@ -37,9 +37,6 @@ class Item:
 class Workload:
     name = ""
 
-    def round_items(self, items: list[Item], r: int) -> list[Item]:
-        return items
-
     def outputs(self, item: Item) -> list[Path]:
         return [p for p in (item.placement, item.svg) if p.exists()]
 
@@ -48,13 +45,13 @@ class Workload:
 
 
 class GreedyFloat(Workload):
-    """Decimal files, n = 20,000, size ratio up to 50: greedy, float sweep."""
+    """Decimal files, n = 16,000, size ratio up to 50: greedy, float sweep."""
 
     name = "greedy-float"
 
     def prepare(self, rng: random.Random, d: Path) -> list[Item]:
         items = [Item("seeded", d, strict=False), Item("fixed", d, strict=True)]
-        gen.write_instance(items[0].instance, gen.float_sizes(rng, 20000))
+        gen.write_instance(items[0].instance, gen.float_sizes(rng, 16000))
         gen.write_instance(items[1].instance,
                            gen.float_sizes(random.Random(STRICT_SEED), 10000))
         return items
@@ -87,7 +84,7 @@ class LinearExact(Workload):
     """Rational files with size ratio below 2: the exact linear-case solver."""
 
     name = "linear-exact"
-    SIZES = (500, 401)  # even n compacts once, odd n three times
+    SIZES = (360, 281)  # even n compacts once, odd n three times
     SEARCH_SIZES = (5, 6, 7, 8)
     VERIFY_REPS = 16
 
@@ -191,25 +188,21 @@ class HardnessExact(Workload):
 
 
 class OracleExact(Workload):
-    """Eight-disk rational instances through the exact oracle."""
+    """Seven-disk rational instances through the exact oracle."""
 
     name = "oracle-exact"
-    N = 8
-    POOL = 8  # pairs; round r runs pair r mod POOL
-    VERIFY_REPS = 500
+    N = 7  # 0.15-0.4 s a search here; n = 8 takes 1.5-3 s, too few repeats per run
+    PAIRS = 6
+    VERIFY_REPS = 100
 
     def prepare(self, rng: random.Random, d: Path) -> list[Item]:
         items = []
-        for k in range(self.POOL):
+        for k in range(self.PAIRS):
             for kind, ratio in (("linear", 1.9), ("spread", 6.0)):
                 item = Item(f"{kind}{k}", d)
                 gen.write_instance(item.instance, gen.stratified_sizes(rng, self.N, ratio))
                 items.append(item)
         return items
-
-    def round_items(self, items: list[Item], r: int) -> list[Item]:
-        k = r % self.POOL
-        return items[2 * k: 2 * k + 2]
 
     def run_item(self, sess, item: Item) -> dict:
         out = sess.op("solve", ["solve", str(item.instance), "--mode", "exact",
