@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .geometry import Disk, best_support_lower_bound, span, verify
+from .geometry import Disk, best_support_lower_bound, verify
 from .greedy import greedy_solve
 from .hardness import build_certificate, build_instance, validate_3partition
 from .linear import is_linear_case, solve_linear
@@ -83,8 +83,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if mode == "linear":
         placement, report = solve_linear(disks)
     elif mode == "greedy":
-        placement = greedy_solve(disks).placement
-        report = span(placement)
+        result = greedy_solve(disks)
+        # the certificate carries the placement's span; no second measurement
+        placement, report = result.placement, result.certificate
     else:
         placement, report = exact_solve(disks, OracleConfig(max_n=args.max_n))
 

@@ -173,16 +173,29 @@ def compact(order: Sequence[Disk]) -> Placement:
     x_i = max(size_i**2, max_{j<i} x_j + 2 size_j size_i).  This is the
     componentwise-minimal solution of the separation system for the given
     footpoint order and therefore span-minimal for that order.
+
+    The earlier disks are scanned backward from i-1, and the scan stops at
+    the first j with x_j + 2 max_size size_i <= x, x being the running
+    maximum.  Compacted footpoints strictly increase, so every disk k < j
+    has x_k < x_j and 2 size_k size_i <= 2 max_size size_i; since rounded
+    float ``+`` and ``*`` are monotone too, its candidate cannot exceed x
+    on either backend.  The result is the full maximum, found in time
+    proportional to the disks within reach of disk i.
     """
     if not order:
         raise DomainError("cannot compact an empty order")
-    unified_backend([d.size for d in order])
+    sizes = [d.size for d in order]
+    unified_backend(sizes)
+    twice_max = 2 * max(sizes)
     feet: list[Scalar] = []
-    for disk in order:
-        s = disk.size
+    for s in sizes:
         x = s * s
-        for other, xo in zip(order, feet):
-            c = xo + 2 * other.size * s
+        reach = twice_max * s
+        for j in range(len(feet) - 1, -1, -1):
+            xj = feet[j]
+            if xj + reach <= x:
+                break
+            c = xj + 2 * sizes[j] * s
             if c > x:
                 x = c
         feet.append(x)
@@ -230,7 +243,8 @@ def verify(placement: Placement, tolerance: Scalar) -> VerificationResult:
     violation: Optional[Violation] = None
     for i, pi in enumerate(placed):
         reach = 2 * pi.disk.size * max_size
-        for pj in placed[i + 1 :]:
+        for j in range(i + 1, len(placed)):
+            pj = placed[j]
             distance = pj.footpoint - pi.footpoint
             if distance >= reach:
                 break

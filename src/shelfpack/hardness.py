@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -292,14 +293,12 @@ def decode_partition(hi: HardnessInstance, placement: Placement) -> PartitionSol
         if hi.roles[disk.id] is not DiskRole.PARTITION:
             continue
         x = footpoints[disk.id]
-        for g in range(hi.m):
-            if outer[g] < x < outer[g + 1]:
-                bins[g].append(hi.element_index[disk.id])
-                break
-        else:
+        g = bisect_left(outer, x) - 1  # outer[g] < x <= outer[g + 1]
+        if not 0 <= g < hi.m or x == outer[g + 1]:
             raise InconsistencyError(
                 f"element disk {disk.id!r} lies in no frame gap"
             )
+        bins[g].append(hi.element_index[disk.id])
     groups = []
     for g, indices in enumerate(bins):
         if len(indices) != 3:

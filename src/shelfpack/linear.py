@@ -56,6 +56,36 @@ def _interleave(desc: Sequence[Disk]) -> list[Disk]:
     return left + right
 
 
+def _best_compaction(
+    disks: Iterable[Disk],
+) -> tuple[LinearOrder, Placement, SpanReport]:
+    """The optimal order with its compaction and span report; each
+    candidate order is compacted exactly once."""
+    disks = list(disks)
+    if not disks:
+        raise DomainError("cannot order an empty disk set")
+    if len(disks) == 1:
+        candidates = [disks]
+    elif not is_linear_case(disks):
+        raise PreconditionError("not a linear-case instance")
+    else:
+        desc = _sorted_desc(disks)
+        n = len(desc)
+        if n % 2 == 0:
+            candidates = [_interleave(desc)]
+        else:
+            median = desc[n // 2]
+            pattern = _interleave(desc[: n // 2] + desc[n // 2 + 1 :])
+            candidates = [[median] + pattern, pattern + [median]]
+    best = None
+    for order in candidates:
+        placement = compact(order)
+        report = span(placement)
+        if best is None or report.span <= best[2].span:  # ties: the later one
+            best = (order, placement, report)
+    return best
+
+
 def optimal_linear_order(disks: Iterable[Disk]) -> LinearOrder:
     """Span-minimal left-to-right order for a linear-case instance.
 
@@ -63,31 +93,13 @@ def optimal_linear_order(disks: Iterable[Disk]) -> LinearOrder:
     even-count pattern yields the smaller compacted span (ties keep it on
     the right).
     """
-    disks = list(disks)
-    if not disks:
-        raise DomainError("cannot order an empty disk set")
-    if len(disks) == 1:
-        return [disks[0]]
-    if not is_linear_case(disks):
-        raise PreconditionError("not a linear-case instance")
-    desc = _sorted_desc(disks)
-    n = len(desc)
-    if n % 2 == 0:
-        return _interleave(desc)
-    median = desc[n // 2]
-    rest = desc[: n // 2] + desc[n // 2 + 1 :]
-    pattern = _interleave(rest)
-    left_candidate = [median] + pattern
-    right_candidate = pattern + [median]
-    left_span = span(compact(left_candidate)).span
-    right_span = span(compact(right_candidate)).span
-    return left_candidate if left_span < right_span else right_candidate
+    return _best_compaction(disks)[0]
 
 
 def solve_linear(disks: Iterable[Disk]) -> tuple[Placement, SpanReport]:
     """Compact the optimal linear order; consecutive disks all touch."""
-    placement = compact(optimal_linear_order(disks))
-    return placement, span(placement)
+    _, placement, report = _best_compaction(disks)
+    return placement, report
 
 
 def reversal_improvement(

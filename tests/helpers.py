@@ -6,12 +6,26 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from shelfpack.geometry import Disk, compact, span
+from shelfpack.geometry import Disk, PlacedDisk, Placement, compact, span
 from shelfpack.linear import reversal_improvement
 
 
 def make_disks(sizes: Sequence, prefix: str = "d") -> list[Disk]:
     return [Disk(f"{prefix}{i}", s) for i, s in enumerate(sizes)]
+
+
+def naive_compact(order: Sequence[Disk]) -> Placement:
+    """Reference left-compaction: each disk checks every earlier disk."""
+    feet = []
+    for disk in order:
+        s = disk.size
+        x = s * s
+        for other, xo in zip(order, feet):
+            c = xo + 2 * other.size * s
+            if c > x:
+                x = c
+        feet.append(x)
+    return Placement(tuple(PlacedDisk(d, x) for d, x in zip(order, feet)))
 
 
 def brute_min_span(disks: Sequence[Disk]):

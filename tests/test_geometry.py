@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import brute_min_span, make_disks
+from helpers import brute_min_span, make_disks, naive_compact
 from shelfpack.errors import BackendMismatchError, DomainError
 from shelfpack.geometry import (
     Disk,
@@ -175,6 +175,23 @@ class TestCompact:
                 feet[other.id] + 2 * other.size * disk.size for other in order[:k]
             )
             assert x == max(bounds)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_matches_naive_compaction(self, exact):
+        rng = random.Random(17)
+        for ratio in (F(3, 2), F(2), F(4), F(50), F(500)):
+            for _ in range(40):
+                n = rng.randint(1, 60)
+                sizes = [1 + (ratio - 1) * F(rng.randint(0, 1000), 1000)
+                         for _ in range(n)]
+                at = rng.randint(0, n)  # insert a run of equal sizes
+                sizes[at:at] = [sizes[0]] * rng.choice((0, 0, 2, 12))
+                if not exact:
+                    sizes = [float(s) for s in sizes]
+                order = make_disks(sizes)
+                got = [repr(p.footpoint) for p in compact(order)]
+                want = [repr(p.footpoint) for p in naive_compact(order)]
+                assert got == want
 
 
 class TestSpan:

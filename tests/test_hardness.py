@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -268,6 +269,24 @@ class TestDecodePreconditions:
         assert verify(widened, 0).ok
         with pytest.raises(PreconditionError, match="budget"):
             decode_partition(hi, widened)
+
+    def test_element_outside_every_frame_gap(self):
+        # relabel an end disk as an element: its footpoint lies beyond the
+        # outer frames, left of the first or right of the last
+        hi = build_instance(M2_INSTANCE)
+        cert = build_certificate(hi, M2_SOLUTION)
+        ends = sorted(
+            (p for p in cert if hi.roles[p.disk.id] is DiskRole.END),
+            key=lambda p: p.footpoint,
+        )
+        for end in (ends[0], ends[-1]):
+            relabelled = replace(
+                hi,
+                roles={**hi.roles, end.disk.id: DiskRole.PARTITION},
+                element_index={**hi.element_index, end.disk.id: 1},
+            )
+            with pytest.raises(InconsistencyError, match="lies in no frame gap"):
+                decode_partition(relabelled, cert)
 
 
 class TestIntegerRadii:

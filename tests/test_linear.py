@@ -96,6 +96,23 @@ class TestSolveLinear:
             _, orc = exact_solve(disks)
             assert lin.span == orc.span
 
+    def test_compacts_each_candidate_once(self, monkeypatch):
+        calls = []
+
+        def counting_compact(order):
+            calls.append(len(order))
+            return compact(order)
+
+        monkeypatch.setattr("shelfpack.linear.compact", counting_compact)
+        rng = random.Random(11)
+        for n in (2, 3, 4, 7, 10, 13):
+            disks = random_linear_disks(rng, n)
+            calls.clear()
+            placement, report = solve_linear(disks)
+            assert calls == [n] * (2 if n % 2 else 1)
+            assert placement == compact(optimal_linear_order(disks))
+            assert report == span(placement)
+
     def test_extreme_blocks_are_contiguous(self):
         # the 2k extreme-size disks always form a consecutive run
         rng = random.Random(9)
