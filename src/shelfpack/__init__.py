@@ -3,7 +3,7 @@ no overlaps, minimum horizontal span.
 
 The package provides exact tangency geometry over rational or float
 scalars, an exact solver for linear-case instances, a greedy
-4/3-approximation with certificates, a brute-force oracle, a 3-Partition
+4/3-approximation with certificates, an exact subset-DP oracle, a 3-Partition
 hardness-instance toolkit, and file/CLI plumbing.
 """
 

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands: ``solve`` (dispatching between the exact linear-case solver,
-the greedy approximation and the brute-force oracle), ``verify``,
+the greedy approximation and the exact oracle), ``verify``,
 ``genhard`` (3-Partition reduction instances) and ``render`` (SVG).
 
 Exit codes: 0 success, 1 verification rejected, 2 parse error,

@@ -8,6 +8,7 @@ and can be written down after a single sort.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, PreconditionError
@@ -17,24 +18,20 @@ from .scalars import Scalar, unified_backend
 LinearOrder = list[Disk]
 
 
-def _sorted_desc(disks: Iterable[Disk]) -> list[Disk]:
-    return sorted(disks, key=lambda d: (-d.size, d.id))
-
-
 def is_linear_case(disks: Iterable[Disk]) -> bool:
     """Whether the smallest disk fits in no gap and no wall gap.
 
     With a, b the two largest sizes and z the smallest, the instance is
     linear iff 1/z < 1/a + 1/b and z > (sqrt(2) - 1) a, both strict.
-    The first comparison is evaluated as a*b < z*(a + b).
+    The first comparison is evaluated as a*b < z*(a + b).  The three sizes
+    are read in linear time, without sorting.
     """
-    disks = list(disks)
-    if len(disks) < 2:
+    sizes = [d.size for d in disks]
+    if len(sizes) < 2:
         raise DomainError("the linear-case test needs at least 2 disks")
-    unified_backend([d.size for d in disks])
-    ordered = _sorted_desc(disks)
-    a, b = ordered[0].size, ordered[1].size
-    z = ordered[-1].size
+    unified_backend(sizes)
+    a, b = heapq.nlargest(2, sizes)
+    z = min(sizes)
     return a * b < z * (a + b) and wall_fit_exceeds(z, a)
 
 
@@ -69,7 +66,7 @@ def _best_compaction(
     elif not is_linear_case(disks):
         raise PreconditionError("not a linear-case instance")
     else:
-        desc = _sorted_desc(disks)
+        desc = sorted(disks, key=lambda d: (-d.size, d.id))
         n = len(desc)
         if n % 2 == 0:
             candidates = [_interleave(desc)]

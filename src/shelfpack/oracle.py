@@ -1,24 +1,40 @@
-"""Brute-force exact solver: branch and bound over footpoint orders.
+"""Exact solver: a subset DP over compacted prefixes with dominance pruning.
 
-Left-compaction is span-minimal for a fixed order, so searching the order
-space is complete.  The partial span of a compacted prefix never shrinks
-when more disks are appended, which makes it an admissible bound for
-pruning.  Permutations that only swap equal-size disks are explored once.
+Left-compaction is span-minimal for a fixed order, so the best compacted
+order is optimal.  Orders are built left to right, one disk per layer.  A
+state is the set of disks placed so far, its partial span (the largest
+x_j + r_j) and its envelope E[k] = max_j x_j + 2 s_j s_k, one entry per
+disk k not yet placed.  The next disk i lands at max(r_i, E[i]), so the
+state holds everything the rest of the order can see of its prefix
+(Held & Karp, 1962).
+
+Within one set, a state that another matches or beats on the span and on
+every envelope entry is dropped.  Footpoints, spans and envelopes of every
+completion are built from the state by ``max`` and ``+`` alone, both
+monotone (on floats as well, since rounding is monotone), so the dominated
+state can never finish below the one that dominates it.  Equal-size disks
+enter in index order only, so permutations among them are built once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ceil, lcm
+from operator import le
 from typing import Iterable, Optional
 
 from .errors import DomainError, PreconditionError
 from .geometry import Disk, Placement, SpanReport, compact, span
 from .greedy import greedy_solve
-from .scalars import unified_backend
+from .scalars import Backend, unified_backend
 
 
 @dataclass(frozen=True)
 class OracleConfig:
+    """``max_n`` caps the instance size.  ``prune`` controls the incumbent
+    bound only: it seeds the search with the greedy span and drops every
+    state at or above it.  Dominance pruning is always on."""
+
     max_n: int = 10
     prune: bool = True
 
@@ -27,15 +43,37 @@ class OracleConfig:
             raise DomainError("max_n must be at least 1")
 
 
+def _keep(front: list, state: tuple) -> None:
+    """Add ``state`` to the non-dominated ``front`` of one placed set."""
+    new_span, new_env = state[0], state[1]
+    for old_span, old_env, _ in front:
+        if old_span <= new_span and all(map(le, old_env, new_env)):
+            return
+    front[:] = [
+        old
+        for old in front
+        if not (new_span <= old[0] and all(map(le, new_env, old[1])))
+    ]
+    front.append(state)
+
+
 def exact_solve(
     disks: Iterable[Disk], config: Optional[OracleConfig] = None
 ) -> tuple[Placement, SpanReport]:
     """Minimum span over all footpoint orders, with a realizing placement.
 
-    With pruning enabled the search starts from the greedy span as the
-    incumbent, so it only ever explores orders that could still beat it;
-    if none does, the greedy placement itself is returned (its span is
-    then optimal).
+    Layer d holds, for every set of d disks, the states (partial span,
+    envelope E[k] at each unplaced disk k, order) that no other state of
+    the same set dominates.  Extending a state by disk i puts it at
+    x = max(r_i, E[i]), raises the span to x + r_i if that is larger and
+    raises each remaining E[k] to x + 2 s_i s_k if that is larger.  These
+    steps are monotone in the span and in E, so a dominated state never
+    completes below the state that dominates it, and dropping it is
+    exact.  The best state of the last layer gives the order, which is
+    compacted.  With pruning enabled the greedy span is an incumbent, and
+    states at or above it are dropped; if no order beats it, the greedy
+    placement itself is returned (its span is then optimal).  Pruning
+    changes the work done, never the span returned.
     """
     cfg = config or OracleConfig()
     items = sorted(disks, key=lambda d: (-d.size, d.id))
@@ -46,65 +84,68 @@ def exact_solve(
             f"instance has {len(items)} disks, above the oracle cap of "
             f"{cfg.max_n}; raise OracleConfig.max_n to search anyway"
         )
-    unified_backend([d.size for d in items])
-
     n = len(items)
     sizes = [d.size for d in items]
+    exact = unified_backend(sizes) is Backend.EXACT
+    scale = 1
+    if exact:
+        # Integers over the common denominator D: every state value is then
+        # an integer multiple of 1/D**2, compared exactly and much faster.
+        scale = lcm(*(s.denominator for s in sizes))
+        sizes = [s.numerator * (scale // s.denominator) for s in sizes]
     radii = [s * s for s in sizes]
     pair = [[2 * a * b for b in sizes] for a in sizes]
+    zero = sizes[0] * 0
 
     fallback: Optional[Placement] = None
+    incumbent = None
     if cfg.prune:
         greedy = greedy_solve(items)
-        incumbent = greedy.certificate.span
+        incumbent = greedy.certificate.span * scale * scale
+        if exact:
+            incumbent = ceil(incumbent)  # state spans are integers: exact
         fallback = greedy.placement
-    else:
-        incumbent = None
 
-    best_order: Optional[list[int]] = None
-    used = [False] * n
-    feet: list = []
-    chosen: list[int] = []
+    # placed-set bitmask -> its front of (span, envelope, order) states;
+    # envelope entries of placed disks stay zero so they never decide
+    layer: dict[int, list] = {0: [(zero, (zero,) * n, ())]}
+    for _ in range(n):
+        following: dict[int, list] = {}
+        for mask, front in layer.items():
+            for i in range(n):
+                bit = 1 << i
+                if mask & bit:
+                    continue
+                if i and sizes[i - 1] == sizes[i] and not mask & (bit >> 1):
+                    continue  # equal-size disks enter in index order only
+                grown = mask | bit
+                rest = [k for k in range(n) if not grown >> k & 1]
+                r = radii[i]
+                row = pair[i]
+                for partial, env, order in front:
+                    x = env[i] if env[i] > r else r
+                    extent = x + r
+                    new_span = partial if partial > extent else extent
+                    if incumbent is not None and new_span >= incumbent:
+                        continue
+                    new_env = list(env)
+                    new_env[i] = zero
+                    for k in rest:
+                        c = x + row[k]
+                        if c > new_env[k]:
+                            new_env[k] = c
+                    _keep(
+                        following.setdefault(grown, []),
+                        (new_span, tuple(new_env), order + (i,)),
+                    )
+        layer = following
 
-    def search(partial_span) -> None:
-        nonlocal incumbent, best_order
-        depth = len(chosen)
-        if depth == n:
-            if incumbent is None or partial_span < incumbent:
-                incumbent = partial_span
-                best_order = chosen.copy()
-            return
-        previous_size = None
-        for i in range(n):
-            if used[i]:
-                continue
-            if sizes[i] == previous_size:
-                continue  # equal-size disks enter in id order only
-            previous_size = sizes[i]
-            x = radii[i]
-            row = pair[i]
-            for j, xj in zip(chosen, feet):
-                c = xj + row[j]
-                if c > x:
-                    x = c
-            extent = x + radii[i]
-            new_span = partial_span if partial_span > extent else extent
-            if cfg.prune and incumbent is not None and new_span >= incumbent:
-                continue
-            used[i] = True
-            chosen.append(i)
-            feet.append(x)
-            search(new_span)
-            feet.pop()
-            chosen.pop()
-            used[i] = False
-
-    search(sizes[0] * 0)
-
-    if best_order is None:
+    if not layer:
         # Nothing beat the greedy incumbent, so the greedy span is optimal.
         placement = fallback
     else:
+        (front,) = layer.values()
+        best_order = min(front, key=lambda state: state[0])[2]
         placement = compact([items[i] for i in best_order])
     report = span(placement)
     return placement, report

@@ -14,6 +14,12 @@ def make_disks(sizes: Sequence, prefix: str = "d") -> list[Disk]:
     return [Disk(f"{prefix}{i}", s) for i, s in enumerate(sizes)]
 
 
+def random_linear_disks(rng, n: int) -> list[Disk]:
+    """n distinct sizes k/100 with 100 <= k < 200 (so max/min < 2, which
+    always satisfies the linear-case predicate); n is at most 100."""
+    return make_disks([Fraction(k, 100) for k in rng.sample(range(100, 200), n)])
+
+
 def naive_compact(order: Sequence[Disk]) -> Placement:
     """Reference left-compaction: each disk checks every earlier disk."""
     feet = []

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import shelfpack
 from shelfpack.cli import main
 from shelfpack.files import read_placement
 from shelfpack.geometry import span, verify
@@ -216,3 +222,39 @@ class TestRender:
         main(["render", str(tmp_path / "h.instance.certificate"), "--out", str(out)])
         golden = pathlib.Path(__file__).parent / "data" / "certificate_m2.svg"
         assert out.read_text(encoding="utf-8") == golden.read_text(encoding="utf-8")
+
+
+class TestModuleEntry:
+    # the ``shelfpack`` script runs shelfpack.cli:entry ([project.scripts])
+    SCRIPT = ["-c", "from shelfpack.cli import entry; entry()"]
+
+    @staticmethod
+    def run(prefix, args):
+        env = dict(os.environ)
+        src = str(Path(shelfpack.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, *prefix, *args], capture_output=True, text=True, env=env, timeout=60
+        )
+
+    def test_exit_codes_match_the_script(self, tmp_path, linear_instance):
+        overlap = write(
+            tmp_path / "bad.placement",
+            "shelfpack-placement v1\na 1/1 1/1\nb 1/1 2/1\n",
+        )
+        big = write(
+            tmp_path / "big.instance",
+            "shelfpack-instance v1\n" + "".join(f"d{i} 1/1\n" for i in range(12)),
+        )
+        cases = [
+            (["solve", linear_instance], 0),
+            (["verify", overlap], 1),
+            (["solve", str(tmp_path / "missing.instance")], 2),
+            ([], 2),
+            (["solve", big, "--mode", "exact"], 3),
+        ]
+        for args, code in cases:
+            module = self.run(["-m", "shelfpack"], args)
+            script = self.run(self.SCRIPT, args)
+            assert module.returncode == script.returncode == code, args
+            assert (module.stdout, module.stderr) == (script.stdout, script.stderr)

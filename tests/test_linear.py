@@ -3,7 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import brute_min_span, improve_until_stuck, make_disks, touching_chain_total
+from helpers import (
+    brute_min_span,
+    improve_until_stuck,
+    make_disks,
+    random_linear_disks,
+    touching_chain_total,
+)
 from shelfpack.errors import DomainError, PreconditionError
 from shelfpack.geometry import compact, span
 from shelfpack.linear import (
@@ -15,18 +21,13 @@ from shelfpack.linear import (
 from shelfpack.oracle import exact_solve
 
 
-def random_linear_disks(rng, n):
-    """Distinct sizes with max/min < 2, which always satisfies the predicate."""
-    while True:
-        sizes = [F(rng.randint(100, 199), 100) for _ in range(n)]
-        if len(set(sizes)) == n:
-            return make_disks(sizes)
-
-
 class TestIsLinearCase:
     def test_examples(self):
         assert is_linear_case(make_disks([F(10), F(9), F(8), F(7), F(6)])) is True
         assert is_linear_case(make_disks([F(5), F(4), F(3), F(2)])) is False
+        # b is the second-largest size counted with multiplicity: with
+        # a = b = 10, 1/5 < 1/10 + 1/10 fails (with b = 6 it would hold)
+        assert is_linear_case(make_disks([F(6), F(10), F(5), F(10)])) is False
 
     def test_ratio_below_two_suffices(self):
         rng = random.Random(5)
@@ -105,7 +106,7 @@ class TestSolveLinear:
 
         monkeypatch.setattr("shelfpack.linear.compact", counting_compact)
         rng = random.Random(11)
-        for n in (2, 3, 4, 7, 10, 13):
+        for n in (2, 3, 4, 7, 10, 13, 41, 100):
             disks = random_linear_disks(rng, n)
             calls.clear()
             placement, report = solve_linear(disks)

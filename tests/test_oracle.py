@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import brute_min_span, make_disks
+from helpers import brute_min_span, make_disks, random_linear_disks
 from shelfpack.errors import DomainError, PreconditionError
 from shelfpack.geometry import compact, span
+from shelfpack.greedy import greedy_solve
 from shelfpack.linear import solve_linear
 from shelfpack.oracle import OracleConfig, exact_solve
 
@@ -41,6 +42,39 @@ class TestAgainstEnumeration:
             disks = make_disks(sizes)
             _, report = exact_solve(disks)
             assert report.span == brute_min_span(disks)
+
+    @pytest.mark.parametrize("ratio", [1.5, 2, 6, 50, 500])
+    def test_matches_enumeration_across_size_ratios(self, ratio):
+        # both backends, with and without the incumbent, and with runs of
+        # equal sizes; every instance spans the whole ratio.  Exact
+        # enumeration costs about five times float at n = 7.
+        rng = random.Random(int(10 * ratio))
+        small = [(rng.randint(3, 5), exact) for exact in (True, False) for _ in range(25)]
+        for n, exact in small + [(6, True), (7, False)]:
+            sizes = [1.0, float(ratio)] + [ratio ** rng.random() for _ in range(n - 2)]
+            if n > 3:
+                sizes[-2:] = [rng.choice(sizes[:-2])] * 2
+            rng.shuffle(sizes)
+            if exact:
+                sizes = [F(round(1000 * v), 1000) for v in sizes]
+            disks = make_disks(sizes)
+            best = brute_min_span(disks)
+            for prune in (True, False):
+                _, report = exact_solve(disks, OracleConfig(prune=prune))
+                if exact:
+                    assert report.span == best
+                else:
+                    # a greedy fallback may differ from every compacted
+                    # span by float rounding
+                    assert report.span == pytest.approx(best, rel=1e-12)
+
+    def test_greedy_within_four_thirds_at_larger_n(self):
+        rng = random.Random(61)
+        for n, ratio in ((9, 6), (10, 6), (9, 50), (10, 50)):
+            sizes = [F(round(1000 * ratio ** rng.random()), 1000) for _ in range(n)]
+            disks = make_disks(sizes)
+            _, orc = exact_solve(disks)
+            assert greedy_solve(disks).certificate.span <= F(4, 3) * orc.span
 
     def test_never_above_a_random_compaction(self):
         rng = random.Random(43)
@@ -112,6 +146,14 @@ class TestLinearAgreement:
                 if len(set(sizes)) == n:
                     break
             disks = make_disks(sizes)
+            _, lin = solve_linear(disks)
+            _, orc = exact_solve(disks)
+            assert lin.span == orc.span
+
+    def test_equals_linear_solver_at_larger_n(self):
+        rng = random.Random(67)
+        for n in (9, 10, 9, 10):
+            disks = random_linear_disks(rng, n)
             _, lin = solve_linear(disks)
             _, orc = exact_solve(disks)
             assert lin.span == orc.span
