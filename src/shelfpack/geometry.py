@@ -9,11 +9,21 @@ rational backend.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import lt
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BackendMismatchError, DomainError
-from .scalars import Backend, Scalar, backend_of, coerce, unified_backend
+from .scalars import (
+    Backend,
+    Scalar,
+    backend_of,
+    coerce,
+    integer_scale,
+    unified_backend,
+)
 
 
 @dataclass(frozen=True)
@@ -70,16 +80,37 @@ class Placement:
         unified_backend(
             [p.disk.size for p in ordered] + [p.footpoint for p in ordered]
         )
-        seen: set[str] = set()
-        for p in ordered:
-            if p.disk.id in seen:
-                raise DomainError(f"duplicate disk id {p.disk.id!r} in placement")
-            seen.add(p.disk.id)
-        for left, right in zip(ordered, ordered[1:]):
-            if not left.footpoint < right.footpoint:
-                raise DomainError(
-                    f"footpoints of {left.disk.id!r} and {right.disk.id!r} coincide"
-                )
+        _check_ids_and_order(ordered)
+
+    @classmethod
+    def trusted(
+        cls, disks: Sequence[Disk], footpoints: Sequence[Scalar]
+    ) -> Placement:
+        """Solver output: ``disks[i]`` at ``footpoints[i]``, built without
+        checking each scalar again.
+
+        The caller promises what the per-element checks would find: the
+        sizes were checked once to share one backend, and every footpoint
+        was built from them with ``+`` and ``*``, so it shares that backend
+        too.  Everything else a placement promises is still checked: float
+        footpoints are finite (rounding can overflow), the disks are sorted
+        by footpoint, the footpoints strictly increase and the ids are
+        unique.  The same errors as the checked constructor are raised.
+        """
+        if not disks:
+            raise DomainError("a placement must contain at least one disk")
+        if isinstance(footpoints[0], float) and not all(
+            map(math.isfinite, footpoints)
+        ):
+            for disk, x in zip(disks, footpoints):
+                if not math.isfinite(x):
+                    raise DomainError(f"disk {disk.id!r} has footpoint {x!r}")
+        order = sorted(range(len(disks)), key=footpoints.__getitem__)
+        ordered = tuple(_unchecked_placed(disks[i], footpoints[i]) for i in order)
+        _check_ids_and_order(ordered)
+        placement = object.__new__(cls)
+        object.__setattr__(placement, "placed", ordered)
+        return placement
 
     @property
     def backend(self) -> Backend:
@@ -93,6 +124,33 @@ class Placement:
 
     def __iter__(self) -> Iterator[PlacedDisk]:
         return iter(self.placed)
+
+
+def _unchecked_placed(disk: Disk, footpoint: Scalar) -> PlacedDisk:
+    placed = object.__new__(PlacedDisk)
+    fields = placed.__dict__
+    fields["disk"] = disk
+    fields["footpoint"] = footpoint
+    return placed
+
+
+def _check_ids_and_order(ordered: Sequence[PlacedDisk]) -> None:
+    """Unique ids and strictly increasing footpoints; the first offender
+    in footpoint order is named."""
+    ids = [p.disk.id for p in ordered]
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for disk_id in ids:
+            if disk_id in seen:
+                raise DomainError(f"duplicate disk id {disk_id!r} in placement")
+            seen.add(disk_id)
+    feet = [p.footpoint for p in ordered]
+    if not all(map(lt, feet, feet[1:])):
+        for left, right in zip(ordered, ordered[1:]):
+            if not left.footpoint < right.footpoint:
+                raise DomainError(
+                    f"footpoints of {left.disk.id!r} and {right.disk.id!r} coincide"
+                )
 
 
 @dataclass(frozen=True)
@@ -181,6 +239,12 @@ def compact(order: Sequence[Disk]) -> Placement:
     float ``+`` and ``*`` are monotone too, its candidate cannot exceed x
     on either backend.  The result is the full maximum, found in time
     proportional to the disks within reach of disk i.
+
+    The sizes are checked once to share one backend; the footpoints are
+    built from them by ``+``, ``*`` and ``max`` and handed to
+    :meth:`Placement.trusted`, which skips the per-element scalar checks
+    but still rejects duplicate ids, coinciding footpoints and float
+    footpoints that overflowed.
     """
     if not order:
         raise DomainError("cannot compact an empty order")
@@ -199,7 +263,7 @@ def compact(order: Sequence[Disk]) -> Placement:
             if c > x:
                 x = c
         feet.append(x)
-    return Placement(tuple(PlacedDisk(d, x) for d, x in zip(order, feet)))
+    return Placement.trusted(order, feet)
 
 
 def span(placement: Placement) -> SpanReport:
@@ -295,15 +359,29 @@ def best_support_lower_bound(disks: Iterable[Disk]) -> Scalar:
     prefix.  This maximum is the bound the greedy certificate is measured
     against.
     """
-    items = sorted(disks, key=lambda d: (-d.size, d.id))
-    if not items:
+    # Each prefix bound depends only on the multiset of sizes in the
+    # prefix, so the sizes alone are sorted; ties need no order.
+    sizes = [d.size for d in disks]
+    if not sizes:
         raise DomainError("best_support_lower_bound requires at least one disk")
-    unified_backend([d.size for d in items])
+    if unified_backend(sizes) is Backend.EXACT:
+        sizes, scale = integer_scale(sizes)
+        sizes.sort(reverse=True)
+        return Fraction(prefix_support_bound(sizes), scale * scale)
+    sizes.sort(reverse=True)
+    return prefix_support_bound(sizes)
+
+
+def prefix_support_bound(sizes: Sequence[Scalar]) -> Scalar:
+    """Kernel of :func:`best_support_lower_bound` on sizes that are already
+    sorted in decreasing order and share one backend.  Exact sizes may be
+    passed as integers over a common denominator D (see
+    :func:`~shelfpack.scalars.integer_scale`); the bound is then D**2
+    times the true one."""
     best = None
-    running = 0 * items[0].size
-    for count, disk in enumerate(items, start=1):
-        running += disk.size
-        m = disk.size  # smallest size within the prefix
+    running = 0 * sizes[0]
+    for count, m in enumerate(sizes, start=1):
+        running += m  # m is the smallest size within the prefix
         bound = 4 * m * running - 2 * count * m * m
         if best is None or bound > best:
             best = bound

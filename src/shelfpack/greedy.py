@@ -4,25 +4,38 @@ Disks are placed in decreasing size order.  Each disk goes into the widest
 gap that can hold it; if no gap fits, it extends an end, preferring an end
 placement that does not grow the span.  A priority queue keyed by gap fit
 size keeps the whole run in O(n log n).
+
+The input is checked once, where :func:`greedy_solve` receives it: at
+least one disk, and one backend for all sizes.  The loop then runs on
+plain lists.  Float sizes are used as they are, with the same expressions
+as the checked geometry functions, so every footpoint is bit-identical to
+theirs.  Exact sizes become integers over their common denominator
+(:func:`~shelfpack.scalars.integer_scale`), so no ``Fraction`` is reduced
+inside the loop.  The output is built with :meth:`Placement.trusted`,
+which skips the per-element scalar checks but still sorts by footpoint
+and rejects duplicate ids, coinciding footpoints and float footpoints that
+overflowed.  The certificate comes from the loop as well: the span from
+the walls it tracks, the lower bound from one prefix pass over the sizes
+it sorted.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import DomainError, PreconditionError
 from .geometry import (
     Disk,
     Placement,
-    PlacedDisk,
     best_support_lower_bound,
-    gap_fit_size,
+    prefix_support_bound,
     span,
     verify,
 )
-from .scalars import Backend, Scalar
+from .scalars import Backend, Scalar, integer_scale, unified_backend
 
 
 @dataclass(frozen=True)
@@ -59,86 +72,115 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
     3. If either candidate keeps the current walls, take it (left first).
     4. Otherwise extend at the left if its end disk is strictly larger
        than the right one, else at the right.
-    """
-    order = sorted(disks, key=lambda d: (-d.size, d.id))
-    if not order:
-        raise DomainError("greedy_solve requires at least one disk")
 
+    Gaps are ranked by (-fit, left id, left index, right index), where a
+    gap between sizes a and b with footpoints g apart has fit g / (2(a+b)).
+    """
+    items = list(disks)
+    if not items:
+        raise DomainError("greedy_solve requires at least one disk")
+    sizes = [d.size for d in items]
+    exact = unified_backend(sizes) is Backend.EXACT
+    unit = 1
+    if exact:
+        # Integers over the common denominator D, so footpoints and walls
+        # are integers over D**2.  An exact fit g/w is keyed by the integer
+        # floor(g * unit / w).  Two different fits g/w and g'/w' differ by
+        # at least 1/(w w'), and every w = 2(a+b) is at most 4 max(size),
+        # so with unit at least (4 max(size))**2 the keys differ too: they
+        # order fits exactly as the fits themselves, and
+        # floor(g * unit / w) >= d * unit exactly when g/w >= d.
+        sizes, scale = integer_scale(sizes)
+        unit = 1 << 2 * (4 * max(sizes)).bit_length()
+    rank = sorted(range(len(items)), key=lambda i: (-sizes[i], items[i].id))
+    order = [items[i] for i in rank]
     ids = [d.id for d in order]
-    sizes = [d.size for d in order]
-    foot: list[Scalar] = [sizes[0] * 0]
+    sizes = [sizes[i] for i in rank]
+    foot: list = [sizes[0] * 0]
     right_nb: list[int] = [-1]
-    left_nb: list[int] = [-1]
     head = tail = 0
     left_wall = foot[0] - sizes[0] * sizes[0]
     right_wall = foot[0] + sizes[0] * sizes[0]
-    # heap entries: (-fit, left disk id, left index, right index)
-    heap: list[tuple[Scalar, str, int, int]] = []
-    ops = 0
+    # heap entries: (-fit, left id, left index, right index); -fit is the
+    # float itself or the negated exact key
+    heap: list[tuple] = []
+    push, pop = heapq.heappush, heapq.heappop
+    ops = 0  # heap pushes plus non-stale pops
 
-    def push_gap(li: int, ri: int) -> None:
-        nonlocal ops
-        fit = gap_fit_size(sizes[li], sizes[ri], foot[ri] - foot[li])
-        heapq.heappush(heap, (-fit, ids[li], li, ri))
-        ops += 1
-
-    for k in range(1, len(order)):
+    for k in range(1, len(sizes)):
         d = sizes[k]
-        placed_in_gap = False
+        limit = d * unit
+        pairs = None
         while heap:
             neg_fit, _, li, ri = heap[0]
             if right_nb[li] != ri:  # stale: the pair is no longer adjacent
-                heapq.heappop(heap)
+                pop(heap)
                 continue
-            if -neg_fit < d:
+            if -neg_fit < limit:
                 break
-            heapq.heappop(heap)
+            pop(heap)
             ops += 1
             if sizes[li] <= sizes[ri]:
                 x = foot[li] + 2 * sizes[li] * d
             else:
                 x = foot[ri] - 2 * sizes[ri] * d
-            foot.append(x)
-            left_nb.append(li)
             right_nb.append(ri)
             right_nb[li] = k
-            left_nb[ri] = k
-            push_gap(li, k)
-            push_gap(k, ri)
-            placed_in_gap = True
+            pairs = ((li, k), (k, ri))
             break
-        if not placed_in_gap:
+        if pairs is None:
             x_left = foot[head] - 2 * sizes[head] * d
             x_right = foot[tail] + 2 * sizes[tail] * d
             fits_left = x_left - d * d >= left_wall
             fits_right = x_right + d * d <= right_wall
             if fits_left or (not fits_right and sizes[head] > sizes[tail]):
-                foot.append(x_left)
-                left_nb.append(-1)
+                x = x_left
                 right_nb.append(head)
-                left_nb[head] = k
-                push_gap(k, head)
+                pairs = ((k, head),)
                 head = k
             else:
-                foot.append(x_right)
-                left_nb.append(tail)
+                x = x_right
                 right_nb.append(-1)
                 right_nb[tail] = k
-                push_gap(tail, k)
+                pairs = ((tail, k),)
                 tail = k
-        le = foot[k] - d * d
-        re = foot[k] + d * d
+        foot.append(x)
+        for li, ri in pairs:
+            gap = foot[ri] - foot[li]
+            width = 2 * (sizes[li] + sizes[ri])
+            fit = gap * unit // width if exact else gap / width
+            push(heap, (-fit, ids[li], li, ri))
+        ops += len(pairs)
+        le = x - d * d
+        re = x + d * d
         if le < left_wall:
             left_wall = le
         if re > right_wall:
             right_wall = re
 
-    placement = Placement(
-        tuple(PlacedDisk(disk, x) for disk, x in zip(order, foot))
-    )
-    report = span(placement)
-    lb = best_support_lower_bound(order)
-    certificate = Certificate(report.span, lb, report.span / lb)
+    line: list[int] = []  # left to right along the links: footpoint order
+    k = head
+    while k != -1:
+        line.append(k)
+        k = right_nb[k]
+    placed = [order[k] for k in line]
+    # The walls are the extents span() finds, and the bound is
+    # best_support_lower_bound's prefix pass over the sizes sorted above.
+    extent = right_wall - left_wall
+    lower_bound = prefix_support_bound(sizes)
+    if exact:
+        square = scale * scale
+        placement = Placement.trusted(
+            placed, [Fraction(foot[k], square) for k in line]
+        )
+        certificate = Certificate(
+            Fraction(extent, square),
+            Fraction(lower_bound, square),
+            Fraction(extent, lower_bound),
+        )
+    else:
+        placement = Placement.trusted(placed, [foot[k] for k in line])
+        certificate = Certificate(extent, lower_bound, extent / lower_bound)
     return GreedyResult(placement, certificate, ops)
 
 

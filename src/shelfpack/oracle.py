@@ -19,14 +19,14 @@ enter in index order only, so permutations among them are built once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, lcm
+from math import ceil
 from operator import le
 from typing import Iterable, Optional
 
 from .errors import DomainError, PreconditionError
 from .geometry import Disk, Placement, SpanReport, compact, span
 from .greedy import greedy_solve
-from .scalars import Backend, unified_backend
+from .scalars import Backend, integer_scale, unified_backend
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,7 @@ def exact_solve(
     if exact:
         # Integers over the common denominator D: every state value is then
         # an integer multiple of 1/D**2, compared exactly and much faster.
-        scale = lcm(*(s.denominator for s in sizes))
-        sizes = [s.numerator * (scale // s.denominator) for s in sizes]
+        sizes, scale = integer_scale(sizes)
     radii = [s * s for s in sizes]
     pair = [[2 * a * b for b in sizes] for a in sizes]
     zero = sizes[0] * 0

@@ -14,7 +14,7 @@ import enum
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import BackendMismatchError, DomainError, ParseError
 
@@ -52,9 +52,18 @@ def backend_of(value: Scalar) -> Backend:
     raise DomainError(f"unsupported scalar type {type(value).__name__}")
 
 
+_BACKEND_OF_TYPE = {Fraction: Backend.EXACT, float: Backend.FLOAT}
+
+
 def unified_backend(values: Iterable[Scalar]) -> Backend:
     """Return the common backend of ``values``, rejecting mixtures."""
-    backend: Backend | None = None
+    values = list(values)
+    kinds = set(map(type, values))
+    if len(kinds) == 1:  # the usual case, settled without a per-value call
+        backend = _BACKEND_OF_TYPE.get(kinds.pop())
+        if backend is not None:
+            return backend
+    backend = None
     for value in values:
         b = backend_of(value)
         if backend is None:
@@ -68,8 +77,16 @@ def unified_backend(values: Iterable[Scalar]) -> Backend:
     return backend
 
 
-def zero(backend: Backend) -> Scalar:
-    return Fraction(0) if backend is Backend.EXACT else 0.0
+def integer_scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Exact values as integers over their common denominator ``D``.
+
+    Returns ``(ints, D)`` with ``values[i] == ints[i] / D``.  Sums and
+    products of the integers are exact and, unlike ``Fraction`` arithmetic,
+    never reduce by a gcd; a degree-k polynomial in the values is the same
+    polynomial in the integers over ``D**k``.
+    """
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -104,6 +104,26 @@ class TestSolve:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestGoldenSolve:
+    """``solve`` on checked-in instances, compared byte for byte with the
+    summary and placement recorded in tests/data."""
+
+    DATA = Path(__file__).parent / "data"
+
+    @pytest.mark.parametrize("name", ["greedy_float", "greedy_exact"])
+    def test_matches_golden_files(self, name, tmp_path, capsys):
+        instance = str(self.DATA / f"{name}.instance")
+        summary = (self.DATA / f"{name}.summary").read_bytes()
+        placement = (self.DATA / f"{name}.placement").read_bytes()
+        assert main(["solve", instance]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.encode() == summary
+        assert captured.out.encode() == placement
+        out = tmp_path / "out.placement"
+        assert main(["solve", instance, "--out", str(out)]) == 0
+        assert out.read_bytes() == placement
+
+
 class TestVerify:
     def test_accepts_valid_placement(self, tmp_path, capsys):
         path = write(

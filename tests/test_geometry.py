@@ -59,6 +59,28 @@ class TestDiskTypes:
             )
 
 
+class TestTrustedPlacement:
+    def test_sorts_by_footpoint(self):
+        disks = make_disks([F(1), F(1), F(2)])
+        p = Placement.trusted(disks, [F(4), F(-1), F(1)])
+        assert [(x.disk.id, x.footpoint) for x in p] == [
+            ("d1", -1), ("d2", 1), ("d0", 4)
+        ]
+        assert p == Placement(tuple(p.placed))
+
+    def test_keeps_placement_promises(self):
+        disks = make_disks([1.0, 1.0])
+        with pytest.raises(DomainError, match="a placement must contain"):
+            Placement.trusted([], [])
+        with pytest.raises(DomainError, match="duplicate disk id"):
+            Placement.trusted([disks[0], disks[0]], [0.0, 2.0])
+        with pytest.raises(DomainError, match="coincide"):
+            Placement.trusted(disks, [1.0, 1.0])
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(DomainError, match="footpoint"):
+                Placement.trusted(disks, [0.0, bad])
+
+
 class TestFootpointDistance:
     def test_unit_pair(self):
         assert footpoint_distance(F(1), F(1)) == 2
@@ -346,6 +368,26 @@ class TestBestSupportLowerBound:
             sizes = [F(rng.randint(1, 24), rng.randint(1, 4)) for _ in range(5)]
             disks = make_disks(sizes)
             assert best_support_lower_bound(disks) <= brute_min_span(disks)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_runs_of_equal_sizes(self, exact):
+        # reference: running sums over the disks ranked by (-size, id)
+        rng = random.Random(37)
+        for _ in range(60):
+            values = [F(rng.randint(100, 5000), rng.choice((7, 13, 100, 990)))
+                      for _ in range(4)]
+            sizes = [rng.choice(values) for _ in range(rng.randint(1, 40))]
+            if not exact:
+                sizes = [float(s) for s in sizes]
+            disks = make_disks(sizes)
+            rng.shuffle(disks)
+            ranked = sorted(disks, key=lambda d: (-d.size, d.id))
+            running, bounds = 0 * sizes[0], []
+            for count, disk in enumerate(ranked, start=1):
+                m = disk.size
+                running += m
+                bounds.append(4 * m * running - 2 * count * m * m)
+            assert repr(best_support_lower_bound(disks)) == repr(max(bounds))
 
 
 def test_size_from_radius():

@@ -3,11 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import brute_min_span, make_disks
-from shelfpack.errors import DomainError, PreconditionError
+from helpers import brute_min_span, make_disks, naive_greedy
+from shelfpack.errors import BackendMismatchError, DomainError, PreconditionError
 from shelfpack.files import format_placement
-from shelfpack.geometry import Disk, PlacedDisk, Placement, span, verify
+from shelfpack.geometry import Disk, PlacedDisk, Placement, compact, span, verify
 from shelfpack.greedy import approximation_certificate, greedy_solve
+from shelfpack.hardness import ThreePartitionInstance, build_instance
 
 
 class TestPlacementRules:
@@ -132,3 +133,103 @@ class TestInvariants:
                 if left.disk.size < 2 * smallest and right.disk.size < 2 * smallest:
                     gap = right.footpoint - left.footpoint
                     assert gap == 2 * left.disk.size * right.disk.size
+
+
+def reduction_disks(m: int, seed: int) -> list[Disk]:
+    """Disks of a 3-Partition reduction with m groups (B = 1000)."""
+    rng = random.Random(seed)
+    elements = []
+    while len(elements) < 3 * m:
+        a, b = rng.randint(251, 499), rng.randint(251, 499)
+        if 250 < 1000 - a - b < 500:
+            elements += [a, b, 1000 - a - b]
+    rng.shuffle(elements)
+    return list(build_instance(ThreePartitionInstance(tuple(elements), 1000)).disks)
+
+
+class TestAgainstNaiveGreedy:
+    """greedy_solve runs on plain lists (exact sizes as integers); the
+    reference runs on checked scalars.  Outputs must agree to the byte."""
+
+    @staticmethod
+    def assert_same(disks, exact):
+        if not exact:
+            disks = [Disk(d.id, float(d.size)) for d in disks]
+        got, want = greedy_solve(disks), naive_greedy(disks)
+        assert format_placement(got.placement) == format_placement(want.placement)
+        assert repr(got.certificate) == repr(want.certificate)
+        assert got.queue_ops == want.queue_ops
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_size_ratios_with_equal_runs(self, exact):
+        rng = random.Random(41)
+        for ratio in (F(3, 2), F(2), F(6), F(50), F(1000)):
+            for _ in range(25):
+                n = rng.randint(1, 80)
+                sizes = [1 + (ratio - 1) * F(rng.randint(0, 1000), 1000)
+                         for _ in range(n)]
+                at = rng.randint(0, n)  # insert a run of equal sizes
+                sizes[at:at] = [rng.choice(sizes)] * rng.choice((0, 2, 9, 30))
+                disks = make_disks(sizes)
+                rng.shuffle(disks)
+                self.assert_same(disks, exact)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_coprime_denominators(self, exact):
+        rng = random.Random(43)
+        for _ in range(40):
+            sizes = []
+            for _ in range(rng.randint(2, 60)):
+                den = rng.choice((7, 13, 990, 13200))
+                sizes.append(F(rng.randint(den, 40 * den), den))
+            self.assert_same(make_disks(sizes), exact)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_two_thousand_disks(self, exact):
+        rng = random.Random(47)
+        sizes = [F(rng.randint(1000, 100_000), 1000) for _ in range(2000)]
+        self.assert_same(make_disks(sizes), exact)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_reduction_instance(self, exact):
+        self.assert_same(reduction_disks(20, seed=53), exact)
+
+    def test_fits_closer_than_float_precision(self):
+        # z, then y on its right, then c on its left: the gaps (c, z) and
+        # (z, y) fit 2/3 and 2(1+eps)/(3+eps), about 1e-21 apart, so both
+        # round to one float.  m must enter the wider gap, on z's right,
+        # although the left-id tie-break would pick (c, z).
+        eps = F(1, 10**20)
+        disks = [Disk("z", F(2)), Disk("y", 1 + eps), Disk("c", F(1)), Disk("m", F(1, 10))]
+        result = greedy_solve(disks)
+        assert [p.disk.id for p in result.placement] == ["c", "z", "m", "y"]
+        self.assert_same(disks, exact=True)
+
+
+class TestInputBoundary:
+    """Checks made once on entry still reject what they rejected before."""
+
+    @pytest.mark.parametrize("solver", [greedy_solve, compact])
+    def test_empty_input(self, solver):
+        with pytest.raises(DomainError):
+            solver([])
+
+    @pytest.mark.parametrize("solver", [greedy_solve, compact])
+    @pytest.mark.parametrize("size", [F(2), 2.0])
+    def test_duplicate_ids(self, solver, size):
+        with pytest.raises(DomainError, match="duplicate disk id 'a'"):
+            solver([Disk("a", size), Disk("b", size / 2), Disk("a", size / 3)])
+
+    @pytest.mark.parametrize("solver", [greedy_solve, compact])
+    def test_mixed_backends(self, solver):
+        with pytest.raises(BackendMismatchError):
+            solver([Disk("a", F(2)), Disk("b", 1.0)])
+        with pytest.raises(BackendMismatchError):
+            solver([Disk("a", 2.0), Disk("b", F(1)), Disk("c", F(1, 2))])
+
+    @pytest.mark.parametrize("solver", [greedy_solve, compact])
+    @pytest.mark.parametrize("size", [1e154, 1e200])
+    def test_float_footpoints_overflowing_to_infinity(self, solver, size):
+        # 2 * 1e154 * 1e154 overflows although every radius is finite
+        with pytest.raises(DomainError):
+            solver([Disk("a", size), Disk("b", size), Disk("c", size / 2)])

@@ -10,6 +10,7 @@ from shelfpack.scalars import (
     coerce,
     display_scalar,
     format_scalar,
+    integer_scale,
     is_rational_literal,
     parse_scalar,
     unified_backend,
@@ -66,3 +67,22 @@ def test_coerce_and_backends():
         unified_backend([Fraction(1), 0.5])
     with pytest.raises(DomainError):
         unified_backend([])
+
+
+def test_unified_backend_of_one_type_and_of_others():
+    assert unified_backend(iter([0.5, 2.0])) is Backend.FLOAT
+
+    class Size(float):
+        pass
+
+    assert unified_backend([Size(1.5), Size(2.5)]) is Backend.FLOAT
+    with pytest.raises(DomainError):
+        unified_backend([1, 2])  # plain ints are coerced, never passed in
+
+
+def test_integer_scale():
+    values = [Fraction(1, 7), Fraction(5, 13), Fraction(3), Fraction(7, 990)]
+    ints, scale = integer_scale(values)
+    assert scale == math.lcm(7, 13, 990)
+    assert all(isinstance(k, int) for k in ints)
+    assert [Fraction(k, scale) for k in ints] == values
