@@ -158,12 +158,6 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
         if re > right_wall:
             right_wall = re
 
-    line: list[int] = []  # left to right along the links: footpoint order
-    k = head
-    while k != -1:
-        line.append(k)
-        k = right_nb[k]
-    placed = [order[k] for k in line]
     # The walls are the extents span() finds, and the bound is
     # best_support_lower_bound's prefix pass over the sizes sorted above.
     extent = right_wall - left_wall
@@ -171,7 +165,7 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
     if exact:
         square = scale * scale
         placement = Placement.trusted(
-            placed, [Fraction(foot[k], square) for k in line]
+            order, [Fraction(x, square) for x in foot]
         )
         certificate = Certificate(
             Fraction(extent, square),
@@ -179,7 +173,7 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
             Fraction(extent, lower_bound),
         )
     else:
-        placement = Placement.trusted(placed, [foot[k] for k in line])
+        placement = Placement.trusted(order, foot)
         certificate = Certificate(extent, lower_bound, extent / lower_bound)
     return GreedyResult(placement, certificate, ops)
 

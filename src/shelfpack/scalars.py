@@ -52,19 +52,13 @@ def backend_of(value: Scalar) -> Backend:
     raise DomainError(f"unsupported scalar type {type(value).__name__}")
 
 
-_BACKEND_OF_TYPE = {Fraction: Backend.EXACT, float: Backend.FLOAT}
-
-
 def unified_backend(values: Iterable[Scalar]) -> Backend:
     """Return the common backend of ``values``, rejecting mixtures."""
     values = list(values)
-    kinds = set(map(type, values))
-    if len(kinds) == 1:  # the usual case, settled without a per-value call
-        backend = _BACKEND_OF_TYPE.get(kinds.pop())
-        if backend is not None:
-            return backend
-    backend = None
-    for value in values:
+    backend: Backend | None = None
+    # one value per type, in order of first occurrence: the same errors as
+    # a check of every value, without a call per value
+    for value in dict(zip(map(type, values), values)).values():
         b = backend_of(value)
         if backend is None:
             backend = b

@@ -76,8 +76,14 @@ def test_unified_backend_of_one_type_and_of_others():
         pass
 
     assert unified_backend([Size(1.5), Size(2.5)]) is Backend.FLOAT
+    assert unified_backend([0.5, Size(1.5)]) is Backend.FLOAT
     with pytest.raises(DomainError):
         unified_backend([1, 2])  # plain ints are coerced, never passed in
+    # the first offending value decides which error is raised
+    with pytest.raises(BackendMismatchError):
+        unified_backend([0.5, 0.5, Fraction(1), 1])
+    with pytest.raises(DomainError):
+        unified_backend([0.5, 1, Fraction(1)])
 
 
 def test_integer_scale():
