@@ -5,6 +5,10 @@ The package provides exact tangency geometry over rational or float
 scalars, an exact solver for linear-case instances, a greedy
 4/3-approximation with certificates, an exact subset-DP oracle, a 3-Partition
 hardness-instance toolkit, and file/CLI plumbing.
+
+Every solver returns a :class:`Placement`: a column of disks and a column
+of footpoints, sorted by footpoint.  ``Placement(disks, footpoints)`` is
+its only constructor and checks every placement once, whoever builds it.
 """
 
 from .errors import (
@@ -17,8 +21,6 @@ from .errors import (
 )
 from .geometry import (
     Disk,
-    Gap,
-    PlacedDisk,
     Placement,
     SpanReport,
     VerificationResult,
@@ -27,14 +29,13 @@ from .geometry import (
     compact,
     footpoint_distance,
     gap_fit_size,
-    gaps,
     size_from_radius,
     span,
     support_lower_bound,
     verify,
     wall_fit_exceeds,
 )
-from .greedy import Certificate, GreedyResult, approximation_certificate, greedy_solve
+from .greedy import Certificate, GreedyResult, greedy_solve
 from .hardness import (
     DiskRole,
     HardnessInstance,
@@ -69,7 +70,6 @@ __all__ = [
     "Disk",
     "DiskRole",
     "DomainError",
-    "Gap",
     "GreedyResult",
     "HardnessInstance",
     "IdentityCheck",
@@ -79,7 +79,6 @@ __all__ = [
     "OracleConfig",
     "ParseError",
     "PartitionSolution",
-    "PlacedDisk",
     "Placement",
     "PreconditionError",
     "Scalar",
@@ -90,7 +89,6 @@ __all__ = [
     "VerificationResult",
     "Violation",
     "reduction_identity_suite",
-    "approximation_certificate",
     "best_support_lower_bound",
     "build_certificate",
     "build_instance",
@@ -99,7 +97,6 @@ __all__ = [
     "exact_solve",
     "footpoint_distance",
     "gap_fit_size",
-    "gaps",
     "greedy_solve",
     "is_linear_case",
     "optimal_linear_order",

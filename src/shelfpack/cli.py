@@ -5,12 +5,15 @@ the greedy approximation and the exact oracle), ``verify``,
 ``genhard`` (3-Partition reduction instances) and ``render`` (SVG).
 
 Exit codes: 0 success, 1 verification rejected, 2 parse error,
-3 precondition or domain violation.
+3 precondition or domain violation.  A reader that closes standard output
+early (``shelfpack solve big.instance | head -1``) ends the command
+quietly with status 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -78,7 +81,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     elif mode == "greedy":
         method = "greedy (4/3 approximation)"
     else:
-        method = "exact (exhaustive order search)"
+        method = "exact (subset DP)"
 
     if mode == "linear":
         placement, report = solve_linear(disks)
@@ -227,7 +230,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the exit flush must not hit the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

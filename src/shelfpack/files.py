@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import DomainError, ParseError
-from .geometry import Disk, Placement, PlacedDisk
+from .geometry import Disk, Placement
 from .hardness import HardnessInstance, PartitionSolution, ThreePartitionInstance
 from .scalars import (
     Backend,
@@ -84,16 +84,16 @@ def parse_placement(text: str) -> Placement:
         if len(tokens) != 3:
             raise ParseError(f"line {number}: expected '<id> <size> <footpoint>'")
     _classify([tok for _, tokens in rows for tok in tokens[1:]])
-    placed: list[PlacedDisk] = []
+    disks: list[Disk] = []
+    feet = []
     for number, (disk_id, size_lit, foot_lit) in rows:
         try:
-            placed.append(
-                PlacedDisk(Disk(disk_id, parse_scalar(size_lit)), parse_scalar(foot_lit))
-            )
+            disks.append(Disk(disk_id, parse_scalar(size_lit)))
         except DomainError as exc:
             raise ParseError(f"line {number}: {exc}") from exc
+        feet.append(parse_scalar(foot_lit))
     try:
-        return Placement(tuple(placed))
+        return Placement(disks, feet)
     except DomainError as exc:
         raise ParseError(f"not a valid placement: {exc}") from exc
 
@@ -101,8 +101,8 @@ def parse_placement(text: str) -> Placement:
 def format_placement(placement: Placement) -> str:
     lines = [PLACEMENT_HEADER]
     lines.extend(
-        f"{p.disk.id} {format_scalar(p.disk.size)} {format_scalar(p.footpoint)}"
-        for p in placement
+        f"{disk.id} {format_scalar(disk.size)} {format_scalar(x)}"
+        for disk, x in placement
     )
     return "\n".join(lines) + "\n"
 

@@ -9,7 +9,6 @@ rational backend.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import lt
@@ -46,111 +45,67 @@ class Disk:
 
 
 @dataclass(frozen=True)
-class PlacedDisk:
-    disk: Disk
-    footpoint: Scalar
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "footpoint", coerce(self.footpoint))
-        if backend_of(self.footpoint) is not backend_of(self.disk.size):
-            raise BackendMismatchError(
-                f"disk {self.disk.id!r}: footpoint backend differs from size backend"
-            )
-
-    @property
-    def left_extent(self) -> Scalar:
-        return self.footpoint - self.disk.radius
-
-    @property
-    def right_extent(self) -> Scalar:
-        return self.footpoint + self.disk.radius
-
-
-@dataclass(frozen=True)
 class Placement:
-    """Disks with footpoints, kept sorted by strictly increasing footpoint."""
+    """``disks[i]`` at ``footpoints[i]``, sorted by strictly increasing
+    footpoint.
 
-    placed: tuple[PlacedDisk, ...]
+    ``Placement(disks, footpoints)`` is the one way to build a placement,
+    and it checks everything a placement promises: at least one disk, one
+    footpoint per disk, every footpoint a scalar (ints become exact, float
+    footpoints must be finite), one backend over sizes and footpoints,
+    unique ids and strictly increasing footpoints.  The columns are sorted
+    by footpoint first; an offender is named in footpoint order.
+    """
+
+    disks: tuple[Disk, ...]
+    footpoints: tuple[Scalar, ...]
 
     def __post_init__(self) -> None:
-        if not self.placed:
-            raise DomainError("a placement must contain at least one disk")
-        ordered = tuple(sorted(self.placed, key=lambda p: p.footpoint))
-        object.__setattr__(self, "placed", ordered)
-        unified_backend(
-            [p.disk.size for p in ordered] + [p.footpoint for p in ordered]
-        )
-        _check_ids_and_order(ordered)
-
-    @classmethod
-    def trusted(
-        cls, disks: Sequence[Disk], footpoints: Sequence[Scalar]
-    ) -> Placement:
-        """Solver output: ``disks[i]`` at ``footpoints[i]``, built without
-        checking each scalar again.
-
-        The caller promises what the per-element checks would find: the
-        sizes were checked once to share one backend, and every footpoint
-        was built from them with ``+`` and ``*``, so it shares that backend
-        too.  Everything else a placement promises is still checked: float
-        footpoints are finite (rounding can overflow), the disks are sorted
-        by footpoint, the footpoints strictly increase and the ids are
-        unique.  The same errors as the checked constructor are raised.
-        """
+        disks, feet = tuple(self.disks), tuple(self.footpoints)
         if not disks:
             raise DomainError("a placement must contain at least one disk")
-        if isinstance(footpoints[0], float) and not all(
-            map(math.isfinite, footpoints)
-        ):
-            for disk, x in zip(disks, footpoints):
-                if not math.isfinite(x):
-                    raise DomainError(f"disk {disk.id!r} has footpoint {x!r}")
-        order = sorted(range(len(disks)), key=footpoints.__getitem__)
-        ordered = tuple(_unchecked_placed(disks[i], footpoints[i]) for i in order)
-        _check_ids_and_order(ordered)
-        placement = object.__new__(cls)
-        object.__setattr__(placement, "placed", ordered)
-        return placement
+        if len(disks) != len(feet):
+            raise DomainError(
+                f"a placement needs one footpoint per disk, got {len(disks)} "
+                f"disks and {len(feet)} footpoints"
+            )
+        feet = tuple(map(_coerce_footpoint, disks, feet))
+        unified_backend([d.size for d in disks] + list(feet))
+        order = sorted(range(len(feet)), key=feet.__getitem__)
+        disks = tuple(map(disks.__getitem__, order))
+        feet = tuple(map(feet.__getitem__, order))
+        ids = [d.id for d in disks]
+        if len(set(ids)) < len(ids):
+            seen: set[str] = set()
+            for disk_id in ids:
+                if disk_id in seen:
+                    raise DomainError(f"duplicate disk id {disk_id!r} in placement")
+                seen.add(disk_id)
+        if not all(map(lt, feet, feet[1:])):
+            for k in range(1, len(feet)):
+                if not feet[k - 1] < feet[k]:
+                    raise DomainError(
+                        f"footpoints of {ids[k - 1]!r} and {ids[k]!r} coincide"
+                    )
+        object.__setattr__(self, "disks", disks)
+        object.__setattr__(self, "footpoints", feet)
 
     @property
     def backend(self) -> Backend:
-        return backend_of(self.placed[0].disk.size)
-
-    def disks(self) -> tuple[Disk, ...]:
-        return tuple(p.disk for p in self.placed)
+        return backend_of(self.disks[0].size)
 
     def __len__(self) -> int:
-        return len(self.placed)
+        return len(self.disks)
 
-    def __iter__(self) -> Iterator[PlacedDisk]:
-        return iter(self.placed)
-
-
-def _unchecked_placed(disk: Disk, footpoint: Scalar) -> PlacedDisk:
-    placed = object.__new__(PlacedDisk)
-    fields = placed.__dict__
-    fields["disk"] = disk
-    fields["footpoint"] = footpoint
-    return placed
+    def __iter__(self) -> Iterator[tuple[Disk, Scalar]]:
+        return zip(self.disks, self.footpoints)
 
 
-def _check_ids_and_order(ordered: Sequence[PlacedDisk]) -> None:
-    """Unique ids and strictly increasing footpoints; the first offender
-    in footpoint order is named."""
-    ids = [p.disk.id for p in ordered]
-    if len(set(ids)) < len(ids):
-        seen: set[str] = set()
-        for disk_id in ids:
-            if disk_id in seen:
-                raise DomainError(f"duplicate disk id {disk_id!r} in placement")
-            seen.add(disk_id)
-    feet = [p.footpoint for p in ordered]
-    if not all(map(lt, feet, feet[1:])):
-        for left, right in zip(ordered, ordered[1:]):
-            if not left.footpoint < right.footpoint:
-                raise DomainError(
-                    f"footpoints of {left.disk.id!r} and {right.disk.id!r} coincide"
-                )
+def _coerce_footpoint(disk: Disk, x: Scalar | int) -> Scalar:
+    try:
+        return coerce(x)
+    except DomainError as exc:
+        raise DomainError(f"disk {disk.id!r} has footpoint {x!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -160,15 +115,6 @@ class SpanReport:
     span: Scalar
     left_disk_id: str
     right_disk_id: str
-
-
-@dataclass(frozen=True)
-class Gap:
-    """A consecutive pair and the largest size that fits between them."""
-
-    left_disk_id: str
-    right_disk_id: str
-    fit_size: Scalar
 
 
 @dataclass(frozen=True)
@@ -240,16 +186,12 @@ def compact(order: Sequence[Disk]) -> Placement:
     on either backend.  The result is the full maximum, found in time
     proportional to the disks within reach of disk i.
 
-    The sizes are checked once to share one backend; the footpoints are
-    built from them by ``+``, ``*`` and ``max`` and handed to
-    :meth:`Placement.trusted`, which skips the per-element scalar checks
-    but still rejects duplicate ids, coinciding footpoints and float
-    footpoints that overflowed.
+    The :class:`Placement` built from the result checks the output once:
+    one backend, unique ids, and float footpoints that did not overflow.
     """
     if not order:
         raise DomainError("cannot compact an empty order")
     sizes = [d.size for d in order]
-    unified_backend(sizes)
     twice_max = 2 * max(sizes)
     feet: list[Scalar] = []
     for s in sizes:
@@ -263,22 +205,24 @@ def compact(order: Sequence[Disk]) -> Placement:
             if c > x:
                 x = c
         feet.append(x)
-    return Placement.trusted(order, feet)
+    return Placement(order, feet)
 
 
 def span(placement: Placement) -> SpanReport:
     """Measure the span; ties at either wall go to the smallest disk id."""
-    if not isinstance(placement, Placement) or not placement.placed:
+    if not isinstance(placement, Placement):
         raise DomainError("span requires a non-empty placement")
-    first = placement.placed[0]
-    left, left_id = first.left_extent, first.disk.id
-    right, right_id = first.right_extent, first.disk.id
-    for p in placement.placed[1:]:
-        le, re = p.left_extent, p.right_extent
-        if le < left or (le == left and p.disk.id < left_id):
-            left, left_id = le, p.disk.id
-        if re > right or (re == right and p.disk.id < right_id):
-            right, right_id = re, p.disk.id
+    disks, feet = placement.disks, placement.footpoints
+    s, x, disk_id = disks[0].size, feet[0], disks[0].id
+    left, left_id = x - s * s, disk_id
+    right, right_id = x + s * s, disk_id
+    for k in range(1, len(feet)):
+        s, x, disk_id = disks[k].size, feet[k], disks[k].id
+        le, re = x - s * s, x + s * s
+        if le < left or (le == left and disk_id < left_id):
+            left, left_id = le, disk_id
+        if re > right or (re == right and disk_id < right_id):
+            right, right_id = re, disk_id
     return SpanReport(left, right, right - left, left_id, right_id)
 
 
@@ -301,20 +245,22 @@ def verify(placement: Placement, tolerance: Scalar) -> VerificationResult:
             if tolerance != 0:
                 raise BackendMismatchError("float placement needs a float tolerance")
             tolerance = 0.0
-    placed = placement.placed
+    disks, feet = placement.disks, placement.footpoints
+    sizes = [d.size for d in disks]
+    n = len(feet)
     # Sorted sweep: once a later disk clears 2*s_i*max_size, all further ones do.
-    max_size = max(p.disk.size for p in placed)
+    max_size = max(sizes)
     violation: Optional[Violation] = None
-    for i, pi in enumerate(placed):
-        reach = 2 * pi.disk.size * max_size
-        for j in range(i + 1, len(placed)):
-            pj = placed[j]
-            distance = pj.footpoint - pi.footpoint
+    for i in range(n):
+        s_i, x_i = sizes[i], feet[i]
+        reach = 2 * s_i * max_size
+        for j in range(i + 1, n):
+            distance = feet[j] - x_i
             if distance >= reach:
                 break
-            required = 2 * pi.disk.size * pj.disk.size
+            required = 2 * s_i * sizes[j]
             if distance < required - tolerance:
-                violation = Violation(pi.disk.id, pj.disk.id, required - distance)
+                violation = Violation(disks[i].id, disks[j].id, required - distance)
                 break
         if violation is not None:
             break
@@ -335,17 +281,6 @@ def support_lower_bound(disks: Iterable[Disk]) -> Scalar:
     m = min(d.size for d in items)
     total = 4 * m * sum(d.size for d in items) - 2 * len(items) * m * m
     return total
-
-
-def gaps(placement: Placement) -> list[Gap]:
-    """One Gap per consecutive pair: the largest size that fits between them."""
-    out: list[Gap] = []
-    for left, right in zip(placement.placed, placement.placed[1:]):
-        fit = gap_fit_size(
-            left.disk.size, right.disk.size, right.footpoint - left.footpoint
-        )
-        out.append(Gap(left.disk.id, right.disk.id, fit))
-    return out
 
 
 def best_support_lower_bound(disks: Iterable[Disk]) -> Scalar:

@@ -11,12 +11,11 @@ plain lists.  Float sizes are used as they are, with the same expressions
 as the checked geometry functions, so every footpoint is bit-identical to
 theirs.  Exact sizes become integers over their common denominator
 (:func:`~shelfpack.scalars.integer_scale`), so no ``Fraction`` is reduced
-inside the loop.  The output is built with :meth:`Placement.trusted`,
-which skips the per-element scalar checks but still sorts by footpoint
-and rejects duplicate ids, coinciding footpoints and float footpoints that
-overflowed.  The certificate comes from the loop as well: the span from
-the walls it tracks, the lower bound from one prefix pass over the sizes
-it sorted.
+inside the loop.  The :class:`Placement` built from the output sorts it
+by footpoint and rejects duplicate ids, coinciding footpoints and float
+footpoints that overflowed.  The certificate comes from the loop as well:
+the span from the walls it tracks, the lower bound from one prefix pass
+over the sizes it sorted.
 """
 
 from __future__ import annotations
@@ -24,17 +23,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .errors import DomainError, PreconditionError
-from .geometry import (
-    Disk,
-    Placement,
-    best_support_lower_bound,
-    prefix_support_bound,
-    span,
-    verify,
-)
+from .errors import DomainError
+from .geometry import Disk, Placement, prefix_support_bound
 from .scalars import Backend, Scalar, integer_scale, unified_backend
 
 
@@ -164,42 +156,14 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
     lower_bound = prefix_support_bound(sizes)
     if exact:
         square = scale * scale
-        placement = Placement.trusted(
-            order, [Fraction(x, square) for x in foot]
-        )
+        placement = Placement(order, [Fraction(x, square) for x in foot])
         certificate = Certificate(
             Fraction(extent, square),
             Fraction(lower_bound, square),
             Fraction(extent, lower_bound),
         )
     else:
-        placement = Placement.trusted(order, foot)
+        placement = Placement(order, foot)
         certificate = Certificate(extent, lower_bound, extent / lower_bound)
     return GreedyResult(placement, certificate, ops)
 
-
-def approximation_certificate(
-    placement: Placement,
-    disks: Iterable[Disk],
-    tolerance: Optional[Scalar] = None,
-) -> Certificate:
-    """Certify an already verified placement of ``disks``.
-
-    ``tolerance`` defaults to 0 on the exact backend and to a 1e-9
-    relative slack on the float backend.
-    """
-    report = span(placement)
-    if tolerance is None:
-        if placement.backend is Backend.EXACT:
-            tolerance = 0
-        else:
-            tolerance = 1e-9 * max(1.0, abs(float(report.span)))
-    result = verify(placement, tolerance)
-    if not result.ok:
-        v = result.violation
-        raise PreconditionError(
-            f"placement is not valid: disks {v.left_disk_id!r} and "
-            f"{v.right_disk_id!r} overlap by {v.deficit}"
-        )
-    lb = best_support_lower_bound(disks)
-    return Certificate(report.span, lb, report.span / lb)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, InconsistencyError, PreconditionError
-from .geometry import Disk, Placement, PlacedDisk, span, verify
+from .geometry import Disk, Placement, verify
 from .scalars import Backend
 
 SIZE_OUTER = Fraction(1)
@@ -201,13 +201,16 @@ def build_certificate(hi: HardnessInstance, sol: PartitionSolution) -> Placement
     queues = {role: iter(ids) for role, ids in by_role.items()}
     part_id_of = {idx: disk_id for disk_id, idx in hi.element_index.items()}
 
-    placed: list[PlacedDisk] = []
+    disks: list[Disk] = []
+    feet: list[Fraction] = []
 
     def put(role: DiskRole, footpoint: Fraction) -> None:
-        placed.append(PlacedDisk(disk_by_id[next(queues[role])], footpoint))
+        disks.append(disk_by_id[next(queues[role])])
+        feet.append(footpoint)
 
     def put_element(idx: int, footpoint: Fraction) -> None:
-        placed.append(PlacedDisk(disk_by_id[part_id_of[idx]], footpoint))
+        disks.append(disk_by_id[part_id_of[idx]])
+        feet.append(footpoint)
 
     m = hi.m
     width = Fraction(2 * (m + 1))
@@ -259,7 +262,7 @@ def build_certificate(hi: HardnessInstance, sol: PartitionSolution) -> Placement
     put(DiskRole.LARGE_FILLER, width - 1 + 2 * l)
     put(DiskRole.SMALL_FILLER, width - 1 + 2 * t)
 
-    return Placement(tuple(placed))
+    return Placement(disks, feet)
 
 
 def decode_partition(hi: HardnessInstance, placement: Placement) -> PartitionSolution:
@@ -271,7 +274,7 @@ def decode_partition(hi: HardnessInstance, placement: Placement) -> PartitionSol
     """
     if placement.backend is not Backend.EXACT:
         raise PreconditionError("decoding requires the exact backend")
-    if {p.disk.id for p in placement} != {d.id for d in hi.disks}:
+    if {d.id for d in placement.disks} != {d.id for d in hi.disks}:
         raise PreconditionError("placement does not hold exactly the instance's disks")
     result = verify(placement, 0)
     if not result.ok:
@@ -284,7 +287,7 @@ def decode_partition(hi: HardnessInstance, placement: Placement) -> PartitionSol
         raise PreconditionError(
             f"span {result.report.span} exceeds the budget {hi.budget}"
         )
-    footpoints = {p.disk.id: p.footpoint for p in placement}
+    footpoints = {disk.id: x for disk, x in placement}
     outer = sorted(
         footpoints[d.id] for d in hi.disks if hi.roles[d.id] is DiskRole.OUTER_FRAME
     )

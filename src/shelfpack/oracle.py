@@ -31,12 +31,9 @@ from .scalars import Backend, integer_scale, unified_backend
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """``max_n`` caps the instance size.  ``prune`` controls the incumbent
-    bound only: it seeds the search with the greedy span and drops every
-    state at or above it.  Dominance pruning is always on."""
+    """``max_n`` caps the instance size."""
 
     max_n: int = 10
-    prune: bool = True
 
     def __post_init__(self) -> None:
         if self.max_n < 1:
@@ -70,10 +67,9 @@ def exact_solve(
     steps are monotone in the span and in E, so a dominated state never
     completes below the state that dominates it, and dropping it is
     exact.  The best state of the last layer gives the order, which is
-    compacted.  With pruning enabled the greedy span is an incumbent, and
-    states at or above it are dropped; if no order beats it, the greedy
-    placement itself is returned (its span is then optimal).  Pruning
-    changes the work done, never the span returned.
+    compacted.  The greedy span is an incumbent, and states at or above it
+    are dropped; if no order beats it, the greedy placement itself is
+    returned (its span is then optimal).
     """
     cfg = config or OracleConfig()
     items = sorted(disks, key=lambda d: (-d.size, d.id))
@@ -96,14 +92,10 @@ def exact_solve(
     pair = [[2 * a * b for b in sizes] for a in sizes]
     zero = sizes[0] * 0
 
-    fallback: Optional[Placement] = None
-    incumbent = None
-    if cfg.prune:
-        greedy = greedy_solve(items)
-        incumbent = greedy.certificate.span * scale * scale
-        if exact:
-            incumbent = ceil(incumbent)  # state spans are integers: exact
-        fallback = greedy.placement
+    greedy = greedy_solve(items)
+    incumbent = greedy.certificate.span * scale * scale
+    if exact:
+        incumbent = ceil(incumbent)  # state spans are integers: exact
 
     # placed-set bitmask -> its front of (span, envelope, order) states;
     # envelope entries of placed disks stay zero so they never decide
@@ -125,7 +117,7 @@ def exact_solve(
                     x = env[i] if env[i] > r else r
                     extent = x + r
                     new_span = partial if partial > extent else extent
-                    if incumbent is not None and new_span >= incumbent:
+                    if new_span >= incumbent:
                         continue
                     new_env = list(env)
                     new_env[i] = zero
@@ -141,7 +133,7 @@ def exact_solve(
 
     if not layer:
         # Nothing beat the greedy incumbent, so the greedy span is optimal.
-        placement = fallback
+        placement = greedy.placement
     else:
         (front,) = layer.values()
         best_order = min(front, key=lambda state: state[0])[2]

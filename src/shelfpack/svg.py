@@ -28,7 +28,7 @@ def render_svg(placement: Placement, scale: float = 40.0) -> str:
     report = span(placement)
     left = float(report.left_wall)
     width_world = float(report.span)
-    max_radius = max(float(p.disk.radius) for p in placement)
+    max_radius = max(float(d.radius) for d in placement.disks)
 
     width = scale * width_world + 2 * _MARGIN
     baseline_y = _MARGIN + scale * 2 * max_radius
@@ -50,13 +50,13 @@ def render_svg(placement: Placement, scale: float = 40.0) -> str:
             f'x2="{_fmt(x_of(wall))}" y2="{_fmt(baseline_y)}" stroke="black" '
             f'stroke-width="1" stroke-dasharray="4 3"/>'
         )
-    for p in placement:
-        r = float(p.disk.radius)
+    for disk, x in placement:
+        r = float(disk.radius)
         parts.append(
-            f'<circle cx="{_fmt(x_of(float(p.footpoint)))}" '
+            f'<circle cx="{_fmt(x_of(float(x)))}" '
             f'cy="{_fmt(baseline_y - scale * r)}" r="{_fmt(scale * r)}" '
             f'fill="none" stroke="black" stroke-width="1">'
-            f"<title>{p.disk.id}</title></circle>"
+            f"<title>{disk.id}</title></circle>"
         )
     parts.append(
         f'<text x="{_fmt(width / 2)}" y="{_fmt(baseline_y + 16.0)}" '

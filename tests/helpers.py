@@ -9,7 +9,6 @@ from typing import Iterable, Sequence
 
 from shelfpack.geometry import (
     Disk,
-    PlacedDisk,
     Placement,
     best_support_lower_bound,
     compact,
@@ -41,7 +40,7 @@ def naive_compact(order: Sequence[Disk]) -> Placement:
             if c > x:
                 x = c
         feet.append(x)
-    return Placement(tuple(PlacedDisk(d, x) for d, x in zip(order, feet)))
+    return Placement(order, feet)
 
 
 def naive_greedy(disks: Iterable[Disk]) -> GreedyResult:
@@ -108,7 +107,7 @@ def naive_greedy(disks: Iterable[Disk]) -> GreedyResult:
         left_wall = min(left_wall, foot[k] - d * d)
         right_wall = max(right_wall, foot[k] + d * d)
 
-    placement = Placement(tuple(PlacedDisk(disk, x) for disk, x in zip(order, foot)))
+    placement = Placement(order, foot)
     report = span(placement)
     lb = best_support_lower_bound(order)
     return GreedyResult(placement, Certificate(report.span, lb, report.span / lb), ops)

@@ -33,7 +33,7 @@ def run_compact_minimality_suite(cases: int = 500) -> None:
     for _ in range(cases):
         order = make_disks(_random_exact_sizes(rng, rng.randint(1, 7)))
         placement = compact(order)
-        feet = {p.disk.id: p.footpoint for p in placement}
+        feet = {disk.id: x for disk, x in placement}
         for k, disk in enumerate(order):
             bounds = [disk.radius]
             bounds.extend(
@@ -57,10 +57,10 @@ def run_support_disjointness_suite(cases: int = 500) -> None:
             placement = greedy_solve(disks).placement
         assert verify(placement, 0).ok
         m = min(sizes)
-        placed = placement.placed
-        for left, right in zip(placed, placed[1:]):
-            needed = 2 * m * (left.disk.size + right.disk.size) - 2 * m * m
-            assert right.footpoint - left.footpoint >= needed, "supports overlap"
+        placed, feet = [d.size for d in placement.disks], placement.footpoints
+        for k in range(1, len(feet)):
+            needed = 2 * m * (placed[k - 1] + placed[k]) - 2 * m * m
+            assert feet[k] - feet[k - 1] >= needed, "supports overlap"
         assert support_lower_bound(disks) <= span(placement).span
 
 
@@ -73,11 +73,11 @@ def run_small_pairs_touch_suite(cases: int = 500) -> None:
         sizes = [F(rng.randint(8, 48), 8) for _ in range(n)]
         placement = greedy_solve(make_disks(sizes)).placement
         threshold = 2 * min(sizes)
-        placed = placement.placed
-        for left, right in zip(placed, placed[1:]):
-            if left.disk.size < threshold and right.disk.size < threshold:
-                distance = right.footpoint - left.footpoint
-                assert distance == 2 * left.disk.size * right.disk.size, (
+        placed, feet = [d.size for d in placement.disks], placement.footpoints
+        for k in range(1, len(feet)):
+            if placed[k - 1] < threshold and placed[k] < threshold:
+                distance = feet[k] - feet[k - 1]
+                assert distance == 2 * placed[k - 1] * placed[k], (
                     "small consecutive pair does not touch"
                 )
 
@@ -118,5 +118,5 @@ def run_reversal_symmetry_suite(cases: int = 500) -> None:
         n = rng.randint(2, 5)
         sizes = _random_exact_sizes(rng, n)
         placement, report = exact_solve(make_disks(sizes))
-        mirrored = [p.disk for p in reversed(placement.placed)]
+        mirrored = list(reversed(placement.disks))
         assert span(compact(mirrored)).span == report.span

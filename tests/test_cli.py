@@ -68,7 +68,9 @@ class TestSolve:
         out = tmp_path / "x.placement"
         rc = main(["solve", inst, "--mode", "exact", "--max-n", "12", "--out", str(out)])
         assert rc == 0
-        assert "span: 24 (exact)" in capsys.readouterr().out
+        captured = capsys.readouterr().out
+        assert "method: exact (subset DP)" in captured
+        assert "span: 24 (exact)" in captured
 
     def test_exact_backend_on_decimal_file_fails_fast(self, nonlinear_instance, tmp_path):
         rc = main(
@@ -249,12 +251,16 @@ class TestModuleEntry:
     SCRIPT = ["-c", "from shelfpack.cli import entry; entry()"]
 
     @staticmethod
-    def run(prefix, args):
+    def env():
         env = dict(os.environ)
         src = str(Path(shelfpack.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return env
+
+    def run(self, prefix, args):
         return subprocess.run(
-            [sys.executable, *prefix, *args], capture_output=True, text=True, env=env, timeout=60
+            [sys.executable, *prefix, *args],
+            capture_output=True, text=True, env=self.env(), timeout=60,
         )
 
     def test_exit_codes_match_the_script(self, tmp_path, linear_instance):
@@ -278,3 +284,28 @@ class TestModuleEntry:
             script = self.run(self.SCRIPT, args)
             assert module.returncode == script.returncode == code, args
             assert (module.stdout, module.stderr) == (script.stdout, script.stderr)
+
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        # about 130 kB of placement overflow the pipe buffer, so the solver
+        # is still writing when the reader goes away, as with ``| head -1``.
+        # Standard output is buffered, as in a shell: unbuffered text output
+        # drops what a partial write leaves over instead of raising.
+        env = self.env()
+        env.pop("PYTHONUNBUFFERED", None)
+        big = write(
+            tmp_path / "big.instance",
+            "shelfpack-instance v1\n"
+            + "".join(f"d{i:05d} {1 + i % 97 / 16}\n" for i in range(5000)),
+        )
+        for prefix in (["-m", "shelfpack"], self.SCRIPT):
+            proc = subprocess.Popen(
+                [sys.executable, *prefix, "solve", big],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            )
+            assert proc.stdout.readline() == b"shelfpack-placement v1\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            proc.stderr.close()
+            assert proc.wait(timeout=60) == 0
+            assert stderr.startswith("method: greedy"), stderr
+            assert "Traceback" not in stderr and "Exception ignored" not in stderr

@@ -79,7 +79,7 @@ class TestPlacementFormat:
     def test_negative_footpoints_round_trip(self):
         text = "shelfpack-placement v1\na 2/1 0/1\nb 41/50 -82/25\n"
         placement = parse_placement(text)
-        assert placement.placed[0].footpoint == F(-82, 25)
+        assert placement.footpoints[0] == F(-82, 25)
 
     def test_coincident_footpoints_rejected(self):
         with pytest.raises(ParseError, match="not a valid placement"):

@@ -5,15 +5,14 @@ import pytest
 
 from helpers import brute_min_span, make_disks, naive_compact
 from shelfpack.errors import BackendMismatchError, DomainError
+from shelfpack.scalars import Backend
 from shelfpack.geometry import (
     Disk,
-    PlacedDisk,
     Placement,
     best_support_lower_bound,
     compact,
     footpoint_distance,
     gap_fit_size,
-    gaps,
     size_from_radius,
     span,
     support_lower_bound,
@@ -40,45 +39,50 @@ class TestDiskTypes:
 
     def test_placed_disk_backend_must_match(self):
         with pytest.raises(BackendMismatchError):
-            PlacedDisk(Disk("a", 0.5), F(1))
+            Placement([Disk("a", 0.5)], [F(1)])
 
     def test_placement_sorts_and_validates(self):
-        p = Placement(
-            (PlacedDisk(Disk("b", F(1)), F(3)), PlacedDisk(Disk("a", F(1)), F(1)))
-        )
-        assert [x.disk.id for x in p] == ["a", "b"]
+        p = Placement([Disk("b", F(1)), Disk("a", F(1))], [F(3), F(1)])
+        assert [d.id for d in p.disks] == ["a", "b"]
         with pytest.raises(DomainError):
-            Placement(())
+            Placement([], [])
         with pytest.raises(DomainError):
-            Placement(
-                (PlacedDisk(Disk("a", F(1)), F(1)), PlacedDisk(Disk("a", F(1)), F(3)))
-            )
+            Placement([Disk("a", F(1)), Disk("a", F(1))], [F(1), F(3)])
         with pytest.raises(DomainError):
-            Placement(
-                (PlacedDisk(Disk("a", F(1)), F(1)), PlacedDisk(Disk("b", F(2)), F(1)))
-            )
+            Placement([Disk("a", F(1)), Disk("b", F(2))], [F(1), F(1)])
 
 
-class TestTrustedPlacement:
+class TestPlacementConstructor:
     def test_sorts_by_footpoint(self):
         disks = make_disks([F(1), F(1), F(2)])
-        p = Placement.trusted(disks, [F(4), F(-1), F(1)])
-        assert [(x.disk.id, x.footpoint) for x in p] == [
-            ("d1", -1), ("d2", 1), ("d0", 4)
-        ]
-        assert p == Placement(tuple(p.placed))
+        p = Placement(disks, [4, F(-1), F(1)])
+        assert list(p) == [(disks[1], -1), (disks[2], 1), (disks[0], 4)]
+        assert p.disks == (disks[1], disks[2], disks[0])
+        assert [type(x) for x in p.footpoints] == [F, F, F]  # ints become exact
+        assert len(p) == 3 and p.backend is Backend.EXACT
+        assert p == Placement(p.disks, p.footpoints)
 
     def test_keeps_placement_promises(self):
         disks = make_disks([1.0, 1.0])
         with pytest.raises(DomainError, match="a placement must contain"):
-            Placement.trusted([], [])
-        with pytest.raises(DomainError, match="duplicate disk id"):
-            Placement.trusted([disks[0], disks[0]], [0.0, 2.0])
-        with pytest.raises(DomainError, match="coincide"):
-            Placement.trusted(disks, [1.0, 1.0])
+            Placement([], [])
+        with pytest.raises(DomainError, match="duplicate disk id 'd0'"):
+            Placement([disks[0], disks[0]], [0.0, 2.0])
+        with pytest.raises(DomainError, match="footpoints of 'd0' and 'd1' coincide"):
+            Placement(disks, [1.0, 1.0])
         for bad in (float("inf"), float("-inf"), float("nan")):
-            with pytest.raises(DomainError, match="footpoint"):
-                Placement.trusted(disks, [0.0, bad])
+            with pytest.raises(DomainError, match="disk 'd1' has footpoint"):
+                Placement(disks, [0.0, bad])
+        with pytest.raises(BackendMismatchError):
+            Placement(disks, [0.0, F(2)])
+        with pytest.raises(BackendMismatchError):
+            Placement(make_disks([F(1), F(1)]), [F(0), 2.0])
+
+    def test_one_footpoint_per_disk(self):
+        disks = make_disks([F(1), F(1)])
+        for feet in ([F(0)], [F(0), F(2), F(4)]):
+            with pytest.raises(DomainError, match="one footpoint per disk"):
+                Placement(disks, feet)
 
 
 class TestFootpointDistance:
@@ -125,13 +129,6 @@ class TestGapFitSize:
         with pytest.raises(DomainError):
             gap_fit_size(F(1), F(1), F(-1))
 
-    def test_gaps_of_a_placement(self):
-        placement = compact(make_disks([F(2), F(2), F(1)]))
-        fits = gaps(placement)
-        assert [g.fit_size for g in fits] == [1, F(2, 3)]
-        assert (fits[0].left_disk_id, fits[0].right_disk_id) == ("d0", "d1")
-        assert gaps(compact(make_disks([F(3)]))) == []
-
 
 class TestWallFit:
     def test_equal_sizes_exceed(self):
@@ -157,25 +154,25 @@ class TestWallFit:
 class TestCompact:
     def test_two_unit_disks(self):
         p = compact(make_disks([F(1), F(1)]))
-        assert [x.footpoint for x in p] == [F(1), F(3)]
+        assert p.footpoints == (F(1), F(3))
         assert span(p).span == 4
 
     def test_small_disk_hides_in_wall_gap(self):
         p = compact(make_disks([F(4, 5), F(2)]))
-        assert [x.footpoint for x in p] == [F(16, 25), F(4)]
+        assert p.footpoints == (F(16, 25), F(4))
         report = span(p)
         assert report.span == 8
         assert report.left_wall == 0
 
     def test_small_disk_hides_in_wall_gap_float(self):
         p = compact(make_disks([0.8, 2.0]))
-        feet = [x.footpoint for x in p]
+        feet = p.footpoints
         assert feet[0] == 0.8 * 0.8 and feet[1] == 4.0
         assert span(p).span == 8.0
 
     def test_interleaved_chain_span(self):
         p = compact(make_disks([8, 10, 7, 9]))
-        assert [x.footpoint for x in p] == [64, 224, 364, 490]
+        assert p.footpoints == (64, 224, 364, 490)
         assert span(p).span == 571
 
     def test_brute_force_confirms_571_optimal(self):
@@ -189,7 +186,7 @@ class TestCompact:
     def test_footpoints_attain_lower_bounds(self):
         order = make_disks([F(3), F(1, 2), F(2), F(5, 2), F(1)])
         p = compact(order)
-        feet = {x.disk.id: x.footpoint for x in p}
+        feet = {disk.id: x for disk, x in p}
         for k, disk in enumerate(order):
             x = feet[disk.id]
             bounds = [disk.radius]
@@ -211,15 +208,15 @@ class TestCompact:
                 if not exact:
                     sizes = [float(s) for s in sizes]
                 order = make_disks(sizes)
-                got = [repr(p.footpoint) for p in compact(order)]
-                want = [repr(p.footpoint) for p in naive_compact(order)]
+                got = list(map(repr, compact(order).footpoints))
+                want = list(map(repr, naive_compact(order).footpoints))
                 assert got == want
 
 
 class TestSpan:
     def test_single_disk(self):
         a = F(3)
-        p = Placement((PlacedDisk(Disk("a", a), a * a),))
+        p = Placement([Disk("a", a)], [a * a])
         r = span(p)
         assert r.span == 2 * a * a
         assert r.left_disk_id == r.right_disk_id == "a"
@@ -230,28 +227,19 @@ class TestSpan:
         assert r.span == 2 * n
 
     def test_tie_goes_to_smallest_id(self):
-        p = Placement(
-            (PlacedDisk(Disk("b", F(1)), F(1)), PlacedDisk(Disk("a", F(1)), F(3)))
-        )
+        p = Placement([Disk("b", F(1)), Disk("a", F(1))], [F(1), F(3)])
         r = span(p)
         # both walls are hit by exactly one disk here
         assert r.left_disk_id == "b" and r.right_disk_id == "a"
         q = Placement(
-            (
-                PlacedDisk(Disk("b", F(2)), F(4)),
-                PlacedDisk(Disk("a", F(2)), F(8)),
-                PlacedDisk(Disk("c", F(2)), F(12)),
-            )
+            [Disk("b", F(2)), Disk("a", F(2)), Disk("c", F(2))], [F(4), F(8), F(12)]
         )
         # left extents: b at 0; right extents: c at 16; no ties
         rq = span(q)
         assert rq.left_disk_id == "b" and rq.right_disk_id == "c"
         # a genuine tie: two unit disks sharing each wall via a hidden twin
         t = Placement(
-            (
-                PlacedDisk(Disk("z", F(2)), F(4)),
-                PlacedDisk(Disk("y", F(4, 5)), F(4, 5) * F(4, 5)),
-            )
+            [Disk("z", F(2)), Disk("y", F(4, 5))], [F(4), F(4, 5) * F(4, 5)]
         )
         rt = span(t)
         assert rt.left_wall == 0
@@ -266,9 +254,7 @@ class TestVerify:
             assert verify(compact(make_disks(sizes)), 0).ok
 
     def test_overlap_reported_with_deficit(self):
-        p = Placement(
-            (PlacedDisk(Disk("u1", F(1)), F(0)), PlacedDisk(Disk("u2", F(1)), F(19, 10)))
-        )
+        p = Placement([Disk("u1", F(1)), Disk("u2", F(1))], [F(0), F(19, 10)])
         result = verify(p, 0)
         assert not result.ok
         assert result.violation.left_disk_id == "u1"
@@ -277,9 +263,7 @@ class TestVerify:
         assert result.report.span == F(19, 10) + 2
 
     def test_tolerance_permits_slack(self):
-        p = Placement(
-            (PlacedDisk(Disk("u1", 1.0), 0.0), PlacedDisk(Disk("u2", 1.0), 1.9))
-        )
+        p = Placement([Disk("u1", 1.0), Disk("u2", 1.0)], [0.0, 1.9])
         assert not verify(p, 0.0).ok
         assert verify(p, 0.2).ok
 
@@ -300,21 +284,20 @@ class TestVerify:
         rng = random.Random(17)
         for _ in range(50):
             n = rng.randint(2, 7)
-            placed = tuple(
-                PlacedDisk(
-                    Disk(f"d{i}", F(rng.randint(1, 20), rng.randint(1, 5))),
-                    F(rng.randint(0, 120), rng.randint(1, 3)),
-                )
+            disks = [
+                Disk(f"d{i}", F(rng.randint(1, 20), rng.randint(1, 5)))
                 for i in range(n)
-            )
+            ]
+            feet = [F(rng.randint(0, 120), rng.randint(1, 3)) for _ in range(n)]
             try:
-                p = Placement(placed)
+                p = Placement(disks, feet)
             except DomainError:
                 continue  # coincident footpoints
+            placed = list(p)
             naive_ok = all(
-                abs(x.footpoint - y.footpoint) >= 2 * x.disk.size * y.disk.size
-                for i, x in enumerate(p.placed)
-                for y in p.placed[i + 1 :]
+                abs(x - y) >= 2 * a.size * b.size
+                for i, (a, x) in enumerate(placed)
+                for b, y in placed[i + 1 :]
             )
             assert verify(p, 0).ok == naive_ok
 

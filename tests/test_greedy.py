@@ -4,20 +4,20 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import brute_min_span, make_disks, naive_greedy
-from shelfpack.errors import BackendMismatchError, DomainError, PreconditionError
+from shelfpack.errors import BackendMismatchError, DomainError
 from shelfpack.files import format_placement
-from shelfpack.geometry import Disk, PlacedDisk, Placement, compact, span, verify
-from shelfpack.greedy import approximation_certificate, greedy_solve
+from shelfpack.geometry import Disk, compact, span, verify
+from shelfpack.greedy import greedy_solve
 from shelfpack.hardness import ThreePartitionInstance, build_instance
 
 
 class TestPlacementRules:
     def test_unit_disk_fills_gap_between_twos(self):
         result = greedy_solve([Disk("a", F(2)), Disk("b", F(2)), Disk("c", F(1))])
-        feet = {p.disk.id: p.footpoint for p in result.placement}
+        feet = {disk.id: x for disk, x in result.placement}
         assert feet == {"a": 0, "b": 8, "c": 4}  # c touches both neighbours
         assert result.certificate.span == 16
-        assert brute_min_span(list(result.placement.disks())) == 16
+        assert brute_min_span(result.placement.disks) == 16
 
     def test_unit_chain(self):
         result = greedy_solve(make_disks([F(1)] * 3))
@@ -26,7 +26,7 @@ class TestPlacementRules:
     def test_hiding_disk_extends_left_without_span_growth(self):
         result = greedy_solve([Disk("a", F(2)), Disk("b", F(82, 100))])
         assert result.certificate.span == 8
-        feet = {p.disk.id: p.footpoint for p in result.placement}
+        feet = {disk.id: x for disk, x in result.placement}
         assert feet["b"] == -2 * 2 * F(82, 100)  # touches a from the left
 
     def test_non_hiding_disk_grows_span(self):
@@ -66,19 +66,6 @@ class TestCertificate:
             sizes = [F(rng.randint(10, 60), 10) for _ in range(n)]
             result = greedy_solve(make_disks(sizes))
             assert 1 <= result.certificate.ratio <= limit
-
-    def test_certificate_function_matches_solver(self):
-        disks = make_disks([F(2), F(2), F(1)])
-        result = greedy_solve(disks)
-        cert = approximation_certificate(result.placement, disks)
-        assert cert == result.certificate
-
-    def test_certificate_rejects_invalid_placement(self):
-        bad = Placement(
-            (PlacedDisk(Disk("a", F(1)), F(0)), PlacedDisk(Disk("b", F(1)), F(1)))
-        )
-        with pytest.raises(PreconditionError):
-            approximation_certificate(bad, bad.disks())
 
 
 class TestAgainstOracle:
@@ -128,11 +115,12 @@ class TestInvariants:
             sizes = [F(rng.randint(8, 48), 8) for _ in range(n)]
             result = greedy_solve(make_disks(sizes))
             smallest = min(sizes)
-            placed = result.placement.placed
-            for left, right in zip(placed, placed[1:]):
-                if left.disk.size < 2 * smallest and right.disk.size < 2 * smallest:
-                    gap = right.footpoint - left.footpoint
-                    assert gap == 2 * left.disk.size * right.disk.size
+            sizes = [d.size for d in result.placement.disks]
+            feet = result.placement.footpoints
+            for k in range(1, len(feet)):
+                if sizes[k - 1] < 2 * smallest and sizes[k] < 2 * smallest:
+                    gap = feet[k] - feet[k - 1]
+                    assert gap == 2 * sizes[k - 1] * sizes[k]
 
 
 def reduction_disks(m: int, seed: int) -> list[Disk]:
@@ -202,7 +190,7 @@ class TestAgainstNaiveGreedy:
         eps = F(1, 10**20)
         disks = [Disk("z", F(2)), Disk("y", 1 + eps), Disk("c", F(1)), Disk("m", F(1, 10))]
         result = greedy_solve(disks)
-        assert [p.disk.id for p in result.placement] == ["c", "z", "m", "y"]
+        assert [d.id for d in result.placement.disks] == ["c", "z", "m", "y"]
         self.assert_same(disks, exact=True)
 
 

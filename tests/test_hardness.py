@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from shelfpack.errors import InconsistencyError, PreconditionError
-from shelfpack.geometry import Disk, footpoint_distance, span, verify
+from shelfpack.geometry import Disk, Placement, footpoint_distance, span, verify
 from shelfpack.hardness import (
     GAP_SIZE_BUDGET,
     SIZE_END,
@@ -136,7 +136,7 @@ class TestCertificate:
         hi = build_instance(M2_INSTANCE)
         cert = build_certificate(hi, M2_SOLUTION)
         outer = sorted(
-            p.footpoint for p in cert if hi.roles[p.disk.id] is DiskRole.OUTER_FRAME
+            x for disk, x in cert if hi.roles[disk.id] is DiskRole.OUTER_FRAME
         )
         for left, right in zip(outer, outer[1:]):
             assert right - left == 2
@@ -146,7 +146,7 @@ class TestCertificate:
         cert = build_certificate(hi, M2_SOLUTION)
         role_of = hi.roles
         outer = sorted(
-            p.footpoint for p in cert if role_of[p.disk.id] is DiskRole.OUTER_FRAME
+            x for disk, x in cert if role_of[disk.id] is DiskRole.OUTER_FRAME
         )
         frame_filler = {
             DiskRole.INNER_FRAME: "F",
@@ -155,34 +155,29 @@ class TestCertificate:
         }
         for left, right in zip(outer, outer[1:]):
             letters = [
-                frame_filler[role_of[p.disk.id]]
-                for p in cert
-                if left < p.footpoint < right and role_of[p.disk.id] in frame_filler
+                frame_filler[role_of[disk.id]]
+                for disk, x in cert
+                if left < x < right and role_of[disk.id] in frame_filler
             ]
             assert letters == ["T", "L", "F", "F", "F", "F", "L", "T"]
         for lo, hi_ in ((None, outer[0]), (outer[-1], None)):
             segment = [
-                p
-                for p in cert
-                if (lo is None or p.footpoint > lo)
-                and (hi_ is None or p.footpoint < hi_)
+                (disk, x)
+                for disk, x in cert
+                if (lo is None or x > lo) and (hi_ is None or x < hi_)
             ]
             letters = [
-                frame_filler[role_of[p.disk.id]]
-                for p in segment
-                if role_of[p.disk.id] in frame_filler
+                frame_filler[role_of[disk.id]]
+                for disk, _ in segment
+                if role_of[disk.id] in frame_filler
             ]
             assert letters in (["F", "F", "L", "T"], ["T", "L", "F", "F"])
-            end_disks = [
-                p for p in segment if role_of[p.disk.id] is DiskRole.END
-            ]
-            assert len(end_disks) == 1
+            end_feet = [x for disk, x in segment if role_of[disk.id] is DiskRole.END]
+            assert len(end_feet) == 1
             inners = [
-                p.footpoint
-                for p in segment
-                if role_of[p.disk.id] is DiskRole.INNER_FRAME
+                x for disk, x in segment if role_of[disk.id] is DiskRole.INNER_FRAME
             ]
-            assert min(inners) < end_disks[0].footpoint < max(inners)
+            assert min(inners) < end_feet[0] < max(inners)
 
     def test_end_slot_has_zero_slack(self):
         f, e = SIZE_INNER, SIZE_END
@@ -190,14 +185,16 @@ class TestCertificate:
         # the end disk touches both neighbouring inner frames in the output
         hi = build_instance(M2_INSTANCE)
         cert = build_certificate(hi, M2_SOLUTION)
-        placed = list(cert)
-        left_end = [p for p in placed if p.footpoint < 1]
-        end = next(p for p in left_end if hi.roles[p.disk.id] is DiskRole.END)
-        inners = [p for p in left_end if hi.roles[p.disk.id] is DiskRole.INNER_FRAME]
-        for inner in inners:
-            assert abs(inner.footpoint - end.footpoint) == footpoint_distance(
-                inner.disk.size, end.disk.size
-            )
+        left_end = [(disk, x) for disk, x in cert if x < 1]
+        end, end_x = next(
+            (disk, x) for disk, x in left_end if hi.roles[disk.id] is DiskRole.END
+        )
+        inners = [
+            (disk, x) for disk, x in left_end
+            if hi.roles[disk.id] is DiskRole.INNER_FRAME
+        ]
+        for inner, inner_x in inners:
+            assert abs(inner_x - end_x) == footpoint_distance(inner.size, end.size)
 
     def test_group_order_and_membership_flexibility(self):
         # equal elements swapped across groups still decode to a valid answer
@@ -244,28 +241,20 @@ class TestDecodePreconditions:
     def test_rejects_float_placement(self):
         hi = build_instance(M2_INSTANCE)
         cert = build_certificate(hi, M2_SOLUTION)
-        as_float = [
-            (p.disk.id, float(p.disk.size), float(p.footpoint)) for p in cert
-        ]
-        from shelfpack.geometry import PlacedDisk, Placement
-
         float_cert = Placement(
-            tuple(PlacedDisk(Disk(i, s), x) for i, s, x in as_float)
+            [Disk(disk.id, float(disk.size)) for disk in cert.disks],
+            [float(x) for x in cert.footpoints],
         )
         with pytest.raises(PreconditionError, match="exact"):
             decode_partition(hi, float_cert)
 
     def test_rejects_over_budget_placement(self):
-        from shelfpack.geometry import PlacedDisk, Placement
-
         hi = build_instance(M2_INSTANCE)
         cert = build_certificate(hi, M2_SOLUTION)
         # slide the last frame disk and its end content out by one unit
-        shifted = tuple(
-            PlacedDisk(p.disk, p.footpoint + 1 if p.footpoint >= 5 else p.footpoint)
-            for p in cert
+        widened = Placement(
+            cert.disks, [x + 1 if x >= 5 else x for x in cert.footpoints]
         )
-        widened = Placement(shifted)
         assert verify(widened, 0).ok
         with pytest.raises(PreconditionError, match="budget"):
             decode_partition(hi, widened)
@@ -275,15 +264,13 @@ class TestDecodePreconditions:
         # outer frames, left of the first or right of the last
         hi = build_instance(M2_INSTANCE)
         cert = build_certificate(hi, M2_SOLUTION)
-        ends = sorted(
-            (p for p in cert if hi.roles[p.disk.id] is DiskRole.END),
-            key=lambda p: p.footpoint,
-        )
+        # disks come sorted by footpoint
+        ends = [disk for disk in cert.disks if hi.roles[disk.id] is DiskRole.END]
         for end in (ends[0], ends[-1]):
             relabelled = replace(
                 hi,
-                roles={**hi.roles, end.disk.id: DiskRole.PARTITION},
-                element_index={**hi.element_index, end.disk.id: 1},
+                roles={**hi.roles, end.id: DiskRole.PARTITION},
+                element_index={**hi.element_index, end.id: 1},
             )
             with pytest.raises(InconsistencyError, match="lies in no frame gap"):
                 decode_partition(relabelled, cert)

@@ -79,11 +79,11 @@ class TestSolveLinear:
         placement, report = solve_linear(make_disks([F(10), F(9), F(8), F(7)]))
         assert report.span == 571
         # consecutive disks touch and the end disks define both walls
-        placed = placement.placed
-        for left, right in zip(placed, placed[1:]):
-            assert right.footpoint - left.footpoint == 2 * left.disk.size * right.disk.size
-        assert report.left_disk_id == placed[0].disk.id
-        assert report.right_disk_id == placed[-1].disk.id
+        disks, feet = placement.disks, placement.footpoints
+        for k in range(1, len(feet)):
+            assert feet[k] - feet[k - 1] == 2 * disks[k - 1].size * disks[k].size
+        assert report.left_disk_id == disks[0].id
+        assert report.right_disk_id == disks[-1].id
 
     def test_two_unit_disks(self):
         _, report = solve_linear(make_disks([F(1), F(1)]))

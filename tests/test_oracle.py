@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
@@ -19,14 +20,13 @@ class TestFixedInstances:
     def test_four_disk_chain(self):
         placement, report = exact_solve(make_disks([F(10), F(9), F(8), F(7)]))
         assert report.span == 571
-        sizes = [p.disk.size for p in placement]
+        sizes = [d.size for d in placement.disks]
         assert sizes in ([8, 10, 7, 9], [9, 7, 10, 8])
 
     def test_unit_disk_goes_between_the_big_pair(self):
         placement, report = exact_solve(make_disks([F(2), F(2), F(1)]))
         assert report.span == 16
-        middle = placement.placed[1]
-        assert middle.disk.size == 1
+        assert placement.disks[1].size == 1
 
     def test_hiding_beats_any_chain(self):
         _, report = exact_solve(make_disks([F(10), F(9), F(8), F(6), F(4)]))
@@ -45,9 +45,9 @@ class TestAgainstEnumeration:
 
     @pytest.mark.parametrize("ratio", [1.5, 2, 6, 50, 500])
     def test_matches_enumeration_across_size_ratios(self, ratio):
-        # both backends, with and without the incumbent, and with runs of
-        # equal sizes; every instance spans the whole ratio.  Exact
-        # enumeration costs about five times float at n = 7.
+        # both backends, with runs of equal sizes; every instance spans the
+        # whole ratio.  Exact enumeration costs about five times float at
+        # n = 7.
         rng = random.Random(int(10 * ratio))
         small = [(rng.randint(3, 5), exact) for exact in (True, False) for _ in range(25)]
         for n, exact in small + [(6, True), (7, False)]:
@@ -59,14 +59,13 @@ class TestAgainstEnumeration:
                 sizes = [F(round(1000 * v), 1000) for v in sizes]
             disks = make_disks(sizes)
             best = brute_min_span(disks)
-            for prune in (True, False):
-                _, report = exact_solve(disks, OracleConfig(prune=prune))
-                if exact:
-                    assert report.span == best
-                else:
-                    # a greedy fallback may differ from every compacted
-                    # span by float rounding
-                    assert report.span == pytest.approx(best, rel=1e-12)
+            _, report = exact_solve(disks)
+            if exact:
+                assert report.span == best
+            else:
+                # a greedy fallback may differ from every compacted span
+                # by float rounding
+                assert report.span == pytest.approx(best, rel=1e-12)
 
     def test_greedy_within_four_thirds_at_larger_n(self):
         rng = random.Random(61)
@@ -89,22 +88,26 @@ class TestAgainstEnumeration:
 
 class TestSearchModes:
     def test_pruned_equals_unpruned(self):
+        # the pruned search against unpruned enumeration of every order
         rng = random.Random(47)
         for _ in range(15):
             n = rng.randint(1, 6)
             sizes = [F(rng.randint(2, 40), rng.randint(1, 6)) for _ in range(n)]
             disks = make_disks(sizes)
-            _, pruned = exact_solve(disks, OracleConfig(prune=True))
-            _, unpruned = exact_solve(disks, OracleConfig(prune=False))
-            assert pruned.span == unpruned.span
+            _, pruned = exact_solve(disks)
+            assert pruned.span == brute_min_span(disks)
 
     def test_duplicate_sizes_collapse(self):
         # 9 disks but only 3 distinct sizes: feasible only because
-        # equal-size permutations are not re-explored
-        disks = make_disks([F(3)] * 3 + [F(2)] * 3 + [F(1)] * 3)
-        _, report = exact_solve(disks, OracleConfig(prune=False))
-        _, pruned = exact_solve(disks)
-        assert report.span == pruned.span
+        # equal-size permutations are not re-explored.  The reference
+        # compacts each of the 9!/(3!)**3 = 1680 distinct size orders.
+        sizes = [3] * 3 + [2] * 3 + [1] * 3  # ints: Disk makes them exact
+        _, report = exact_solve(make_disks(sizes))
+        best = min(
+            span(compact(make_disks(order))).span
+            for order in set(permutations(sizes))
+        )
+        assert report.span == best
 
     def test_reversal_symmetry_of_optimum(self):
         rng = random.Random(53)
@@ -112,7 +115,7 @@ class TestSearchModes:
             n = rng.randint(2, 6)
             sizes = [F(rng.randint(2, 40), rng.randint(1, 6)) for _ in range(n)]
             placement, report = exact_solve(make_disks(sizes))
-            reversed_order = [p.disk for p in reversed(placement.placed)]
+            reversed_order = list(reversed(placement.disks))
             assert span(compact(reversed_order)).span == report.span
 
 
