@@ -1,10 +1,12 @@
 """Pack disks on a shelf: every disk tangent to the x-axis from above,
 no overlaps, minimum horizontal span.
 
-The package provides exact tangency geometry over rational or float
-scalars, an exact solver for linear-case instances, a greedy
-4/3-approximation with certificates, an exact subset-DP oracle, a 3-Partition
-hardness-instance toolkit, and file/CLI plumbing.
+The package provides the tangency constraint |x_i - x_j| >= 2 s_i s_j
+over rational or float scalars, with left-compaction, span measurement,
+verification and a support lower bound; an exact solver for linear-case
+instances, a greedy 4/3-approximation with certificates, an exact
+subset-DP oracle, a 3-Partition hardness-instance toolkit, and file/CLI
+plumbing.
 
 Every solver returns a :class:`Placement`: a column of disks and a column
 of footpoints, sorted by footpoint.  ``Placement(disks, footpoints)`` is
@@ -27,11 +29,7 @@ from .geometry import (
     Violation,
     best_support_lower_bound,
     compact,
-    footpoint_distance,
-    gap_fit_size,
-    size_from_radius,
     span,
-    support_lower_bound,
     verify,
     wall_fit_exceeds,
 )
@@ -52,13 +50,7 @@ from .hardness import (
     scale_to_integer_radii,
     validate_3partition,
 )
-from .linear import (
-    LinearOrder,
-    is_linear_case,
-    optimal_linear_order,
-    reversal_improvement,
-    solve_linear,
-)
+from .linear import is_linear_case, solve_linear
 from .oracle import OracleConfig, exact_solve
 from .scalars import Backend, Scalar
 from .svg import render_svg
@@ -75,7 +67,6 @@ __all__ = [
     "IdentityCheck",
     "IdentityReport",
     "InconsistencyError",
-    "LinearOrder",
     "OracleConfig",
     "ParseError",
     "PartitionSolution",
@@ -95,19 +86,13 @@ __all__ = [
     "compact",
     "decode_partition",
     "exact_solve",
-    "footpoint_distance",
-    "gap_fit_size",
     "greedy_solve",
     "is_linear_case",
-    "optimal_linear_order",
     "partition_disk_size",
     "render_svg",
-    "reversal_improvement",
     "scale_to_integer_radii",
-    "size_from_radius",
     "solve_linear",
     "span",
-    "support_lower_bound",
     "validate_3partition",
     "verify",
     "wall_fit_exceeds",

@@ -4,10 +4,10 @@ Subcommands: ``solve`` (dispatching between the exact linear-case solver,
 the greedy approximation and the exact oracle), ``verify``,
 ``genhard`` (3-Partition reduction instances) and ``render`` (SVG).
 
-Exit codes: 0 success, 1 verification rejected, 2 parse error,
-3 precondition or domain violation.  A reader that closes standard output
-early (``shelfpack solve big.instance | head -1``) ends the command
-quietly with status 0.
+Exit codes: 0 success, 1 verification rejected, 2 parse error or a file
+that cannot be read or written, 3 precondition or domain violation.  A
+reader that closes standard output early (``shelfpack solve big.instance
+| head -1``) ends the command quietly with status 0.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import files
@@ -44,17 +43,21 @@ def _to_float_disks(disks: list[Disk]) -> list[Disk]:
 
 
 def _parse_tolerance(text: str, backend: Backend) -> Scalar:
+    """A float placement takes any literal as a float; an exact placement
+    takes an integer or rational literal, never a decimal one."""
     try:
-        return int(text)  # plain integers are valid in both backends
+        value = int(text)
     except ValueError:
-        pass
-    value = parse_scalar(text)
-    if backend is Backend.EXACT and isinstance(value, float):
+        value = parse_scalar(text)
+    if backend is Backend.FLOAT:
+        try:
+            return float(value)
+        except OverflowError:
+            raise DomainError(f"tolerance {text} is beyond the float range") from None
+    if isinstance(value, float):
         raise PreconditionError(
             "exact placements need a rational (or integer) tolerance"
         )
-    if backend is Backend.FLOAT and isinstance(value, Fraction):
-        return float(value)
     return value
 
 
@@ -71,7 +74,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     mode = args.mode
     if mode == "auto":
-        mode = "linear" if len(disks) == 1 or is_linear_case(disks) else "greedy"
+        mode = "linear" if is_linear_case(disks) else "greedy"
         method = {
             "linear": "exact (linear case)",
             "greedy": "greedy (4/3 approximation)",
@@ -237,10 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         # the exit flush must not hit the closed pipe again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, PreconditionError, BackendMismatchError) as exc:

@@ -131,30 +131,6 @@ class VerificationResult:
     violation: Optional[Violation]
 
 
-def footpoint_distance(a: Scalar, b: Scalar) -> Scalar:
-    """Footpoint distance of two touching disks of sizes ``a`` and ``b``: 2ab."""
-    a, b = coerce(a), coerce(b)
-    unified_backend((a, b))
-    if a <= 0 or b <= 0:
-        raise DomainError("sizes must be positive")
-    return 2 * a * b
-
-
-def gap_fit_size(a: Scalar, b: Scalar, footpoint_gap: Scalar) -> Scalar:
-    """Largest size fitting between disks of sizes ``a``, ``b`` whose
-    footpoints are ``footpoint_gap`` apart: footpoint_gap / (2 (a + b)).
-
-    For a touching pair (gap = 2ab) this reduces to a*b/(a+b).
-    """
-    a, b, footpoint_gap = coerce(a), coerce(b), coerce(footpoint_gap)
-    unified_backend((a, b, footpoint_gap))
-    if a <= 0 or b <= 0:
-        raise DomainError("sizes must be positive")
-    if footpoint_gap < 0:
-        raise DomainError("footpoint gap must be non-negative")
-    return footpoint_gap / (2 * (a + b))
-
-
 def wall_fit_exceeds(z: Scalar, a: Scalar) -> bool:
     """Whether a size-``z`` disk overflows the gap between a size-``a`` disk
     and the vertical wall through its extreme point.
@@ -267,28 +243,17 @@ def verify(placement: Placement, tolerance: Scalar) -> VerificationResult:
     return VerificationResult(violation is None, span(placement), violation)
 
 
-def support_lower_bound(disks: Iterable[Disk]) -> Scalar:
-    """Lower bound on the optimal span: sum of support-interval lengths.
-
-    With m the smallest size, every valid placement keeps the open
-    intervals of length 4*s_i*m - 2*m**2 around the footpoints disjoint,
-    so their total length can never exceed the span.
-    """
-    items = list(disks)
-    if not items:
-        raise DomainError("support_lower_bound requires at least one disk")
-    unified_backend([d.size for d in items])
-    m = min(d.size for d in items)
-    total = 4 * m * sum(d.size for d in items) - 2 * len(items) * m * m
-    return total
-
-
 def best_support_lower_bound(disks: Iterable[Disk]) -> Scalar:
     """Strongest support bound over size-decreasing prefixes of ``disks``.
 
-    Adding a disk smaller than all others can *weaken* the plain support
-    bound (the normalizing minimum drops), so the bound of some prefix of
-    the disks sorted by decreasing size may exceed the full-set bound.
+    The support bound of a disk set with smallest size m is the total
+    length 4*m*sum(s_i) - 2*n*m**2 of the open intervals of length
+    4*s_i*m - 2*m**2 around the footpoints, which every valid placement
+    keeps disjoint inside its span.
+
+    Adding a disk smaller than all others can *weaken* that bound (the
+    normalizing minimum drops), so the bound of some prefix of the disks
+    sorted by decreasing size may exceed the full-set bound.
     Every prefix bound is still a valid lower bound for the whole
     instance, because a placement of all disks restricts to one of the
     prefix.  This maximum is the bound the greedy certificate is measured
@@ -322,9 +287,3 @@ def prefix_support_bound(sizes: Sequence[Scalar]) -> Scalar:
             best = bound
     return best
 
-
-def size_from_radius(radius: float) -> float:
-    """Float-only convenience: size is the square root of the radius."""
-    if not isinstance(radius, float) or radius <= 0:
-        raise DomainError("radius must be a positive float")
-    return radius ** 0.5

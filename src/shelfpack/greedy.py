@@ -7,9 +7,9 @@ size keeps the whole run in O(n log n).
 
 The input is checked once, where :func:`greedy_solve` receives it: at
 least one disk, and one backend for all sizes.  The loop then runs on
-plain lists.  Float sizes are used as they are, with the same expressions
-as the checked geometry functions, so every footpoint is bit-identical to
-theirs.  Exact sizes become integers over their common denominator
+plain lists.  Float sizes are used as they are, in the closed forms 2ab
+(tangency) and g / (2(a + b)) (gap fit), so every footpoint is
+bit-identical to the scalar reference greedy in the tests.  Exact sizes become integers over their common denominator
 (:func:`~shelfpack.scalars.integer_scale`), so no ``Fraction`` is reduced
 inside the loop.  The :class:`Placement` built from the output sorts it
 by footpoint and rejects duplicate ids, coinciding footpoints and float

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, InconsistencyError, PreconditionError
 from .geometry import Disk, Placement, verify
-from .scalars import Backend
+from .scalars import Backend, integer_scale
 
 SIZE_OUTER = Fraction(1)
 SIZE_INNER = Fraction(33, 100)
@@ -327,12 +327,10 @@ def scale_to_integer_radii(disks: Iterable[Disk]) -> tuple[list[Disk], int]:
     items = list(disks)
     if not items:
         raise DomainError("no disks to rescale")
-    factor = 1
-    for d in items:
-        if not isinstance(d.size, Fraction):
-            raise PreconditionError("integer-radius rescaling needs exact sizes")
-        factor = factor * d.size.denominator // math.gcd(factor, d.size.denominator)
-    return [Disk(d.id, d.size * factor) for d in items], factor
+    if not all(isinstance(d.size, Fraction) for d in items):
+        raise PreconditionError("integer-radius rescaling needs exact sizes")
+    sizes, factor = integer_scale([d.size for d in items])
+    return [Disk(d.id, s) for d, s in zip(items, sizes)], factor
 
 
 # --- machine checks for the impossibility tables -------------------------

@@ -8,6 +8,8 @@ with a fixed rule and nothing date- or environment-dependent is emitted.
 
 from __future__ import annotations
 
+import math
+
 from .errors import DomainError
 from .geometry import Placement, span
 
@@ -23,8 +25,8 @@ def render_svg(placement: Placement, scale: float = 40.0) -> str:
     if not isinstance(scale, (int, float)) or isinstance(scale, bool):
         raise DomainError("scale must be a number")
     scale = float(scale)
-    if scale <= 0:
-        raise DomainError("scale must be positive")
+    if not 0 < scale < math.inf:
+        raise DomainError(f"scale must be positive and finite, got {scale}")
     report = span(placement)
     left = float(report.left_wall)
     width_world = float(report.span)

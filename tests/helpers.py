@@ -5,18 +5,18 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
+from shelfpack.errors import DomainError
 from shelfpack.geometry import (
     Disk,
     Placement,
     best_support_lower_bound,
     compact,
-    gap_fit_size,
     span,
 )
 from shelfpack.greedy import Certificate, GreedyResult
-from shelfpack.linear import reversal_improvement
+from shelfpack.scalars import Scalar
 
 
 def make_disks(sizes: Sequence, prefix: str = "d") -> list[Disk]:
@@ -27,6 +27,17 @@ def random_linear_disks(rng, n: int) -> list[Disk]:
     """n distinct sizes k/100 with 100 <= k < 200 (so max/min < 2, which
     always satisfies the linear-case predicate); n is at most 100."""
     return make_disks([Fraction(k, 100) for k in rng.sample(range(100, 200), n)])
+
+
+def footpoint_distance(a, b):
+    """Footpoint distance of two touching disks of sizes ``a`` and ``b``."""
+    return 2 * a * b
+
+
+def gap_fit_size(a, b, footpoint_gap):
+    """Largest size fitting between disks of sizes ``a`` and ``b`` whose
+    footpoints are ``footpoint_gap`` apart; a*b/(a+b) for a touching pair."""
+    return footpoint_gap / (2 * (a + b))
 
 
 def naive_compact(order: Sequence[Disk]) -> Placement:
@@ -44,9 +55,9 @@ def naive_compact(order: Sequence[Disk]) -> Placement:
 
 
 def naive_greedy(disks: Iterable[Disk]) -> GreedyResult:
-    """Reference greedy on scalars: every gap fit, footpoint and the final
-    placement go through the checked geometry functions and constructors,
-    and the certificate is measured with span() and
+    """Reference greedy on scalars: every gap fit is the closed form
+    gap_fit_size(), the final placement goes through the checked
+    constructor, and the certificate is measured with span() and
     best_support_lower_bound().  Same rules and tie-breaks as greedy_solve."""
     order = sorted(disks, key=lambda d: (-d.size, d.id))
     ids = [d.id for d in order]
@@ -133,6 +144,45 @@ def touching_chain_total(sizes: Sequence) -> Fraction:
     total = sizes[0] ** 2 + sizes[-1] ** 2
     total += sum(2 * a * b for a, b in zip(sizes, sizes[1:]))
     return total
+
+
+def reversal_improvement(
+    order: Sequence[Disk], i: int, j: int
+) -> Optional[tuple[Scalar, list[Disk]]]:
+    """Try to shorten a touching chain by reversing ``order[i+1 .. j]``.
+
+    ``i`` indexes a disk A whose successor is B, ``j`` indexes the disk Z
+    where the reversed run ends.  On a touching chain the span change is
+    closed-form and negative exactly in these cases:
+
+    * Z is the last disk and a > b > z, or a < b < z:
+      delta = (b + z - 2a) * (b - z)
+    * Z is interior with successor Y, and (a > y and b > z) or
+      (a < y and b < z): delta = 2 * (a - y) * (z - b)
+
+    Returns ``(delta, reversed_order)`` when one case applies, else None.
+    The deltas describe spans of fully touching chains, which is what
+    compaction produces on linear-case instances.
+    """
+    if not (0 <= i < j < len(order)):
+        raise DomainError(f"need 0 <= i < j < {len(order)}, got i={i}, j={j}")
+    a = order[i].size
+    b = order[i + 1].size
+    z = order[j].size
+    delta: Optional[Scalar] = None
+    if j == len(order) - 1:
+        if (a > b > z) or (a < b < z):
+            delta = (b + z - 2 * a) * (b - z)
+    else:
+        y = order[j + 1].size
+        if (a > y and b > z) or (a < y and b < z):
+            delta = 2 * (a - y) * (z - b)
+    if delta is None:
+        return None
+    reversed_order = list(order[: i + 1])
+    reversed_order.extend(reversed(order[i + 1 : j + 1]))
+    reversed_order.extend(order[j + 1 :])
+    return delta, reversed_order
 
 
 def improve_until_stuck(order: list[Disk], max_steps: int) -> tuple[list[Disk], int]:

@@ -10,16 +10,15 @@ import random
 from fractions import Fraction as F
 
 from shelfpack.geometry import (
+    best_support_lower_bound,
     compact,
     span,
-    support_lower_bound,
     verify,
 )
 from shelfpack.greedy import greedy_solve
-from shelfpack.linear import reversal_improvement
 from shelfpack.oracle import exact_solve
 
-from helpers import make_disks
+from helpers import make_disks, reversal_improvement
 
 
 def _random_exact_sizes(rng: random.Random, n: int) -> list[F]:
@@ -61,7 +60,7 @@ def run_support_disjointness_suite(cases: int = 500) -> None:
         for k in range(1, len(feet)):
             needed = 2 * m * (placed[k - 1] + placed[k]) - 2 * m * m
             assert feet[k] - feet[k - 1] >= needed, "supports overlap"
-        assert support_lower_bound(disks) <= span(placement).span
+        assert best_support_lower_bound(disks) <= span(placement).span
 
 
 def run_small_pairs_touch_suite(cases: int = 500) -> None:

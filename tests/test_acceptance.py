@@ -14,8 +14,6 @@ from helpers import brute_min_span, make_disks, touching_chain_total
 from shelfpack.geometry import (
     Disk,
     compact,
-    footpoint_distance,
-    gap_fit_size,
     span,
     verify,
     wall_fit_exceeds,
@@ -201,26 +199,32 @@ def test_criterion_6_tangency_identities():
         rng = random.Random(606)
         for _ in range(1000):
             # exact backend: algebraic identities hold exactly
+            # (the larger disk goes first, so the smaller one never reaches
+            # past its wall and the pair touches)
             a = F(rng.randint(1, 400), rng.randint(1, 40))
             b = F(rng.randint(1, 400), rng.randint(1, 40))
-            d = footpoint_distance(a, b)
+            a, b = max(a, b), min(a, b)
+            feet = compact(make_disks([a, b])).footpoints
+            d = feet[1] - feet[0]
+            assert d == 2 * a * b
             assert d * d == (a * a + b * b) ** 2 - (a * a - b * b) ** 2
-            g = gap_fit_size(a, b, d)
-            assert g == a * b / (a + b)
-            assert footpoint_distance(a, g) + footpoint_distance(g, b) == d
+            # the harmonic size ab/(a+b) exactly fills the gap of the pair
+            feet = compact(make_disks([a, a * b / (a + b), b])).footpoints
+            assert feet[2] - feet[0] == d
 
-            # float backend: tangency residual at the claimed distance
+            # float backend: tangency residual at the compacted distance
             # (stable for any size ratio, unlike the sqrt of a difference)
             x = rng.uniform(0.01, 20.0)
             y = rng.uniform(0.01, 20.0)
-            df = footpoint_distance(x, y)
+            hi, lo = max(x, y), min(x, y)
+            feet = compact(make_disks([hi, lo])).footpoints
+            df = feet[1] - feet[0]
+            assert abs(df - 2 * hi * lo) <= 1e-12 * df
             lhs = df * df + (x * x - y * y) ** 2
             rhs = (x * x + y * y) ** 2
             assert abs(lhs - rhs) <= 1e-12 * rhs
-            gf = gap_fit_size(x, y, df)
-            assert abs(gf - x * y / (x + y)) <= 1e-12 * gf
-            assembled = footpoint_distance(x, gf) + footpoint_distance(gf, y)
-            assert abs(assembled - df) <= 1e-12 * df
+            feet = compact(make_disks([hi, hi * lo / (hi + lo), lo])).footpoints
+            assert abs(feet[2] - feet[0] - df) <= 1e-12 * df
 
             z = rng.uniform(0.001, 20.0)
             threshold = (math.sqrt(2.0) - 1.0) * x
@@ -248,7 +252,8 @@ def test_criterion_7_hiding_thresholds():
         assert verify(placement, 0).ok
 
         # a unit disk exactly fills the gap between touching size-2 disks
-        assert gap_fit_size(F(2), F(2), F(8)) == 1
+        feet = compact(make_disks([F(2), F(1), F(2)])).footpoints
+        assert feet[2] - feet[0] == 8
         exact_fill, orc = exact_solve(make_disks([F(2), F(2), F(1)]))
         assert orc.span == 16
         assert brute_min_span(make_disks([F(2), F(2), F(1)])) == 16

@@ -90,8 +90,22 @@ class TestSolve:
         )
         assert rc == 3
 
+    def test_single_disk_is_linear(self, tmp_path, capsys):
+        path = write(tmp_path / "one.instance", "shelfpack-instance v1\nd1 3/1\n")
+        assert main(["solve", path]) == 0
+        err = capsys.readouterr().err
+        assert "method: exact (linear case)" in err and "span: 18 (exact)" in err
+
     def test_missing_file(self, tmp_path):
         assert main(["solve", str(tmp_path / "absent"), "--out", str(tmp_path / "x")]) == 2
+
+    def test_unreadable_input_exits_2(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.instance"
+        latin1.write_bytes("shelfpack-instance v1\nd\xe9 1/1\n".encode("latin-1"))
+        assert main(["solve", str(latin1)]) == 2
+        assert main(["verify", str(tmp_path)]) == 2  # a directory
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 2
 
     def test_placement_to_stdout_without_out(self, linear_instance, capsys):
         assert main(["solve", linear_instance]) == 0
@@ -152,7 +166,9 @@ class TestVerify:
             "shelfpack-placement v1\nu1 1.0 0.0\nu2 1.0 1.9999999\n",
         )
         assert main(["verify", path]) == 1
-        assert main(["verify", path, "--tolerance", "1e-6"]) == 0
+        for tolerance in ("1e-6", "1", "1.0", "1/1"):
+            assert main(["verify", path, "--tolerance", tolerance]) == 0
+        assert main(["verify", path, "--tolerance", "9" * 400]) == 3  # no float
 
     def test_exact_rejects_nonzero_tolerance(self, tmp_path):
         path = write(
@@ -231,8 +247,10 @@ class TestRender:
             tmp_path / "two.placement",
             "shelfpack-placement v1\na 1/1 1/1\nb 1/1 3/1\n",
         )
-        rc = main(["render", path, "--out", str(tmp_path / "x.svg"), "--scale", "0"])
-        assert rc == 3
+        for scale in ("0", "nan", "inf"):
+            out = tmp_path / "x.svg"
+            assert main(["render", path, "--out", str(out), "--scale", scale]) == 3
+            assert not out.exists()
 
     def test_matches_golden_certificate_rendering(self, tmp_path):
         import pathlib

@@ -11,14 +11,11 @@ from shelfpack.geometry import (
     Placement,
     best_support_lower_bound,
     compact,
-    footpoint_distance,
-    gap_fit_size,
-    size_from_radius,
     span,
-    support_lower_bound,
     verify,
     wall_fit_exceeds,
 )
+from shelfpack.hardness import SIZE_INNER, SIZE_LARGE_FILLER, SIZE_SMALL_FILLER
 
 
 class TestDiskTypes:
@@ -85,49 +82,58 @@ class TestPlacementConstructor:
                 Placement(disks, feet)
 
 
+def footpoint_gaps(placement):
+    feet = placement.footpoints
+    return [y - x for x, y in zip(feet, feet[1:])]
+
+
 class TestFootpointDistance:
+    """Compaction puts touching disks of sizes a and b exactly 2ab apart."""
+
     def test_unit_pair(self):
-        assert footpoint_distance(F(1), F(1)) == 2
+        assert footpoint_gaps(compact(make_disks([F(1), F(1)]))) == [2]
 
     def test_direct_product(self):
-        assert footpoint_distance(F(1), F(33, 100)) == F(33, 50)
+        p = compact(make_disks([F(1), SIZE_INNER]))
+        assert footpoint_gaps(p) == [F(33, 50)]
 
     def test_frame_chain_total(self):
         # 1, f, f, f, f, f, 1 with f = 33/100 sums to exactly 2.1912
-        sizes = [F(1)] + [F(33, 100)] * 5 + [F(1)]
-        total = sum(footpoint_distance(a, b) for a, b in zip(sizes, sizes[1:]))
-        assert total == F(21912, 10000)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(DomainError):
-            footpoint_distance(F(0), F(1))
-        with pytest.raises(DomainError):
-            footpoint_distance(1.0, -2.0)
+        sizes = [F(1)] + [SIZE_INNER] * 5 + [F(1)]
+        assert sum(footpoint_gaps(compact(make_disks(sizes)))) == F(21912, 10000)
 
     def test_rejects_mixed_backends(self):
         with pytest.raises(BackendMismatchError):
-            footpoint_distance(F(1), 1.0)
+            compact([Disk("a", F(1)), Disk("b", 1.0)])
 
 
 class TestGapFitSize:
+    """A disk of size g = ab/(a+b) fills the gap between touching disks of
+    sizes a >= b: compacting a, g, b leaves b exactly 2ab from a."""
+
+    @staticmethod
+    def fills_gap(a, g, b):
+        p = compact(make_disks([a, g, b]))
+        return p.footpoints[2] - p.footpoints[0] == 2 * a * b
+
     def test_symmetric_touching_pair(self):
         a = F(7, 3)
-        assert gap_fit_size(a, a, 2 * a * a) == a / 2
+        assert self.fills_gap(a, a / 2, a)
+        assert not self.fills_gap(a, a / 2 + F(1, 10**9), a)
 
     def test_outer_inner_corner_fits_large_filler(self):
-        f = F(33, 100)
-        assert gap_fit_size(F(1), f, 2 * f) == F(33, 133)
+        assert SIZE_LARGE_FILLER == F(33, 133)
+        assert self.fills_gap(F(1), SIZE_LARGE_FILLER, SIZE_INNER)
 
     def test_outer_large_filler_corner_fits_small_filler(self):
-        l = F(33, 133)
-        assert gap_fit_size(l, F(1), 2 * l) == F(33, 166)
+        assert SIZE_SMALL_FILLER == F(33, 166)
+        assert self.fills_gap(F(1), SIZE_SMALL_FILLER, SIZE_LARGE_FILLER)
 
     def test_general_form(self):
-        assert gap_fit_size(2.0, 3.0, 40.0) == 4.0
-
-    def test_rejects_negative_gap(self):
-        with pytest.raises(DomainError):
-            gap_fit_size(F(1), F(1), F(-1))
+        # 2 and 3 with footpoints 40 apart: the gap fits size 40 / 10 = 4
+        p = Placement(make_disks([2.0, 4.0, 3.0]), [0.0, 16.0, 40.0])
+        assert verify(p, 0.0).ok
+        assert not verify(Placement(p.disks, [0.0, 16.0, 39.0]), 0.0).ok
 
 
 class TestWallFit:
@@ -305,28 +311,30 @@ class TestVerify:
 class TestSupportLowerBound:
     def test_unit_disks_tight(self):
         disks = make_disks([F(1)] * 7)
-        assert support_lower_bound(disks) == 14
+        assert best_support_lower_bound(disks) == 14
         assert span(compact(disks)).span == 14
 
     def test_single_disk_tight(self):
         a = F(5, 2)
-        assert support_lower_bound([Disk("a", a)]) == 2 * a * a
+        assert best_support_lower_bound([Disk("a", a)]) == 2 * a * a
 
     def test_two_two_one(self):
-        assert support_lower_bound(make_disks([F(2), F(2), F(1)])) == 14
+        # the unit disk exactly fills the gap, so the bound is tight
+        disks = make_disks([F(2), F(2), F(1)])
+        assert best_support_lower_bound(disks) == brute_min_span(disks) == 16
 
     def test_never_exceeds_any_compaction(self):
         rng = random.Random(23)
         for _ in range(30):
             sizes = [F(rng.randint(1, 30), rng.randint(1, 6)) for _ in range(5)]
             disks = make_disks(sizes)
-            bound = support_lower_bound(disks)
+            bound = best_support_lower_bound(disks)
             rng.shuffle(disks)
             assert bound <= span(compact(disks)).span
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            support_lower_bound([])
+            best_support_lower_bound([])
 
 
 class TestBestSupportLowerBound:
@@ -334,13 +342,12 @@ class TestBestSupportLowerBound:
         # the size-1 disk hides entirely, so the two-disk bound of 24 is
         # far below the single-disk bound of 72
         disks = make_disks([F(6), F(1)])
-        assert support_lower_bound(disks) == 24
         assert best_support_lower_bound(disks) == 72
         assert brute_min_span(disks) == 72
 
     def test_matches_full_set_on_units(self):
         disks = make_disks([F(1)] * 5)
-        assert best_support_lower_bound(disks) == support_lower_bound(disks) == 10
+        assert best_support_lower_bound(disks) == 10
 
     def test_two_two_one(self):
         assert best_support_lower_bound(make_disks([F(2), F(2), F(1)])) == 16
@@ -372,10 +379,3 @@ class TestBestSupportLowerBound:
                 bounds.append(4 * m * running - 2 * count * m * m)
             assert repr(best_support_lower_bound(disks)) == repr(max(bounds))
 
-
-def test_size_from_radius():
-    assert size_from_radius(4.0) == 2.0
-    with pytest.raises(DomainError):
-        size_from_radius(-1.0)
-    with pytest.raises(DomainError):
-        size_from_radius(F(4))

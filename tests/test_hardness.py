@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from helpers import footpoint_distance
 from shelfpack.errors import InconsistencyError, PreconditionError
-from shelfpack.geometry import Disk, Placement, footpoint_distance, span, verify
+from shelfpack.geometry import Disk, Placement, span, verify
 from shelfpack.hardness import (
     GAP_SIZE_BUDGET,
     SIZE_END,

@@ -8,16 +8,12 @@ from helpers import (
     improve_until_stuck,
     make_disks,
     random_linear_disks,
+    reversal_improvement,
     touching_chain_total,
 )
 from shelfpack.errors import DomainError, PreconditionError
 from shelfpack.geometry import compact, span
-from shelfpack.linear import (
-    is_linear_case,
-    optimal_linear_order,
-    reversal_improvement,
-    solve_linear,
-)
+from shelfpack.linear import is_linear_case, solve_linear
 from shelfpack.oracle import exact_solve
 
 
@@ -34,26 +30,34 @@ class TestIsLinearCase:
         for _ in range(50):
             assert is_linear_case(random_linear_disks(rng, rng.randint(2, 9)))
 
-    def test_needs_two_disks(self):
+    def test_one_disk_is_linear(self):
+        # a lone disk has no gap to hide in; an empty list has no answer
+        assert is_linear_case(make_disks([F(1)])) is True
+        assert is_linear_case(make_disks([0.5])) is True
         with pytest.raises(DomainError):
-            is_linear_case(make_disks([F(1)]))
+            is_linear_case([])
+
+
+def linear_order(disks):
+    """The solver's order: compacted footpoints strictly increase."""
+    return list(solve_linear(disks)[0].disks)
 
 
 class TestOptimalOrder:
     def test_even_interleave(self):
-        order = optimal_linear_order(make_disks([F(10), F(9), F(8), F(7)]))
+        order = linear_order(make_disks([F(10), F(9), F(8), F(7)]))
         assert [d.size for d in order] == [8, 10, 7, 9]
 
     def test_single_disk(self):
         d = make_disks([F(3)])
-        assert optimal_linear_order(d) == d
+        assert linear_order(d) == d
         placement, report = solve_linear(d)
         assert report.span == 18
 
     def test_median_goes_to_better_end(self):
         # 2*median > second-smallest + second-largest, so the left end wins
         disks = make_disks([F(14), F(13), F(12), F(9), F(8)])
-        order = optimal_linear_order(disks)
+        order = linear_order(disks)
         assert [d.size for d in order] == [12, 9, 14, 8, 13]
         _, report = solve_linear(disks)
         assert report.span == 1213
@@ -63,7 +67,7 @@ class TestOptimalOrder:
 
     def test_median_tie_goes_right(self):
         disks = make_disks([F(10), F(9), F(8), F(7), F(6)])
-        order = optimal_linear_order(disks)
+        order = linear_order(disks)
         assert [d.size for d in order] == [7, 10, 6, 9, 8]
         _, report = solve_linear(disks)
         assert report.span == 625
@@ -71,7 +75,7 @@ class TestOptimalOrder:
 
     def test_rejects_non_linear(self):
         with pytest.raises(PreconditionError):
-            optimal_linear_order(make_disks([F(5), F(4), F(3), F(2)]))
+            solve_linear(make_disks([F(5), F(4), F(3), F(2)]))
 
 
 class TestSolveLinear:
@@ -111,7 +115,7 @@ class TestSolveLinear:
             calls.clear()
             placement, report = solve_linear(disks)
             assert calls == [n] * (2 if n % 2 else 1)
-            assert placement == compact(optimal_linear_order(disks))
+            assert placement == compact(placement.disks)
             assert report == span(placement)
 
     def test_extreme_blocks_are_contiguous(self):
@@ -120,7 +124,7 @@ class TestSolveLinear:
         for _ in range(25):
             n = rng.randint(2, 9)
             disks = random_linear_disks(rng, n)
-            order = optimal_linear_order(disks)
+            order = linear_order(disks)
             ranked = sorted(order, key=lambda d: (-d.size, d.id))
             position = {d.id: k for k, d in enumerate(order)}
             for k in range(1, n // 2 + 1):
@@ -225,7 +229,7 @@ class TestLocalSearch:
             desc = sorted(disks, key=lambda d: (-d.size, d.id))
             median = desc[2]
             rest = [d for d in desc if d.id != median.id]
-            pattern = optimal_linear_order(rest)
+            pattern = linear_order(rest)
             ends = {
                 span(compact([median] + pattern)).span,
                 span(compact(pattern + [median])).span,

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shelfpack.geometry import footpoint_distance, gap_fit_size, wall_fit_exceeds
+from helpers import make_disks
+from shelfpack.geometry import compact, wall_fit_exceeds
 from shelfpack.scalars import format_scalar, parse_scalar
 
 import suites
@@ -18,16 +19,19 @@ sizes = st.fractions(
 @settings(max_examples=200, derandomize=True)
 @given(a=sizes, b=sizes)
 def test_footpoint_distance_solves_the_tangency_triangle(a, b):
-    d = footpoint_distance(a, b)
+    a, b = max(a, b), min(a, b)  # b must not reach past a's wall
+    feet = compact(make_disks([a, b])).footpoints
+    d = feet[1] - feet[0]
+    assert d == 2 * a * b
     assert d * d + (a * a - b * b) ** 2 == (a * a + b * b) ** 2
 
 
 @settings(max_examples=200, derandomize=True)
 @given(a=sizes, b=sizes)
 def test_touching_gap_fit_is_harmonic(a, b):
-    g = gap_fit_size(a, b, footpoint_distance(a, b))
-    assert g == a * b / (a + b)
-    assert footpoint_distance(a, g) + footpoint_distance(g, b) == footpoint_distance(a, b)
+    a, b = max(a, b), min(a, b)  # b must not reach past a's wall
+    feet = compact(make_disks([a, a * b / (a + b), b])).footpoints
+    assert feet[2] - feet[0] == 2 * a * b
 
 
 @settings(max_examples=200, derandomize=True)
