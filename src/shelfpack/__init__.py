@@ -40,7 +40,6 @@ from .hardness import (
     IdentityCheck,
     IdentityReport,
     PartitionSolution,
-    ThreePartitionCheck,
     ThreePartitionInstance,
     reduction_identity_suite,
     build_certificate,
@@ -75,7 +74,6 @@ __all__ = [
     "Scalar",
     "ShelfPackError",
     "SpanReport",
-    "ThreePartitionCheck",
     "ThreePartitionInstance",
     "VerificationResult",
     "Violation",

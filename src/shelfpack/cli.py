@@ -42,19 +42,15 @@ def _to_float_disks(disks: list[Disk]) -> list[Disk]:
     return [Disk(d.id, float(d.size)) for d in disks]
 
 
-def _parse_tolerance(text: str, backend: Backend) -> Scalar:
-    """A float placement takes any literal as a float; an exact placement
-    takes an integer or rational literal, never a decimal one."""
+def _parse_tolerance(text: str, backend: Backend) -> Scalar | int:
+    """Any literal suits a float placement (``verify`` takes it as a
+    float); an exact placement takes an integer or rational literal, never
+    a decimal one."""
     try:
         value = int(text)
     except ValueError:
         value = parse_scalar(text)
-    if backend is Backend.FLOAT:
-        try:
-            return float(value)
-        except OverflowError:
-            raise DomainError(f"tolerance {text} is beyond the float range") from None
-    if isinstance(value, float):
+    if backend is Backend.EXACT and isinstance(value, float):
         raise PreconditionError(
             "exact placements need a rational (or integer) tolerance"
         )

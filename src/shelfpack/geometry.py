@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import lt
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import BackendMismatchError, DomainError
+from .errors import DomainError
 from .scalars import (
     Backend,
     Scalar,
@@ -162,14 +162,24 @@ def compact(order: Sequence[Disk]) -> Placement:
     on either backend.  The result is the full maximum, found in time
     proportional to the disks within reach of disk i.
 
+    The sizes must share one backend.  Exact sizes run as integers over
+    their common denominator D (see
+    :func:`~shelfpack.scalars.integer_scale`): every footpoint is a
+    degree-2 polynomial in the sizes, so the loop yields D**2 times each
+    footpoint, which becomes ``Fraction(x, D*D)`` at the end.  Floats run
+    the same loop as they are.
+
     The :class:`Placement` built from the result checks the output once:
-    one backend, unique ids, and float footpoints that did not overflow.
+    unique ids, and float footpoints that did not overflow.
     """
     if not order:
         raise DomainError("cannot compact an empty order")
     sizes = [d.size for d in order]
+    exact = unified_backend(sizes) is Backend.EXACT
+    if exact:
+        sizes, scale = integer_scale(sizes)
     twice_max = 2 * max(sizes)
-    feet: list[Scalar] = []
+    feet: list = []
     for s in sizes:
         x = s * s
         reach = twice_max * s
@@ -181,6 +191,9 @@ def compact(order: Sequence[Disk]) -> Placement:
             if c > x:
                 x = c
         feet.append(x)
+    if exact:
+        square = scale * scale
+        feet = [Fraction(x, square) for x in feet]
     return Placement(order, feet)
 
 
@@ -205,9 +218,11 @@ def span(placement: Placement) -> SpanReport:
 def verify(placement: Placement, tolerance: Scalar) -> VerificationResult:
     """Check pairwise separation |x_i - x_j| >= 2 s_i s_j within ``tolerance``.
 
-    The exact backend requires tolerance exactly 0.  The first violating
-    pair in footpoint order is reported together with its deficit; the
-    span report is returned either way.
+    The exact backend requires tolerance exactly 0.  A float placement
+    takes any tolerance as a float; one beyond the float range is a
+    :class:`DomainError`.  The first violating pair in footpoint order is
+    reported together with its deficit; the span report is returned
+    either way.
     """
     tolerance = coerce(tolerance)
     if tolerance < 0:
@@ -217,10 +232,10 @@ def verify(placement: Placement, tolerance: Scalar) -> VerificationResult:
             raise DomainError("exact backend requires tolerance = 0")
         tolerance = coerce(0)
     else:
-        if backend_of(tolerance) is Backend.EXACT:
-            if tolerance != 0:
-                raise BackendMismatchError("float placement needs a float tolerance")
-            tolerance = 0.0
+        try:
+            tolerance = float(tolerance)
+        except OverflowError:
+            raise DomainError("tolerance is beyond the float range") from None
     disks, feet = placement.disks, placement.footpoints
     sizes = [d.size for d in disks]
     n = len(feet)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, InconsistencyError, PreconditionError
-from .geometry import Disk, Placement, verify
+from .geometry import Disk, Placement, compact, verify
 from .scalars import Backend, integer_scale
 
 SIZE_OUTER = Fraction(1)
@@ -63,13 +63,6 @@ class ThreePartitionInstance:
 
 
 @dataclass(frozen=True)
-class ThreePartitionCheck:
-    ok: bool
-    violation: Optional[str] = None
-    index: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class PartitionSolution:
     """m triples of 1-based element indices, each triple summing to the bound."""
 
@@ -96,31 +89,29 @@ def partition_disk_size(element: int, bound: int) -> Fraction:
     return Fraction(17, 99) * (Fraction(3, 100) * Fraction(element, bound) + Fraction(99, 100))
 
 
-def validate_3partition(inst: ThreePartitionInstance) -> ThreePartitionCheck:
-    """Check the 3-Partition invariants, reporting the first violation."""
+def validate_3partition(inst: ThreePartitionInstance) -> None:
+    """Check the 3-Partition invariants; raise PreconditionError naming the
+    first violation."""
+
+    def invalid(violation: str) -> PreconditionError:
+        return PreconditionError(f"invalid 3-Partition instance: {violation}")
+
     n = len(inst.elements)
     if n == 0 or n % 3 != 0:
-        return ThreePartitionCheck(False, f"element count {n} is not a positive multiple of 3")
+        raise invalid(f"element count {n} is not a positive multiple of 3")
     if inst.bound <= 0:
-        return ThreePartitionCheck(False, f"bound B = {inst.bound} is not positive")
+        raise invalid(f"bound B = {inst.bound} is not positive")
     m = n // 3
     for idx, a in enumerate(inst.elements, start=1):
         if a <= 0:
-            return ThreePartitionCheck(False, f"element {idx}: a_i > 0 violated (a_{idx} = {a})", idx)
+            raise invalid(f"element {idx}: a_i > 0 violated (a_{idx} = {a})")
         if 4 * a <= inst.bound:
-            return ThreePartitionCheck(
-                False, f"element {idx}: a_i > B/4 violated (a_{idx} = {a}, B = {inst.bound})", idx
-            )
+            raise invalid(f"element {idx}: a_i > B/4 violated (a_{idx} = {a}, B = {inst.bound})")
         if 2 * a >= inst.bound:
-            return ThreePartitionCheck(
-                False, f"element {idx}: a_i < B/2 violated (a_{idx} = {a}, B = {inst.bound})", idx
-            )
+            raise invalid(f"element {idx}: a_i < B/2 violated (a_{idx} = {a}, B = {inst.bound})")
     total = sum(inst.elements)
     if total != m * inst.bound:
-        return ThreePartitionCheck(
-            False, f"sum of elements is {total}, expected m*B = {m * inst.bound}"
-        )
-    return ThreePartitionCheck(True)
+        raise invalid(f"sum of elements is {total}, expected m*B = {m * inst.bound}")
 
 
 def _build_family(
@@ -155,9 +146,7 @@ def _build_family(
 
 def build_instance(inst: ThreePartitionInstance) -> HardnessInstance:
     """Construct the 12m+11 disk family and the span budget 2(m+1)."""
-    check = validate_3partition(inst)
-    if not check.ok:
-        raise PreconditionError(f"invalid 3-Partition instance: {check.violation}")
+    validate_3partition(inst)
     disks, roles, element_index = _build_family(inst.elements, inst.bound)
     return HardnessInstance(
         source=inst,
@@ -187,82 +176,43 @@ def _check_solution_shape(hi: HardnessInstance, sol: PartitionSolution) -> None:
 def build_certificate(hi: HardnessInstance, sol: PartitionSolution) -> Placement:
     """Exact placement of span 2(m+1) realizing a 3-partition.
 
-    The outer frame disks touch in a row; each gap receives one group's
-    three element disks between four inner frames, each disk touching its
-    left neighbour so any slack drifts rightward; the corners of every gap
-    and both ends are filled by the exact-fit filler disks, and the two
-    end slots take the end disks with zero slack.
+    Lists the disks in footpoint order and left-compacts them.  Each end
+    holds an inner frame, the end disk and an inner frame, with the large
+    and small fillers in the corner at the outer frame.  Each gap holds
+    the small and large fillers, an inner frame, then the group's element
+    disks each followed by an inner frame, then a large and a small filler
+    before the next outer frame.  The fillers and end disks fit their
+    slots exactly, so every disk touches its left neighbour and the
+    outer frames touch in a row.  A group summing below B (possible only
+    in a family built without :func:`build_instance`) leaves its slack
+    just before the next outer frame.  A group that overflows its gap
+    pushes every later disk right, so the last footpoint shows it.
     """
     _check_solution_shape(hi, sol)
+    queues = {
+        role: iter([d for d in hi.disks if hi.roles[d.id] is role]) for role in DiskRole
+    }
     disk_by_id = {d.id: d for d in hi.disks}
-    by_role: dict[DiskRole, list[str]] = {role: [] for role in DiskRole}
-    for disk in hi.disks:
-        by_role[hi.roles[disk.id]].append(disk.id)
-    queues = {role: iter(ids) for role, ids in by_role.items()}
-    part_id_of = {idx: disk_id for disk_id, idx in hi.element_index.items()}
+    element_disk = {idx: disk_by_id[i] for i, idx in hi.element_index.items()}
+    O, F, L, T, E = (
+        DiskRole.OUTER_FRAME, DiskRole.INNER_FRAME, DiskRole.LARGE_FILLER,
+        DiskRole.SMALL_FILLER, DiskRole.END,
+    )
 
-    disks: list[Disk] = []
-    feet: list[Fraction] = []
+    def take(*roles: DiskRole) -> list[Disk]:
+        return [next(queues[role]) for role in roles]
 
-    def put(role: DiskRole, footpoint: Fraction) -> None:
-        disks.append(disk_by_id[next(queues[role])])
-        feet.append(footpoint)
-
-    def put_element(idx: int, footpoint: Fraction) -> None:
-        disks.append(disk_by_id[part_id_of[idx]])
-        feet.append(footpoint)
-
-    m = hi.m
-    width = Fraction(2 * (m + 1))
-    f, l, t, e = SIZE_INNER, SIZE_LARGE_FILLER, SIZE_SMALL_FILLER, SIZE_END
-
-    for k in range(m + 1):
-        put(DiskRole.OUTER_FRAME, Fraction(2 * k + 1))
-
-    # Left end, built outward from the wall at 0; the final tangency to the
-    # outer frame disk at footpoint 1 is exact by the end-slot identity.
-    x = f * f
-    put(DiskRole.INNER_FRAME, x)
-    x += 2 * f * e
-    put(DiskRole.END, x)
-    x += 2 * e * f
-    put(DiskRole.INNER_FRAME, x)
-    if x + 2 * f != 1:
-        raise InconsistencyError("left end does not close up against the frame")
-    put(DiskRole.LARGE_FILLER, 1 - 2 * l)
-    put(DiskRole.SMALL_FILLER, 1 - 2 * t)
-
-    # Gaps, one group per gap, left to right.
-    for g, group in enumerate(sol.groups):
-        p = Fraction(2 * g + 1)
-        put(DiskRole.SMALL_FILLER, p + 2 * t)
-        put(DiskRole.LARGE_FILLER, p + 2 * l)
-        x = p + 2 * f
-        put(DiskRole.INNER_FRAME, x)
+    order = take(F, E, F, L, T)  # left end, out from the wall
+    for group in sol.groups:
+        order += take(O, T, L, F)
         for idx in group:
-            d = disk_by_id[part_id_of[idx]].size
-            x += 2 * f * d
-            put_element(idx, x)
-            x += 2 * d * f
-            put(DiskRole.INNER_FRAME, x)
-        if x + 2 * f > p + 2:
-            raise InconsistencyError(f"gap {g} content overflows the frame")
-        put(DiskRole.LARGE_FILLER, p + 2 - 2 * l)
-        put(DiskRole.SMALL_FILLER, p + 2 - 2 * t)
-
-    # Right end, mirror of the left.
-    x = width - 1 + 2 * f
-    put(DiskRole.INNER_FRAME, x)
-    x += 2 * f * e
-    put(DiskRole.END, x)
-    x += 2 * e * f
-    put(DiskRole.INNER_FRAME, x)
-    if x + f * f != width:
-        raise InconsistencyError("right end does not close up against the wall")
-    put(DiskRole.LARGE_FILLER, width - 1 + 2 * l)
-    put(DiskRole.SMALL_FILLER, width - 1 + 2 * t)
-
-    return Placement(disks, feet)
+            order += [element_disk[idx], *take(F)]
+        order += take(L, T)
+    order += take(O, T, L, F, E, F)  # last outer frame and the right end
+    placement = compact(order)
+    if placement.footpoints[-1] + SIZE_INNER**2 != 2 * (hi.m + 1):
+        raise InconsistencyError("the certificate overflows the span budget 2(m+1)")
+    return placement
 
 
 def decode_partition(hi: HardnessInstance, placement: Placement) -> PartitionSolution:

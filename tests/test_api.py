@@ -20,7 +20,6 @@ PUBLIC_API = {
     "Scalar",
     "ShelfPackError",
     "SpanReport",
-    "ThreePartitionCheck",
     "ThreePartitionInstance",
     "VerificationResult",
     "Violation",

@@ -204,6 +204,23 @@ class TestGenhard:
         result = verify(certificate, 0)
         assert result.ok and result.report.span == 6
 
+    def test_matches_golden_certificate_files(self, tmp_path, capsys):
+        # m = 4, twelve distinct elements, groups listed out of index order
+        data = Path(__file__).parent / "data"
+        out = tmp_path / "h.instance"
+        rc = main([
+            "genhard", str(data / "certificate_m4.3p"), "--out", str(out),
+            "--certificate", str(data / "certificate_m4.groups"),
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("disks: 59\nbudget: 10\n")
+        for written, golden in (
+            (out, "certificate_m4.instance"),
+            (tmp_path / "h.instance.json", "certificate_m4.json"),
+            (tmp_path / "h.instance.certificate", "certificate_m4.placement"),
+        ):
+            assert written.read_bytes() == (data / golden).read_bytes(), golden
+
     def test_m3_counts(self, tmp_path, capsys):
         src = write(tmp_path / "3p.txt", "3 100\n30 33 37 26 35 39 31 32 37\n")
         rc = main(["genhard", src, "--out", str(tmp_path / "h.instance")])

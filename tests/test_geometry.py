@@ -15,7 +15,13 @@ from shelfpack.geometry import (
     verify,
     wall_fit_exceeds,
 )
-from shelfpack.hardness import SIZE_INNER, SIZE_LARGE_FILLER, SIZE_SMALL_FILLER
+from shelfpack.hardness import (
+    SIZE_END,
+    SIZE_INNER,
+    SIZE_LARGE_FILLER,
+    SIZE_SMALL_FILLER,
+    partition_disk_size,
+)
 
 
 class TestDiskTypes:
@@ -204,6 +210,7 @@ class TestCompact:
     @pytest.mark.parametrize("exact", [True, False])
     def test_matches_naive_compaction(self, exact):
         rng = random.Random(17)
+        cases = []
         for ratio in (F(3, 2), F(2), F(4), F(50), F(500)):
             for _ in range(40):
                 n = rng.randint(1, 60)
@@ -211,12 +218,19 @@ class TestCompact:
                          for _ in range(n)]
                 at = rng.randint(0, n)  # insert a run of equal sizes
                 sizes[at:at] = [sizes[0]] * rng.choice((0, 0, 2, 12))
-                if not exact:
-                    sizes = [float(s) for s in sizes]
-                order = make_disks(sizes)
-                got = list(map(repr, compact(order).footpoints))
-                want = list(map(repr, naive_compact(order).footpoints))
-                assert got == want
+                cases.append(sizes)
+        # the reduction's sizes, whose denominators are pairwise coprime
+        reduction = [SIZE_INNER, SIZE_LARGE_FILLER, SIZE_SMALL_FILLER, SIZE_END]
+        reduction += [partition_disk_size(a, b) for b in (100, 97) for a in (26, 33, 48)]
+        for _ in range(40):
+            cases.append(rng.choices(reduction, k=rng.randint(1, 60)))
+        for sizes in cases:
+            if not exact:
+                sizes = [float(s) for s in sizes]
+            order = make_disks(sizes)
+            got = list(map(repr, compact(order).footpoints))
+            want = list(map(repr, naive_compact(order).footpoints))
+            assert got == want
 
 
 class TestSpan:
@@ -280,6 +294,16 @@ class TestVerify:
         with pytest.raises(DomainError):
             verify(p, 0.1)
         assert verify(p, 0.0).ok  # a float zero is accepted as zero
+
+    def test_float_placement_takes_any_tolerance_as_float(self):
+        p = Placement([Disk("a", 1.0), Disk("b", 1.0)], [0.0, 3.0])
+        for tolerance in (1, F(1), F(1, 10), 0):
+            assert verify(p, tolerance).ok
+        close = Placement([Disk("a", 1.0), Disk("b", 1.0)], [0.0, 1.9])
+        assert not verify(close, F(1, 20)).ok
+        assert verify(close, F(1, 10)).ok
+        with pytest.raises(DomainError, match="beyond the float range"):
+            verify(p, 10**400)
 
     def test_negative_tolerance_rejected(self):
         p = compact(make_disks([1.0, 1.0]))

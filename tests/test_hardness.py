@@ -51,32 +51,27 @@ class TestConstants:
 
 class TestValidate3Partition:
     def test_accepts_the_m2_example(self):
-        assert validate_3partition(M2_INSTANCE).ok
+        assert validate_3partition(M2_INSTANCE) is None
 
     def test_rejects_boundary_value(self):
-        check = validate_3partition(
-            ThreePartitionInstance((25, 36, 39, 26, 35, 39), 100)
-        )
-        assert not check.ok
-        assert "a_i > B/4" in check.violation and check.index == 1
+        with pytest.raises(
+            PreconditionError, match=r"invalid 3-Partition instance: element 1: a_i > B/4"
+        ):
+            validate_3partition(ThreePartitionInstance((25, 36, 39, 26, 35, 39), 100))
 
     def test_rejects_upper_boundary(self):
-        check = validate_3partition(
-            ThreePartitionInstance((50, 33, 37, 26, 35, 39), 100)
-        )
-        assert not check.ok
-        assert "a_i < B/2 violated" in check.violation
+        with pytest.raises(PreconditionError, match="a_i < B/2 violated"):
+            validate_3partition(ThreePartitionInstance((50, 33, 37, 26, 35, 39), 100))
 
     def test_rejects_sum_mismatch(self):
-        check = validate_3partition(
-            ThreePartitionInstance((30, 33, 37, 26, 35, 40), 100)
-        )
-        assert not check.ok
-        assert "sum" in check.violation
+        with pytest.raises(PreconditionError, match="sum"):
+            validate_3partition(ThreePartitionInstance((30, 33, 37, 26, 35, 40), 100))
 
     def test_rejects_wrong_count(self):
-        check = validate_3partition(ThreePartitionInstance((30, 33), 100))
-        assert not check.ok
+        with pytest.raises(
+            PreconditionError, match="invalid 3-Partition instance: element count 2"
+        ):
+            validate_3partition(ThreePartitionInstance((30, 33), 100))
 
 
 class TestBuildInstance:
@@ -216,6 +211,19 @@ class TestCertificate:
             build_certificate(hi, PartitionSolution(((1, 2, 3), (4, 5, 5))))
         with pytest.raises(PreconditionError, match="cannot share a gap"):
             build_certificate(hi, PartitionSolution(((1, 2, 6), (4, 5, 3))))
+
+    def test_overflowing_gap_is_inconsistent(self):
+        # an element disk enlarged behind the source's back: the group sums
+        # still pass the shape check, but its disks overflow their gap
+        hi = build_instance(M2_INSTANCE)
+        enlarged = replace(
+            hi,
+            disks=tuple(
+                Disk(d.id, F(1, 3)) if d.id == "part-1" else d for d in hi.disks
+            ),
+        )
+        with pytest.raises(InconsistencyError):
+            build_certificate(enlarged, M2_SOLUTION)
 
     def test_slack_group_still_meets_budget(self):
         # a deficient family (element sum below m*B) leaves slack inside the
