@@ -33,6 +33,13 @@ from .scalars import Backend, Scalar, display_scalar, parse_scalar
 from .svg import render_svg
 
 
+_METHODS = {
+    "linear": "exact (linear case)",
+    "greedy": "greedy (4/3 approximation)",
+    "exact": "exact (subset DP)",
+}
+
+
 def _display(value: Scalar, backend: Backend) -> str:
     suffix = "exact" if backend is Backend.EXACT else "float"
     return f"{display_scalar(value)} ({suffix})"
@@ -71,17 +78,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     mode = args.mode
     if mode == "auto":
         mode = "linear" if is_linear_case(disks) else "greedy"
-        method = {
-            "linear": "exact (linear case)",
-            "greedy": "greedy (4/3 approximation)",
-        }[mode]
-    elif mode == "linear":
-        method = "exact (linear case)"
-    elif mode == "greedy":
-        method = "greedy (4/3 approximation)"
-    else:
-        method = "exact (subset DP)"
-
     if mode == "linear":
         placement, report = solve_linear(disks)
     elif mode == "greedy":
@@ -94,7 +90,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     lower = best_support_lower_bound(disks)
     ratio = report.span / lower
     summary = [
-        f"method: {method}",
+        f"method: {_METHODS[mode]}",
         f"disks: {len(disks)}",
         f"span: {_display(report.span, backend)}",
         f"lower bound: {_display(lower, backend)}",

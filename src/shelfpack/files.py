@@ -26,17 +26,21 @@ PLACEMENT_HEADER = "shelfpack-placement v1"
 SIDECAR_FORMAT = "shelfpack-hardness-sidecar v1"
 
 
+def _rows(lines: list[str], start: int) -> list[tuple[int, list[str]]]:
+    """(line number, tokens) of each line that is neither blank nor a comment."""
+    rows = [(number, line.split()) for number, line in enumerate(lines, start)]
+    return [(n, tokens) for n, tokens in rows if tokens and tokens[0][0] != "#"]
+
+
 def _body_lines(text: str, header: str) -> list[tuple[int, list[str]]]:
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
         raise ParseError(f"missing header line {header!r}")
-    rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append((number, stripped.split()))
-    return rows
+    return _rows(lines[1:], 2)
+
+
+def _tokens(text: str) -> list[str]:
+    return [tok for _, tokens in _rows(text.splitlines(), 1) for tok in tokens]
 
 
 def _classify(literals: list[str]) -> Backend:
@@ -109,12 +113,7 @@ def format_placement(placement: Placement) -> str:
 
 def parse_3partition(text: str) -> ThreePartitionInstance:
     """First two integers are m and B, followed by the 3m elements."""
-    tokens: list[str] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens.extend(stripped.split())
+    tokens = _tokens(text)
     if len(tokens) < 2:
         raise ParseError("expected 'm B' followed by 3m integers")
     try:
@@ -132,14 +131,8 @@ def parse_3partition(text: str) -> ThreePartitionInstance:
 
 def parse_groups(text: str) -> PartitionSolution:
     """Whitespace-separated 1-based element indices, three per group."""
-    tokens: list[str] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens.extend(stripped.split())
     try:
-        indices = [int(tok) for tok in tokens]
+        indices = [int(tok) for tok in _tokens(text)]
     except ValueError as exc:
         raise ParseError(f"non-integer token in groups input: {exc}") from exc
     if not indices or len(indices) % 3 != 0:

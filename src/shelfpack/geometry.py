@@ -10,19 +10,11 @@ rational backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import lt
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError
-from .scalars import (
-    Backend,
-    Scalar,
-    backend_of,
-    coerce,
-    integer_scale,
-    unified_backend,
-)
+from .scalars import Backend, Scalar, backend_of, coerce, lift, unified_backend
 
 
 @dataclass(frozen=True)
@@ -71,9 +63,12 @@ class Placement:
             )
         feet = tuple(map(_coerce_footpoint, disks, feet))
         unified_backend([d.size for d in disks] + list(feet))
-        order = sorted(range(len(feet)), key=feet.__getitem__)
-        disks = tuple(map(disks.__getitem__, order))
-        feet = tuple(map(feet.__getitem__, order))
+        # compaction and parsed files deliver footpoints in order already
+        in_order = all(map(lt, feet, feet[1:]))
+        if not in_order:
+            order = sorted(range(len(feet)), key=feet.__getitem__)
+            disks = tuple(map(disks.__getitem__, order))
+            feet = tuple(map(feet.__getitem__, order))
         ids = [d.id for d in disks]
         if len(set(ids)) < len(ids):
             seen: set[str] = set()
@@ -81,9 +76,9 @@ class Placement:
                 if disk_id in seen:
                     raise DomainError(f"duplicate disk id {disk_id!r} in placement")
                 seen.add(disk_id)
-        if not all(map(lt, feet, feet[1:])):
+        if not in_order:
             for k in range(1, len(feet)):
-                if not feet[k - 1] < feet[k]:
+                if feet[k - 1] == feet[k]:
                     raise DomainError(
                         f"footpoints of {ids[k - 1]!r} and {ids[k]!r} coincide"
                     )
@@ -146,116 +141,117 @@ def wall_fit_exceeds(z: Scalar, a: Scalar) -> bool:
     return s * s > 2 * a * a
 
 
+def _reach(sizes: Sequence, feet: Sequence, k: int, x, pair, pair_max) -> tuple:
+    """``max(x, max_{j<k} feet[j] + pair*sizes[j]*sizes[k])`` and the j
+    that attains it, or -1 if ``x`` does.
+
+    ``feet[:k]`` strictly increase and ``pair_max`` is ``pair`` times the
+    largest size.  The scan runs backward from k-1 and stops at the first
+    j with feet[j] + pair_max*sizes[k] <= x, x being the running maximum:
+    every i < j has feet[i] < feet[j] and pair*sizes[i] <= pair_max, and
+    since rounded float ``+`` and ``*`` are monotone too, its candidate
+    cannot exceed x on either backend.  The result is the full maximum,
+    found in time proportional to the disks within reach of disk k.
+    """
+    s = sizes[k]
+    reach = pair_max * s
+    arg = -1
+    for j in range(k - 1, -1, -1):
+        xj = feet[j]
+        if xj + reach <= x:
+            break
+        c = xj + pair * sizes[j] * s
+        if c > x:
+            x, arg = c, j
+    return x, arg
+
+
 def compact(order: Sequence[Disk]) -> Placement:
     """Left-compact ``order``: give each disk the smallest feasible footpoint.
 
     The first wall is normalized to coordinate 0, so every footpoint is
-    x_i = max(size_i**2, max_{j<i} x_j + 2 size_j size_i).  This is the
-    componentwise-minimal solution of the separation system for the given
-    footpoint order and therefore span-minimal for that order.
+    x_k = max(size_k**2, max_{j<k} x_j + 2 size_j size_k), found by
+    :func:`_reach`.  This is the componentwise-minimal solution of the
+    separation system for the given footpoint order and therefore
+    span-minimal for that order.
 
-    The earlier disks are scanned backward from i-1, and the scan stops at
-    the first j with x_j + 2 max_size size_i <= x, x being the running
-    maximum.  Compacted footpoints strictly increase, so every disk k < j
-    has x_k < x_j and 2 size_k size_i <= 2 max_size size_i; since rounded
-    float ``+`` and ``*`` are monotone too, its candidate cannot exceed x
-    on either backend.  The result is the full maximum, found in time
-    proportional to the disks within reach of disk i.
-
-    The sizes must share one backend.  Exact sizes run as integers over
-    their common denominator D (see
-    :func:`~shelfpack.scalars.integer_scale`): every footpoint is a
-    degree-2 polynomial in the sizes, so the loop yields D**2 times each
-    footpoint, which becomes ``Fraction(x, D*D)`` at the end.  Floats run
-    the same loop as they are.
-
-    The :class:`Placement` built from the result checks the output once:
-    unique ids, and float footpoints that did not overflow.
+    The sizes must share one backend; exact sizes run as integers (see
+    :func:`~shelfpack.scalars.lift`).  The :class:`Placement` built from
+    the result checks the output once: unique ids, and float footpoints
+    that did not overflow.
     """
     if not order:
         raise DomainError("cannot compact an empty order")
     sizes = [d.size for d in order]
-    exact = unified_backend(sizes) is Backend.EXACT
-    if exact:
-        sizes, scale = integer_scale(sizes)
-    twice_max = 2 * max(sizes)
+    unified_backend(sizes)
+    sizes, _, c, back = lift(sizes)
+    pair = 2 * c
+    pair_max = pair * max(sizes)
     feet: list = []
-    for s in sizes:
-        x = s * s
-        reach = twice_max * s
-        for j in range(len(feet) - 1, -1, -1):
-            xj = feet[j]
-            if xj + reach <= x:
-                break
-            c = xj + 2 * sizes[j] * s
-            if c > x:
-                x = c
-        feet.append(x)
-    if exact:
-        square = scale * scale
-        feet = [Fraction(x, square) for x in feet]
-    return Placement(order, feet)
+    for k, s in enumerate(sizes):
+        feet.append(_reach(sizes, feet, k, c * s * s, pair, pair_max)[0])
+    return Placement(order, list(map(back, feet)))
 
 
 def span(placement: Placement) -> SpanReport:
-    """Measure the span; ties at either wall go to the smallest disk id."""
+    """Measure the span, on integers for exact data (see
+    :func:`~shelfpack.scalars.lift`); ties at a wall go to the smallest id."""
     if not isinstance(placement, Placement):
         raise DomainError("span requires a non-empty placement")
-    disks, feet = placement.disks, placement.footpoints
-    s, x, disk_id = disks[0].size, feet[0], disks[0].id
-    left, left_id = x - s * s, disk_id
-    right, right_id = x + s * s, disk_id
+    disks = placement.disks
+    return _span(disks, *lift([d.size for d in disks], placement.footpoints))
+
+
+def _span(disks: Sequence[Disk], sizes, feet, c, back) -> SpanReport:
+    r = c * sizes[0] * sizes[0]
+    left, left_id = feet[0] - r, disks[0].id
+    right, right_id = feet[0] + r, left_id
     for k in range(1, len(feet)):
-        s, x, disk_id = disks[k].size, feet[k], disks[k].id
-        le, re = x - s * s, x + s * s
-        if le < left or (le == left and disk_id < left_id):
-            left, left_id = le, disk_id
-        if re > right or (re == right and disk_id < right_id):
-            right, right_id = re, disk_id
-    return SpanReport(left, right, right - left, left_id, right_id)
+        x = feet[k]
+        r = c * sizes[k] * sizes[k]
+        le, re = x - r, x + r
+        if le < left or (le == left and disks[k].id < left_id):
+            left, left_id = le, disks[k].id
+        if re > right or (re == right and disks[k].id < right_id):
+            right, right_id = re, disks[k].id
+    return SpanReport(back(left), back(right), back(right - left), left_id, right_id)
 
 
 def verify(placement: Placement, tolerance: Scalar) -> VerificationResult:
-    """Check pairwise separation |x_i - x_j| >= 2 s_i s_j within ``tolerance``.
+    """Check x_k - x_j >= 2 s_j s_k within ``tolerance`` for all j < k.
 
     The exact backend requires tolerance exactly 0.  A float placement
     takes any tolerance as a float; one beyond the float range is a
-    :class:`DomainError`.  The first violating pair in footpoint order is
-    reported together with its deficit; the span report is returned
-    either way.
+    :class:`DomainError`.  Disk k is overlapped when :func:`_reach`,
+    started at x_k + tolerance, finds an earlier disk j with
+    x_j + 2 s_j s_k beyond it, evaluated as :func:`compact` builds it, so
+    float compactions pass at tolerance 0.  A rejection names the first
+    overlapped disk in footpoint order, the earlier disk that overlaps it
+    most and their deficit x_j + 2 s_j s_k - x_k; the span report comes
+    either way.  Exact data is checked on integers (see
+    :func:`~shelfpack.scalars.lift`).
     """
     tolerance = coerce(tolerance)
     if tolerance < 0:
         raise DomainError("tolerance must be non-negative")
-    if placement.backend is Backend.EXACT:
-        if tolerance != 0:
-            raise DomainError("exact backend requires tolerance = 0")
-        tolerance = coerce(0)
-    else:
-        try:
-            tolerance = float(tolerance)
-        except OverflowError:
-            raise DomainError("tolerance is beyond the float range") from None
-    disks, feet = placement.disks, placement.footpoints
-    sizes = [d.size for d in disks]
-    n = len(feet)
-    # Sorted sweep: once a later disk clears 2*s_i*max_size, all further ones do.
-    max_size = max(sizes)
-    violation: Optional[Violation] = None
-    for i in range(n):
-        s_i, x_i = sizes[i], feet[i]
-        reach = 2 * s_i * max_size
-        for j in range(i + 1, n):
-            distance = feet[j] - x_i
-            if distance >= reach:
-                break
-            required = 2 * s_i * sizes[j]
-            if distance < required - tolerance:
-                violation = Violation(disks[i].id, disks[j].id, required - distance)
-                break
-        if violation is not None:
-            break
-    return VerificationResult(violation is None, span(placement), violation)
+    exact = placement.backend is Backend.EXACT
+    if exact and tolerance != 0:
+        raise DomainError("exact backend requires tolerance = 0")
+    try:
+        tolerance = 0 if exact else float(tolerance)
+    except OverflowError:
+        raise DomainError("tolerance is beyond the float range") from None
+    disks = placement.disks
+    sizes, feet, c, back = lift([d.size for d in disks], placement.footpoints)
+    report = _span(disks, sizes, feet, c, back)
+    pair = 2 * c
+    pair_max = pair * max(sizes)
+    for k in range(1, len(feet)):
+        x, j = _reach(sizes, feet, k, feet[k] + tolerance, pair, pair_max)
+        if j >= 0:
+            overlap = Violation(disks[j].id, disks[k].id, back(x - feet[k]))
+            return VerificationResult(False, report, overlap)
+    return VerificationResult(True, report, None)
 
 
 def best_support_lower_bound(disks: Iterable[Disk]) -> Scalar:
@@ -279,20 +275,16 @@ def best_support_lower_bound(disks: Iterable[Disk]) -> Scalar:
     sizes = [d.size for d in disks]
     if not sizes:
         raise DomainError("best_support_lower_bound requires at least one disk")
-    if unified_backend(sizes) is Backend.EXACT:
-        sizes, scale = integer_scale(sizes)
-        sizes.sort(reverse=True)
-        return Fraction(prefix_support_bound(sizes), scale * scale)
-    sizes.sort(reverse=True)
-    return prefix_support_bound(sizes)
+    unified_backend(sizes)
+    sizes, _, _, back = lift(sizes)
+    return back(prefix_support_bound(sorted(sizes, reverse=True)))
 
 
 def prefix_support_bound(sizes: Sequence[Scalar]) -> Scalar:
     """Kernel of :func:`best_support_lower_bound` on sizes that are already
     sorted in decreasing order and share one backend.  Exact sizes may be
-    passed as integers over a common denominator D (see
-    :func:`~shelfpack.scalars.integer_scale`); the bound is then D**2
-    times the true one."""
+    passed as the integers S over D of :func:`~shelfpack.scalars.lift`;
+    the bound is then an integer over D**2."""
     best = None
     running = 0 * sizes[0]
     for count, m in enumerate(sizes, start=1):

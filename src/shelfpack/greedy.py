@@ -9,9 +9,10 @@ The input is checked once, where :func:`greedy_solve` receives it: at
 least one disk, and one backend for all sizes.  The loop then runs on
 plain lists.  Float sizes are used as they are, in the closed forms 2ab
 (tangency) and g / (2(a + b)) (gap fit), so every footpoint is
-bit-identical to the scalar reference greedy in the tests.  Exact sizes become integers over their common denominator
-(:func:`~shelfpack.scalars.integer_scale`), so no ``Fraction`` is reduced
-inside the loop.  The :class:`Placement` built from the output sorts it
+bit-identical to the scalar reference greedy in the tests.  Exact sizes
+become integers over their common denominator
+(:func:`~shelfpack.scalars.lift`), so no ``Fraction`` is reduced inside
+the loop.  The :class:`Placement` built from the output sorts it
 by footpoint and rejects duplicate ids, coinciding footpoints and float
 footpoints that overflowed.  The certificate comes from the loop as well:
 the span from the walls it tracks, the lower bound from one prefix pass
@@ -22,12 +23,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError
 from .geometry import Disk, Placement, prefix_support_bound
-from .scalars import Backend, Scalar, integer_scale, unified_backend
+from .scalars import Backend, Scalar, lift, unified_backend
 
 
 @dataclass(frozen=True)
@@ -73,17 +73,15 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
         raise DomainError("greedy_solve requires at least one disk")
     sizes = [d.size for d in items]
     exact = unified_backend(sizes) is Backend.EXACT
-    unit = 1
-    if exact:
-        # Integers over the common denominator D, so footpoints and walls
-        # are integers over D**2.  An exact fit g/w is keyed by the integer
-        # floor(g * unit / w).  Two different fits g/w and g'/w' differ by
-        # at least 1/(w w'), and every w = 2(a+b) is at most 4 max(size),
-        # so with unit at least (4 max(size))**2 the keys differ too: they
-        # order fits exactly as the fits themselves, and
-        # floor(g * unit / w) >= d * unit exactly when g/w >= d.
-        sizes, scale = integer_scale(sizes)
-        unit = 1 << 2 * (4 * max(sizes)).bit_length()
+    sizes, _, _, back = lift(sizes)
+    # Exact sizes are integers over their common denominator D, so
+    # footpoints and walls are integers over D**2.  An exact fit g/w is
+    # keyed by the integer floor(g * unit / w).  Two different fits g/w and
+    # g'/w' differ by at least 1/(w w'), and every w = 2(a+b) is at most
+    # 4 max(size), so with unit at least (4 max(size))**2 the keys differ
+    # too: they order fits exactly as the fits themselves, and
+    # floor(g * unit / w) >= d * unit exactly when g/w >= d.
+    unit = 1 << 2 * (4 * max(sizes)).bit_length() if exact else 1
     rank = sorted(range(len(items)), key=lambda i: (-sizes[i], items[i].id))
     order = [items[i] for i in rank]
     ids = [d.id for d in order]
@@ -152,18 +150,8 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
 
     # The walls are the extents span() finds, and the bound is
     # best_support_lower_bound's prefix pass over the sizes sorted above.
-    extent = right_wall - left_wall
-    lower_bound = prefix_support_bound(sizes)
-    if exact:
-        square = scale * scale
-        placement = Placement(order, [Fraction(x, square) for x in foot])
-        certificate = Certificate(
-            Fraction(extent, square),
-            Fraction(lower_bound, square),
-            Fraction(extent, lower_bound),
-        )
-    else:
-        placement = Placement(order, foot)
-        certificate = Certificate(extent, lower_bound, extent / lower_bound)
-    return GreedyResult(placement, certificate, ops)
+    extent = back(right_wall - left_wall)
+    lower_bound = back(prefix_support_bound(sizes))
+    certificate = Certificate(extent, lower_bound, extent / lower_bound)
+    return GreedyResult(Placement(order, list(map(back, foot))), certificate, ops)
 

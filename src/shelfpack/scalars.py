@@ -14,6 +14,7 @@ import enum
 import math
 import re
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Sequence, Union
 
 from .errors import BackendMismatchError, DomainError, ParseError
@@ -81,6 +82,25 @@ def integer_scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """
     scale = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def lift(sizes: Sequence[Scalar], feet: Sequence[Scalar] = ()) -> tuple:
+    """Sizes and footpoints of one backend as ``(sizes, feet, c, back)``.
+
+    Floats pass through as they are, with ``c = 1`` and ``back = float``.
+    Exact sizes become integers S over their common denominator D (see
+    :func:`integer_scale`) and footpoints integers X over
+    Q = lcm(D**2, footpoint denominators), with c = Q / D**2.  A radius is
+    then c*S**2 over Q and a tangency distance 2*c*S_j*S_k, so geometry
+    runs on integers; ``back(v) = Fraction(v, Q)`` maps a result back.
+    """
+    if not isinstance(sizes[0], Fraction):
+        return sizes, feet, 1, float
+    ints, scale = integer_scale(sizes)
+    square = scale * scale
+    q = math.lcm(square, *(x.denominator for x in feet))
+    lifted = [x.numerator * (q // x.denominator) for x in feet]
+    return ints, lifted, q // square, partial(Fraction, denominator=q)
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -170,6 +170,15 @@ class TestVerify:
             assert main(["verify", path, "--tolerance", tolerance]) == 0
         assert main(["verify", path, "--tolerance", "9" * 400]) == 3  # no float
 
+    def test_float_solve_output_accepted_at_default_tolerance(self, tmp_path):
+        sizes = "".join(f"d{i} {k}/100\n" for i, k in enumerate(range(101, 150, 9)))
+        inst = write(tmp_path / "f.instance", "shelfpack-instance v1\n" + sizes)
+        for mode in ("linear", "exact"):
+            out = str(tmp_path / f"{mode}.placement")
+            args = ["solve", inst, "--backend", "float", "--mode", mode, "--out", out]
+            assert main(args) == 0
+            assert main(["verify", out]) == 0
+
     def test_exact_rejects_nonzero_tolerance(self, tmp_path):
         path = write(
             tmp_path / "ok.placement",

@@ -107,6 +107,18 @@ class TestAuxiliaryFormats:
         with pytest.raises(ParseError):
             parse_groups("1 2 3 4\n")
 
+    def test_comments_and_blank_lines_skipped_alike(self):
+        text = "  # m and B\n\n2 100 \t\n#30\n30 33 37\n  \n26 35 39\n"
+        assert parse_3partition(text).elements == (30, 33, 37, 26, 35, 39)
+        assert parse_groups(" # groups\n\n1 2 3\n#7 8 9\n4 5 6\n").groups == (
+            (1, 2, 3),
+            (4, 5, 6),
+        )
+        with pytest.raises(ParseError, match="non-integer token in groups input"):
+            parse_groups("1 2 x # not a comment\n")
+        with pytest.raises(ParseError, match="expected 'm B'"):
+            parse_3partition("# only a comment\n\n7\n")
+
     def test_sidecar_is_deterministic_json(self):
         hi = build_instance(ThreePartitionInstance((30, 33, 37, 26, 35, 39), 100))
         text = format_sidecar(hi)

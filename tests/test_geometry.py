@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import brute_min_span, make_disks, naive_compact
+from helpers import brute_min_span, make_disks, naive_compact, random_linear_disks
 from shelfpack.errors import BackendMismatchError, DomainError
 from shelfpack.scalars import Backend
 from shelfpack.geometry import (
@@ -22,6 +22,8 @@ from shelfpack.hardness import (
     SIZE_SMALL_FILLER,
     partition_disk_size,
 )
+from shelfpack.linear import solve_linear
+from shelfpack.oracle import exact_solve
 
 
 class TestDiskTypes:
@@ -80,6 +82,15 @@ class TestPlacementConstructor:
             Placement(disks, [0.0, F(2)])
         with pytest.raises(BackendMismatchError):
             Placement(make_disks([F(1), F(1)]), [F(0), 2.0])
+
+    def test_names_offenders_in_footpoint_order_when_unsorted(self):
+        a, b, c = make_disks([F(1), F(1), F(1)])
+        with pytest.raises(DomainError, match="footpoints of 'd1' and 'd2' coincide"):
+            Placement([a, b, c], [F(3), F(1), F(1)])
+        with pytest.raises(DomainError, match="duplicate disk id 'd0'"):
+            Placement([b, a, a], [F(1), F(5), F(1)])
+        p = Placement([c, a, b], [F(9), F(1), F(5)])
+        assert p.disks == (a, b, c) and p.footpoints == (1, 5, 9)
 
     def test_one_footpoint_per_disk(self):
         disks = make_disks([F(1), F(1)])
@@ -324,12 +335,63 @@ class TestVerify:
             except DomainError:
                 continue  # coincident footpoints
             placed = list(p)
-            naive_ok = all(
-                abs(x - y) >= 2 * a.size * b.size
-                for i, (a, x) in enumerate(placed)
-                for b, y in placed[i + 1 :]
-            )
-            assert verify(p, 0).ok == naive_ok
+            # deficits[k][j]: how far disk j < k reaches past disk k
+            deficits = [
+                [x + 2 * a.size * b.size - y for a, x in placed[:k]]
+                for k, (b, y) in enumerate(placed)
+            ]
+            overlapped = [k for k, row in enumerate(deficits) if row and max(row) > 0]
+            result = verify(p, 0)
+            assert result.ok == (not overlapped)
+            if overlapped:
+                # the first overlapped disk, the disk overlapping it most
+                k = overlapped[0]
+                j = max(range(k), key=deficits[k].__getitem__)
+                v = result.violation
+                assert v.right_disk_id == placed[k][0].id
+                assert v.deficit == deficits[k][j] > 0
+                assert deficits[k][[d.id for d, _ in placed].index(v.left_disk_id)] == v.deficit
+
+    def test_footpoint_denominators_beyond_size_square(self):
+        # sizes over 3, footpoints over 7: the lift works over lcm(9, 7) = 63
+        third = F(1, 3)
+        close = Placement([Disk("a", third), Disk("b", third)], [F(1, 7), F(2, 7)])
+        result = verify(close, 0)
+        assert not result.ok
+        assert result.violation.deficit == F(2, 9) - F(1, 7) == F(5, 63)
+        assert result.report.left_wall == F(1, 7) - F(1, 9) == F(2, 63)
+        assert result.report.span == F(1, 7) + F(2, 9) == F(23, 63)
+        a, b = Disk("a", F(1, 3)), Disk("b", F(2, 3))
+        touching = Placement([a, b], [F(1, 7), F(1, 7) + F(4, 9)])
+        assert verify(touching, 0).ok
+        nudged = Placement([a, b], [F(1, 7), F(1, 7) + F(4, 9) - F(1, 7 * 10**20)])
+        assert verify(nudged, 0).violation.deficit == F(1, 7 * 10**20)
+        assert span(touching).right_wall == F(1, 7) + F(4, 9) + F(4, 9)
+
+    def test_moving_a_chain_disk_left_is_rejected(self):
+        rng = random.Random(29)
+        for n in (2, 5, 8, 13):
+            placement, _ = solve_linear(random_linear_disks(rng, n))
+            assert verify(placement, 0).ok
+            for k in range(1, n):
+                feet = list(placement.footpoints)
+                feet[k] -= F(1, 10**30)
+                moved = verify(Placement(placement.disks, feet), 0)
+                assert not moved.ok
+                assert moved.violation.right_disk_id == placement.disks[k].id
+                assert moved.violation.deficit == F(1, 10**30)
+
+    def test_float_solver_outputs_pass_at_zero_tolerance(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            sizes = [rng.uniform(1, 50) for _ in range(30)]
+            assert verify(compact(make_disks(sizes)), 0).ok
+        for n in (7, 40, 41):
+            disks = [Disk(d.id, float(d.size)) for d in random_linear_disks(rng, n)]
+            assert verify(solve_linear(disks)[0], 0).ok
+        for _ in range(5):
+            disks = make_disks([rng.uniform(1, 6) for _ in range(6)])
+            assert verify(exact_solve(disks)[0], 0).ok
 
 
 class TestSupportLowerBound:
