@@ -3,6 +3,18 @@
 Sizes and footpoints are written either as ``p/q`` rational literals
 (exact backend) or as decimal literals (float backend); one file never
 mixes the two.  Blank lines and lines starting with ``#`` are ignored.
+
+Instance and placement files are read a column at a time: each check
+runs over a whole column, and only a failed check looks for its first
+offender.  A file with several faults reports the first failing check
+in this order: the header, an empty body, the number of tokens on a
+line (first such line), the literals (a mix of rational and decimal
+literals; else the first literal that is neither, then the first zero
+denominator, sizes before footpoints), duplicate ids in an instance
+(first repeated line), the disks (first line with a non-positive or
+non-finite size), and last the placement as a whole (duplicate ids,
+non-finite footpoints, coinciding footpoints; named as
+:class:`~shelfpack.geometry.Placement` names them).
 """
 
 from __future__ import annotations
@@ -14,12 +26,7 @@ from typing import Sequence
 from .errors import DomainError, ParseError
 from .geometry import Disk, Placement
 from .hardness import HardnessInstance, PartitionSolution, ThreePartitionInstance
-from .scalars import (
-    Backend,
-    format_scalar,
-    is_rational_literal,
-    parse_scalar,
-)
+from .scalars import Backend, Scalar, format_scalar, scalars
 
 INSTANCE_HEADER = "shelfpack-instance v1"
 PLACEMENT_HEADER = "shelfpack-placement v1"
@@ -28,50 +35,56 @@ SIDECAR_FORMAT = "shelfpack-hardness-sidecar v1"
 
 def _rows(lines: list[str], start: int) -> list[tuple[int, list[str]]]:
     """(line number, tokens) of each line that is neither blank nor a comment."""
-    rows = [(number, line.split()) for number, line in enumerate(lines, start)]
-    return [(n, tokens) for n, tokens in rows if tokens and tokens[0][0] != "#"]
+    return [
+        (number, tokens)
+        for number, line in enumerate(lines, start)
+        if (tokens := line.split()) and tokens[0][0] != "#"
+    ]
 
 
-def _body_lines(text: str, header: str) -> list[tuple[int, list[str]]]:
+def _columns(text: str, header: str, kind: str, usage: str) -> tuple[tuple[int, ...], list]:
+    """Line numbers and token columns of a ``kind`` file whose lines hold
+    one token per word of ``usage``."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
         raise ParseError(f"missing header line {header!r}")
-    return _rows(lines[1:], 2)
+    rows = _rows(lines[1:], 2)
+    if not rows:
+        raise ParseError(f"{kind} file has no disks")
+    numbers, tokens = zip(*rows)
+    arity = len(usage.split())
+    if set(map(len, tokens)) != {arity}:
+        number = next(n for n, row in rows if len(row) != arity)
+        raise ParseError(f"line {number}: expected {usage!r}")
+    return numbers, list(zip(*tokens))
 
 
 def _tokens(text: str) -> list[str]:
     return [tok for _, tokens in _rows(text.splitlines(), 1) for tok in tokens]
 
 
-def _classify(literals: list[str]) -> Backend:
-    rational = [is_rational_literal(tok) for tok in literals]
-    if all(rational):
-        return Backend.EXACT
-    if any(rational):
-        raise ParseError("file mixes rational and decimal literals")
-    return Backend.FLOAT
+def _disks(numbers: Sequence[int], ids: Sequence[str], sizes: Sequence[Scalar]) -> list[Disk]:
+    try:
+        return list(map(Disk, ids, sizes))
+    except DomainError:
+        for number, disk_id, size in zip(numbers, ids, sizes):
+            try:
+                Disk(disk_id, size)
+            except DomainError as exc:
+                raise ParseError(f"line {number}: {exc}") from exc
+        raise
 
 
 def parse_instance(text: str) -> tuple[list[Disk], Backend]:
-    rows = _body_lines(text, INSTANCE_HEADER)
-    if not rows:
-        raise ParseError("instance file has no disks")
-    for number, tokens in rows:
-        if len(tokens) != 2:
-            raise ParseError(f"line {number}: expected '<id> <size>'")
-    backend = _classify([tokens[1] for _, tokens in rows])
-    disks: list[Disk] = []
-    seen: set[str] = set()
-    for number, (disk_id, literal) in rows:
-        if disk_id in seen:
-            raise ParseError(f"line {number}: duplicate disk id {disk_id!r}")
-        seen.add(disk_id)
-        size = parse_scalar(literal)
-        try:
-            disks.append(Disk(disk_id, size))
-        except DomainError as exc:
-            raise ParseError(f"line {number}: {exc}") from exc
-    return disks, backend
+    numbers, (ids, literals) = _columns(text, INSTANCE_HEADER, "instance", "<id> <size>")
+    sizes, backend = scalars(literals)
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for number, disk_id in zip(numbers, ids):
+            if disk_id in seen:
+                raise ParseError(f"line {number}: duplicate disk id {disk_id!r}")
+            seen.add(disk_id)
+    return _disks(numbers, ids, sizes), backend
 
 
 def format_instance(disks: Sequence[Disk]) -> str:
@@ -81,23 +94,13 @@ def format_instance(disks: Sequence[Disk]) -> str:
 
 
 def parse_placement(text: str) -> Placement:
-    rows = _body_lines(text, PLACEMENT_HEADER)
-    if not rows:
-        raise ParseError("placement file has no disks")
-    for number, tokens in rows:
-        if len(tokens) != 3:
-            raise ParseError(f"line {number}: expected '<id> <size> <footpoint>'")
-    _classify([tok for _, tokens in rows for tok in tokens[1:]])
-    disks: list[Disk] = []
-    feet = []
-    for number, (disk_id, size_lit, foot_lit) in rows:
-        try:
-            disks.append(Disk(disk_id, parse_scalar(size_lit)))
-        except DomainError as exc:
-            raise ParseError(f"line {number}: {exc}") from exc
-        feet.append(parse_scalar(foot_lit))
+    numbers, (ids, sizes, feet) = _columns(
+        text, PLACEMENT_HEADER, "placement", "<id> <size> <footpoint>"
+    )
+    values, _ = scalars(sizes + feet)
+    disks = _disks(numbers, ids, values[: len(ids)])
     try:
-        return Placement(disks, feet)
+        return Placement(disks, values[len(ids) :])
     except DomainError as exc:
         raise ParseError(f"not a valid placement: {exc}") from exc
 

@@ -17,7 +17,7 @@ from .errors import DomainError
 from .scalars import Backend, Scalar, backend_of, coerce, lift, unified_backend
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Disk:
     """A disk identified by ``id`` with positive size (radius = size**2)."""
 
@@ -25,18 +25,21 @@ class Disk:
     size: Scalar
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id or self.id.split() != [self.id]:
-            raise DomainError(f"disk id must be a non-empty token, got {self.id!r}")
-        object.__setattr__(self, "size", coerce(self.size))
-        if self.size <= 0:
-            raise DomainError(f"disk {self.id!r} has non-positive size {self.size}")
+        disk_id = self.id
+        # "".split() is [], so the empty id fails the token test too
+        if not isinstance(disk_id, str) or disk_id.split() != [disk_id]:
+            raise DomainError(f"disk id must be a non-empty token, got {disk_id!r}")
+        size = coerce(self.size)
+        if size <= 0:
+            raise DomainError(f"disk {disk_id!r} has non-positive size {size}")
+        object.__setattr__(self, "size", size)
 
     @property
     def radius(self) -> Scalar:
         return self.size * self.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Placement:
     """``disks[i]`` at ``footpoints[i]``, sorted by strictly increasing
     footpoint.
@@ -61,7 +64,15 @@ class Placement:
                 f"a placement needs one footpoint per disk, got {len(disks)} "
                 f"disks and {len(feet)} footpoints"
             )
-        feet = tuple(map(_coerce_footpoint, disks, feet))
+        try:
+            feet = tuple(map(coerce, feet))
+        except DomainError:
+            for disk, x in zip(disks, feet):
+                try:
+                    coerce(x)
+                except DomainError as exc:
+                    raise DomainError(f"disk {disk.id!r} has footpoint {x!r}") from exc
+            raise
         unified_backend([d.size for d in disks] + list(feet))
         # compaction and parsed files deliver footpoints in order already
         in_order = all(map(lt, feet, feet[1:]))
@@ -94,13 +105,6 @@ class Placement:
 
     def __iter__(self) -> Iterator[tuple[Disk, Scalar]]:
         return zip(self.disks, self.footpoints)
-
-
-def _coerce_footpoint(disk: Disk, x: Scalar | int) -> Scalar:
-    try:
-        return coerce(x)
-    except DomainError as exc:
-        raise DomainError(f"disk {disk.id!r} has footpoint {x!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ plain lists.  Float sizes are used as they are, in the closed forms 2ab
 bit-identical to the scalar reference greedy in the tests.  Exact sizes
 become integers over their common denominator
 (:func:`~shelfpack.scalars.lift`), so no ``Fraction`` is reduced inside
-the loop.  The :class:`Placement` built from the output sorts it
-by footpoint and rejects duplicate ids, coinciding footpoints and float
-footpoints that overflowed.  The certificate comes from the loop as well:
-the span from the walls it tracks, the lower bound from one prefix pass
-over the sizes it sorted.
+the loop.  The output goes to :class:`Placement` in footpoint order, by
+the neighbour links, and it rejects duplicate ids, coinciding footpoints
+and float footpoints that overflowed.  The certificate comes from the
+loop as well: the span from the walls it tracks, the lower bound from
+one prefix pass over the sizes it sorted.
 """
 
 from __future__ import annotations
@@ -153,5 +153,13 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
     extent = back(right_wall - left_wall)
     lower_bound = back(prefix_support_bound(sizes))
     certificate = Certificate(extent, lower_bound, extent / lower_bound)
-    return GreedyResult(Placement(order, list(map(back, foot))), certificate, ops)
+    # the links run left to right, so the columns go out in footpoint order
+    # and the Placement need not sort them
+    chain = []
+    k = head
+    while k >= 0:
+        chain.append(k)
+        k = right_nb[k]
+    placement = Placement([order[k] for k in chain], [back(foot[k]) for k in chain])
+    return GreedyResult(placement, certificate, ops)
 

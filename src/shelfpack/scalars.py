@@ -21,8 +21,9 @@ from .errors import BackendMismatchError, DomainError, ParseError
 
 Scalar = Union[Fraction, float]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+/\d+$")
-_DECIMAL_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# the literal grammar of every file and of ``--tolerance``, matched whole
+_RATIONAL_RE = re.compile(r"[+-]?\d+/\d+")
+_DECIMAL_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 
 
 class Backend(enum.Enum):
@@ -32,24 +33,26 @@ class Backend(enum.Enum):
 
 def coerce(value: Scalar | int) -> Scalar:
     """Normalize a raw number: ints become exact rationals, floats must be finite."""
+    # float first: it is the common case and, unlike the Fraction ABC,
+    # cheap to test; the two types are disjoint and bool is not a float
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise DomainError(f"float scalar must be finite, got {value!r}")
+        return value
     if isinstance(value, bool):
         raise DomainError("booleans are not scalars")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise DomainError(f"float scalar must be finite, got {value!r}")
-        return value
     raise DomainError(f"unsupported scalar type {type(value).__name__}")
 
 
 def backend_of(value: Scalar) -> Backend:
-    if isinstance(value, Fraction):
-        return Backend.EXACT
     if isinstance(value, float):
         return Backend.FLOAT
+    if isinstance(value, Fraction):
+        return Backend.EXACT
     raise DomainError(f"unsupported scalar type {type(value).__name__}")
 
 
@@ -103,25 +106,41 @@ def lift(sizes: Sequence[Scalar], feet: Sequence[Scalar] = ()) -> tuple:
     return ints, lifted, q // square, partial(Fraction, denominator=q)
 
 
+def scalars(literals: Sequence[str]) -> tuple[list[Scalar], Backend]:
+    """Parse a non-empty column of literals of one backend.
+
+    ``p/q`` literals are exact and decimal literals are float; the first
+    literal decides which, every literal must then match that grammar
+    whole, and the column is converted in one pass.  Only a column that
+    fails is searched again, for the message: a mix of rational and
+    decimal literals, else the first literal that is neither, else the
+    first zero denominator.
+    """
+    exact = _RATIONAL_RE.fullmatch(literals[0]) is not None
+    grammar = _RATIONAL_RE if exact else _DECIMAL_RE
+    if not all(map(grammar.fullmatch, literals)):
+        if any(map(_RATIONAL_RE.fullmatch, literals)):
+            raise ParseError("file mixes rational and decimal literals")
+        bad = next(text for text in literals if not grammar.fullmatch(text))
+        raise ParseError(f"not a rational or decimal literal: {bad!r}")
+    if not exact:
+        return list(map(float, literals)), Backend.FLOAT
+    try:
+        pairs = (text.split("/") for text in literals)
+        return [Fraction(int(p), int(q)) for p, q in pairs], Backend.EXACT
+    except ZeroDivisionError:
+        bad = next(text for text in literals if int(text.split("/")[1]) == 0)
+        raise ParseError(f"zero denominator in rational literal {bad!r}") from None
+
+
 def parse_scalar(text: str) -> Scalar:
-    """Parse a size/coordinate literal: ``p/q`` is exact, a decimal is float."""
-    if _RATIONAL_RE.match(text):
-        num, _, den = text.partition("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator in rational literal {text!r}")
-        return Fraction(int(num), int(den))
-    if _DECIMAL_RE.match(text):
-        return float(text)
-    raise ParseError(f"not a rational or decimal literal: {text!r}")
-
-
-def is_rational_literal(text: str) -> bool:
-    return bool(_RATIONAL_RE.match(text))
+    """Parse one literal: ``p/q`` is exact, a decimal is float."""
+    return scalars([text])[0][0]
 
 
 def format_scalar(value: Scalar) -> str:
     """Round-trippable file form: exact values always keep the slash."""
-    if isinstance(value, Fraction):
+    if not isinstance(value, float) and isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     return repr(value)
 

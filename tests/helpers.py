@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import heapq
+import re
 from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
-from shelfpack.errors import DomainError
+from shelfpack.errors import DomainError, ParseError
 from shelfpack.geometry import (
     Disk,
     Placement,
@@ -16,7 +17,7 @@ from shelfpack.geometry import (
     span,
 )
 from shelfpack.greedy import Certificate, GreedyResult
-from shelfpack.scalars import Scalar
+from shelfpack.scalars import Backend, Scalar
 
 
 def make_disks(sizes: Sequence, prefix: str = "d") -> list[Disk]:
@@ -207,3 +208,73 @@ def improve_until_stuck(order: list[Disk], max_steps: int) -> tuple[list[Disk], 
             return current, step
         current = found
     raise AssertionError(f"no local optimum within {max_steps} reversals")
+
+
+# Reference readers: the per-row parsers that the column-at-a-time ones in
+# shelfpack.files replaced.  Each literal is classified, then parsed, one
+# at a time, and each row is checked before the next.
+_REF_RATIONAL = re.compile(r"^[+-]?\d+/\d+$")
+_REF_DECIMAL = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
+def reference_scalar(text: str) -> Scalar:
+    if _REF_RATIONAL.match(text):
+        num, _, den = text.partition("/")
+        if int(den) == 0:
+            raise ParseError(f"zero denominator in rational literal {text!r}")
+        return Fraction(int(num), int(den))
+    if _REF_DECIMAL.match(text):
+        return float(text)
+    raise ParseError(f"not a rational or decimal literal: {text!r}")
+
+
+def _reference_rows(text: str, kind: str, usage: str) -> list[tuple[int, list[str]]]:
+    header = f"shelfpack-{kind} v1"
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ParseError(f"missing header line {header!r}")
+    rows = [(number, line.split()) for number, line in enumerate(lines[1:], 2)]
+    rows = [(n, tokens) for n, tokens in rows if tokens and tokens[0][0] != "#"]
+    if not rows:
+        raise ParseError(f"{kind} file has no disks")
+    for number, tokens in rows:
+        if len(tokens) != len(usage.split()):
+            raise ParseError(f"line {number}: expected {usage!r}")
+    literals = [tok for _, tokens in rows for tok in tokens[1:]]
+    rational = [bool(_REF_RATIONAL.match(tok)) for tok in literals]
+    if any(rational) and not all(rational):
+        raise ParseError("file mixes rational and decimal literals")
+    return rows
+
+
+def reference_parse_instance(text: str) -> tuple[list[Disk], Backend]:
+    rows = _reference_rows(text, "instance", "<id> <size>")
+    disks: list[Disk] = []
+    seen: set[str] = set()
+    for number, (disk_id, literal) in rows:
+        if disk_id in seen:
+            raise ParseError(f"line {number}: duplicate disk id {disk_id!r}")
+        seen.add(disk_id)
+        size = reference_scalar(literal)
+        try:
+            disks.append(Disk(disk_id, size))
+        except DomainError as exc:
+            raise ParseError(f"line {number}: {exc}") from exc
+    backend = Backend.EXACT if _REF_RATIONAL.match(rows[0][1][1]) else Backend.FLOAT
+    return disks, backend
+
+
+def reference_parse_placement(text: str) -> Placement:
+    rows = _reference_rows(text, "placement", "<id> <size> <footpoint>")
+    disks: list[Disk] = []
+    feet = []
+    for number, (disk_id, size_lit, foot_lit) in rows:
+        try:
+            disks.append(Disk(disk_id, reference_scalar(size_lit)))
+        except DomainError as exc:
+            raise ParseError(f"line {number}: {exc}") from exc
+        feet.append(reference_scalar(foot_lit))
+    try:
+        return Placement(disks, feet)
+    except DomainError as exc:
+        raise ParseError(f"not a valid placement: {exc}") from exc

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from helpers import make_disks
+from helpers import make_disks, reference_parse_instance, reference_parse_placement
 from shelfpack.errors import ParseError
 from shelfpack.files import (
     format_instance,
@@ -130,3 +131,154 @@ class TestAuxiliaryFormats:
         assert payload["m"] == 2
         assert payload["roles"]["outer-0"] == "outer_frame"
         assert payload["element_index"]["part-1"] == 1
+
+
+# Differential tests against the per-row reference readers in helpers.py.
+# Files are written with the forms a hand-written file may use: comments,
+# blank lines, tabs, signs, exponents, leading zeros, `.5` and `5.`.
+FILLERS = ["", "   ", "\t", "# a comment", "  # indented comment", "#"]
+BAD_LITERALS = ["x", "1..2", "1/2/3", "0x10", "nan", "inf", "1_0", "--1", "1e", "/2", "."]
+
+
+def _decimal(rng, negative_ok):
+    whole = str(rng.randint(0, 999)).zfill(rng.choice([1, 1, 3]))
+    frac = str(rng.randint(0, 9999))
+    text = rng.choice([whole, whole + ".", f"{whole}.{frac}", f".{frac}"])
+    if rng.random() < 0.3:
+        text += f"{rng.choice('eE')}{rng.choice(['', '+', '-'])}{rng.randint(0, 3)}"
+    sign = rng.choice(["", "+", "-"] if negative_ok else ["", "+"])
+    return sign + text
+
+
+def _rational(rng, negative_ok):
+    num = str(rng.randint(0, 10**6)).zfill(rng.choice([1, 1, 8]))
+    sign = rng.choice(["", "+", "-"] if negative_ok else ["", "+"])
+    return f"{sign}{num}/{rng.randint(1, 1000)}"
+
+
+def _value(literal):
+    return F(*map(int, literal.split("/"))) if "/" in literal else float(literal)
+
+
+def _random_rows(rng, n, exact, placement):
+    """Rows of a valid file: unique ids, positive sizes, distinct footpoints."""
+    literal = _rational if exact else _decimal
+    ids = [f"{rng.choice(['d', 'disk-', 'x_', 'Ω'])}{i}" for i in range(n)]
+    rng.shuffle(ids)
+    rows, seen = [], set()
+    for disk_id in ids:
+        size = literal(rng, False)
+        while _value(size) <= 0:
+            size = literal(rng, False)
+        row = [disk_id, size]
+        if placement:
+            foot = literal(rng, True)
+            while _value(foot) in seen:
+                foot = literal(rng, True)
+            seen.add(_value(foot))
+            row.append(foot)
+        rows.append(row)
+    return rows
+
+
+def _render(rng, rows, placement):
+    kind = "placement" if placement else "instance"
+    lines = [f"shelfpack-{kind} v1"]
+    for row in rows:
+        while rng.random() < 0.1:
+            lines.append(rng.choice(FILLERS))
+        lines.append(rng.choice(["", " ", "\t"]) + rng.choice([" ", "  ", "\t"]).join(row))
+    return "\n".join(lines) + rng.choice(["\n", "", "\n\n# end\n"])
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("placement", [False, True], ids=["instance", "placement"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_random_valid_files_parse_as_the_reference_does(exact, placement):
+    rng = random.Random(4004 + 2 * exact + placement)
+    parse = parse_placement if placement else parse_instance
+    reference = reference_parse_placement if placement else reference_parse_instance
+    for n in [1, 2, 3, 7, 50, 300, 2000]:
+        text = _render(rng, _random_rows(rng, n, exact, placement), placement)
+        got, want = parse(text), reference(text)
+        assert got == want
+        if placement:
+            assert got.backend is (Backend.EXACT if exact else Backend.FLOAT)
+        else:
+            assert got[1] is (Backend.EXACT if exact else Backend.FLOAT)
+
+
+def _inject(rng, rows, kind, exact, placement):
+    """Put one fault of ``kind`` into row k of a valid file; None if the
+    kind does not apply to this file type and backend."""
+    k = rng.randrange(len(rows))
+    other = rng.choice([j for j in range(len(rows)) if j != k])
+    column = rng.choice([1, 2]) if placement else 1
+    row = rows[k]
+    if kind == "bad literal":
+        row[column] = rng.choice(BAD_LITERALS)
+    elif kind == "zero denominator":
+        if not exact:
+            return None
+        row[column] = f"{rng.randint(0, 99)}/{'0' * rng.randint(1, 2)}"
+    elif kind == "1e999":
+        if exact:
+            return None
+        row[column] = rng.choice(["1e999", "+1E999"] + (["-1e999"] if column == 2 else []))
+    elif kind == "non-positive size":
+        row[1] = rng.choice(["0/1", "-1/2", "-0/7"] if exact else ["0", "-0.0", "-2.5", "0e5", ".0"])
+    elif kind == "duplicate id":
+        row[0] = rows[other][0]
+    elif kind == "wrong arity":
+        if rng.random() < 0.5:
+            del row[rng.randrange(len(row))]
+        else:
+            row.insert(rng.randrange(len(row) + 1), rng.choice(["1/2", "0.5", "extra"]))
+    elif kind == "mixed literals":
+        row[column] = "0.5" if exact else "1/2"
+    elif kind == "coinciding footpoints":
+        if not placement:
+            return None
+        row[2] = rows[other][2]
+        if exact and rng.random() < 0.5:  # the same value, spelled otherwise
+            num, den = row[2].split("/")
+            row[2] = f"{3 * int(num)}/{3 * int(den)}"
+    return rows
+
+
+FAULTS = [
+    "bad literal",
+    "zero denominator",
+    "1e999",
+    "non-positive size",
+    "duplicate id",
+    "wrong arity",
+    "mixed literals",
+    "coinciding footpoints",
+]
+
+
+@pytest.mark.parametrize("kind", FAULTS)
+def test_single_fault_files_fail_as_the_reference_does(kind):
+    rng = random.Random(5005 + FAULTS.index(kind))
+    tried = 0
+    for case in range(40):
+        exact, placement = case % 2 == 0, case % 4 >= 2
+        rows = _inject(rng, _random_rows(rng, rng.randint(2, 120), exact, placement),
+                       kind, exact, placement)
+        if rows is None:
+            continue
+        text = _render(rng, rows, placement)
+        parse = parse_placement if placement else parse_instance
+        reference = reference_parse_placement if placement else reference_parse_instance
+        got, want = _outcome(parse, text), _outcome(reference, text)
+        assert want[0] == "error", text
+        assert got == want
+        tried += 1
+    assert tried >= 10

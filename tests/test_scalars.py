@@ -11,8 +11,8 @@ from shelfpack.scalars import (
     display_scalar,
     format_scalar,
     integer_scale,
-    is_rational_literal,
     parse_scalar,
+    scalars,
     unified_backend,
 )
 
@@ -33,9 +33,25 @@ def test_parse_rejects_garbage(text):
 
 
 def test_literal_classification():
-    assert is_rational_literal("4/1")
-    assert not is_rational_literal("4.0")
-    assert not is_rational_literal("4")
+    assert scalars(["4/1"]) == ([Fraction(4)], Backend.EXACT)
+    assert scalars(["4.0"]) == ([4.0], Backend.FLOAT)
+    assert scalars(["4"]) == ([4.0], Backend.FLOAT)
+
+
+def test_column_faults_name_the_first_offender():
+    assert scalars(["+1/2", "-3/6", "07/1"]) == (
+        [Fraction(1, 2), Fraction(-1, 2), Fraction(7)],
+        Backend.EXACT,
+    )
+    assert scalars([".5", "5.", "+1e3", "-2.5E-1"]) == ([0.5, 5.0, 1e3, -0.25], Backend.FLOAT)
+    # a rational literal anywhere makes any other fault a mix
+    for column in (["1/2", "0.5"], ["0.5", "1/2"], ["x", "1/2"], ["1/2", "1//2"]):
+        with pytest.raises(ParseError, match="^file mixes rational and decimal literals$"):
+            scalars(column)
+    with pytest.raises(ParseError, match="^not a rational or decimal literal: 'x'$"):
+        scalars(["0.5", "x", "1.5", "y"])
+    with pytest.raises(ParseError, match="^zero denominator in rational literal '2/00'$"):
+        scalars(["1/2", "2/00", "3/0"])
 
 
 def test_format_round_trip():
