@@ -46,7 +46,6 @@ from .hardness import (
     build_instance,
     decode_partition,
     partition_disk_size,
-    scale_to_integer_radii,
     validate_3partition,
 )
 from .linear import is_linear_case, solve_linear
@@ -88,7 +87,6 @@ __all__ = [
     "is_linear_case",
     "partition_disk_size",
     "render_svg",
-    "scale_to_integer_radii",
     "solve_linear",
     "span",
     "validate_3partition",

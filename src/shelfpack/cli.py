@@ -46,7 +46,13 @@ def _display(value: Scalar, backend: Backend) -> str:
 
 
 def _to_float_disks(disks: list[Disk]) -> list[Disk]:
-    return [Disk(d.id, float(d.size)) for d in disks]
+    floats = []
+    for d in disks:
+        try:
+            floats.append(Disk(d.id, float(d.size)))
+        except OverflowError:
+            raise DomainError(f"disk {d.id!r} has a size beyond the float range") from None
+    return floats
 
 
 def _parse_tolerance(text: str, backend: Backend) -> Scalar | int:

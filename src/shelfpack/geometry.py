@@ -170,6 +170,21 @@ def _reach(sizes: Sequence, feet: Sequence, k: int, x, pair, pair_max) -> tuple:
     return x, arg
 
 
+def by_size(disks: Iterable[Disk], caller: str) -> tuple:
+    """The solvers' front end: at least one disk (the error names
+    ``caller``) and one backend, then the disks and their sizes lifted once
+    (see :func:`~shelfpack.scalars.lift`), by decreasing size, ties by id,
+    and the map ``back``.  Exact sizes sort as integers over D."""
+    items = list(disks)
+    if not items:
+        raise DomainError(f"{caller} requires at least one disk")
+    sizes = [d.size for d in items]
+    unified_backend(sizes)
+    sizes, _, _, back = lift(sizes)
+    rank = sorted(range(len(items)), key=lambda i: (-sizes[i], items[i].id))
+    return [items[i] for i in rank], [sizes[i] for i in rank], back
+
+
 def compact(order: Sequence[Disk]) -> Placement:
     """Left-compact ``order``: give each disk the smallest feasible footpoint.
 

@@ -5,18 +5,17 @@ gap that can hold it; if no gap fits, it extends an end, preferring an end
 placement that does not grow the span.  A priority queue keyed by gap fit
 size keeps the whole run in O(n log n).
 
-The input is checked once, where :func:`greedy_solve` receives it: at
-least one disk, and one backend for all sizes.  The loop then runs on
-plain lists.  Float sizes are used as they are, in the closed forms 2ab
+The input is checked, lifted and sorted once by the solvers' shared front
+end, :func:`~shelfpack.geometry.by_size`.  The loop then runs on plain
+lists.  Float sizes are used as they are, in the closed forms 2ab
 (tangency) and g / (2(a + b)) (gap fit), so every footpoint is
 bit-identical to the scalar reference greedy in the tests.  Exact sizes
-become integers over their common denominator
-(:func:`~shelfpack.scalars.lift`), so no ``Fraction`` is reduced inside
-the loop.  The output goes to :class:`Placement` in footpoint order, by
-the neighbour links, and it rejects duplicate ids, coinciding footpoints
-and float footpoints that overflowed.  The certificate comes from the
-loop as well: the span from the walls it tracks, the lower bound from
-one prefix pass over the sizes it sorted.
+arrive as integers over their common denominator, so no ``Fraction`` is
+reduced inside the loop.  The output goes to :class:`Placement` in
+footpoint order, by the neighbour links, and it rejects duplicate ids,
+coinciding footpoints and float footpoints that overflowed.  The
+certificate comes from the loop as well: the span from the walls it
+tracks, the lower bound from one prefix pass over the sorted sizes.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DomainError
-from .geometry import Disk, Placement, prefix_support_bound
-from .scalars import Backend, Scalar, lift, unified_backend
+from .geometry import Disk, Placement, by_size, prefix_support_bound
+from .scalars import Scalar
 
 
 @dataclass(frozen=True)
@@ -68,12 +66,13 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
     Gaps are ranked by (-fit, left id, left index, right index), where a
     gap between sizes a and b with footpoints g apart has fit g / (2(a+b)).
     """
-    items = list(disks)
-    if not items:
-        raise DomainError("greedy_solve requires at least one disk")
-    sizes = [d.size for d in items]
-    exact = unified_backend(sizes) is Backend.EXACT
-    sizes, _, _, back = lift(sizes)
+    return _greedy(*by_size(disks, "greedy_solve"))[0]
+
+
+def _greedy(order: list[Disk], sizes: list, back) -> tuple[GreedyResult, Scalar]:
+    """:func:`greedy_solve` on the output of ``by_size``; also returns the
+    span in lifted units, an integer over D**2 on exact data."""
+    exact = not isinstance(sizes[0], float)
     # Exact sizes are integers over their common denominator D, so
     # footpoints and walls are integers over D**2.  An exact fit g/w is
     # keyed by the integer floor(g * unit / w).  Two different fits g/w and
@@ -82,10 +81,7 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
     # too: they order fits exactly as the fits themselves, and
     # floor(g * unit / w) >= d * unit exactly when g/w >= d.
     unit = 1 << 2 * (4 * max(sizes)).bit_length() if exact else 1
-    rank = sorted(range(len(items)), key=lambda i: (-sizes[i], items[i].id))
-    order = [items[i] for i in rank]
     ids = [d.id for d in order]
-    sizes = [sizes[i] for i in rank]
     foot: list = [sizes[0] * 0]
     right_nb: list[int] = [-1]
     head = tail = 0
@@ -149,8 +145,9 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
             right_wall = re
 
     # The walls are the extents span() finds, and the bound is
-    # best_support_lower_bound's prefix pass over the sizes sorted above.
-    extent = back(right_wall - left_wall)
+    # best_support_lower_bound's prefix pass over the sorted sizes.
+    lifted = right_wall - left_wall
+    extent = back(lifted)
     lower_bound = back(prefix_support_bound(sizes))
     certificate = Certificate(extent, lower_bound, extent / lower_bound)
     # the links run left to right, so the columns go out in footpoint order
@@ -161,5 +158,5 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
         chain.append(k)
         k = right_nb[k]
     placement = Placement([order[k] for k in chain], [back(foot[k]) for k in chain])
-    return GreedyResult(placement, certificate, ops)
+    return GreedyResult(placement, certificate, ops), lifted
 

@@ -25,11 +25,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import DomainError, InconsistencyError, PreconditionError
 from .geometry import Disk, Placement, compact, verify
-from .scalars import Backend, integer_scale
+from .scalars import Backend
 
 SIZE_OUTER = Fraction(1)
 SIZE_INNER = Fraction(33, 100)
@@ -266,21 +266,6 @@ def decode_partition(hi: HardnessInstance, placement: Placement) -> PartitionSol
             )
         groups.append(tuple(sorted(indices)))
     return PartitionSolution(tuple(groups))
-
-
-def scale_to_integer_radii(disks: Iterable[Disk]) -> tuple[list[Disk], int]:
-    """Rescale exact sizes so that every radius becomes an integer.
-
-    Multiplies each size by the lcm of all size denominators; spans and
-    radii then scale by its square.  Returns the new disks and the factor.
-    """
-    items = list(disks)
-    if not items:
-        raise DomainError("no disks to rescale")
-    if not all(isinstance(d.size, Fraction) for d in items):
-        raise PreconditionError("integer-radius rescaling needs exact sizes")
-    sizes, factor = integer_scale([d.size for d in items])
-    return [Disk(d.id, s) for d, s in zip(items, sizes)], factor
 
 
 # --- machine checks for the impossibility tables -------------------------

@@ -3,7 +3,8 @@
 In such *linear case* instances every optimal placement is a chain of
 pairwise touching disks, so only the left-to-right order matters.  The
 optimal order interleaves large and small disks outward from the middle
-and can be written down after a single sort.
+and can be written down after one sort, on integers for exact data
+(:func:`~shelfpack.geometry.by_size`).
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import heapq
 from typing import Iterable, Sequence
 
 from .errors import DomainError, PreconditionError
-from .geometry import Disk, Placement, SpanReport, compact, span, wall_fit_exceeds
+from .geometry import Disk, Placement, SpanReport, by_size, compact, span
+from .geometry import wall_fit_exceeds
 from .scalars import unified_backend
 
 
@@ -64,7 +66,7 @@ def solve_linear(disks: Iterable[Disk]) -> tuple[Placement, SpanReport]:
     disks = list(disks)
     if not is_linear_case(disks):
         raise PreconditionError("not a linear-case instance")
-    desc = sorted(disks, key=lambda d: (-d.size, d.id))
+    desc = by_size(disks, "solve_linear")[0]
     n = len(desc)
     if n % 2 == 0:
         candidates = [_interleave(desc)]

@@ -14,19 +14,20 @@ completion are built from the state by ``max`` and ``+`` alone, both
 monotone (on floats as well, since rounding is monotone), so the dominated
 state can never finish below the one that dominates it.  Equal-size disks
 enter in index order only, so permutations among them are built once.
+The disks and their lifted sizes come from the solvers' shared front end,
+:func:`~shelfpack.geometry.by_size`, so on exact data every state value,
+and the greedy span that serves as incumbent, is an integer over D**2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 from operator import le
 from typing import Iterable, Optional
 
 from .errors import DomainError, PreconditionError
-from .geometry import Disk, Placement, SpanReport, compact, span
-from .greedy import greedy_solve
-from .scalars import Backend, integer_scale, unified_backend
+from .geometry import Disk, Placement, SpanReport, by_size, compact, span
+from .greedy import _greedy
 
 
 @dataclass(frozen=True)
@@ -72,30 +73,19 @@ def exact_solve(
     returned (its span is then optimal).
     """
     cfg = config or OracleConfig()
-    items = sorted(disks, key=lambda d: (-d.size, d.id))
-    if not items:
-        raise DomainError("exact_solve requires at least one disk")
+    items = list(disks)
     if len(items) > cfg.max_n:
         raise PreconditionError(
             f"instance has {len(items)} disks, above the oracle cap of "
             f"{cfg.max_n}; raise OracleConfig.max_n to search anyway"
         )
+    items, sizes, back = by_size(items, "exact_solve")
     n = len(items)
-    sizes = [d.size for d in items]
-    exact = unified_backend(sizes) is Backend.EXACT
-    scale = 1
-    if exact:
-        # Integers over the common denominator D: every state value is then
-        # an integer multiple of 1/D**2, compared exactly and much faster.
-        sizes, scale = integer_scale(sizes)
     radii = [s * s for s in sizes]
     pair = [[2 * a * b for b in sizes] for a in sizes]
     zero = sizes[0] * 0
 
-    greedy = greedy_solve(items)
-    incumbent = greedy.certificate.span * scale * scale
-    if exact:
-        incumbent = ceil(incumbent)  # state spans are integers: exact
+    greedy, incumbent = _greedy(items, sizes, back)
 
     # placed-set bitmask -> its front of (span, envelope, order) states;
     # envelope entries of placed disks stay zero so they never decide

@@ -75,31 +75,22 @@ def unified_backend(values: Iterable[Scalar]) -> Backend:
     return backend
 
 
-def integer_scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Exact values as integers over their common denominator ``D``.
-
-    Returns ``(ints, D)`` with ``values[i] == ints[i] / D``.  Sums and
-    products of the integers are exact and, unlike ``Fraction`` arithmetic,
-    never reduce by a gcd; a degree-k polynomial in the values is the same
-    polynomial in the integers over ``D**k``.
-    """
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def lift(sizes: Sequence[Scalar], feet: Sequence[Scalar] = ()) -> tuple:
     """Sizes and footpoints of one backend as ``(sizes, feet, c, back)``.
 
     Floats pass through as they are, with ``c = 1`` and ``back = float``.
-    Exact sizes become integers S over their common denominator D (see
-    :func:`integer_scale`) and footpoints integers X over
-    Q = lcm(D**2, footpoint denominators), with c = Q / D**2.  A radius is
-    then c*S**2 over Q and a tangency distance 2*c*S_j*S_k, so geometry
-    runs on integers; ``back(v) = Fraction(v, Q)`` maps a result back.
+    Exact sizes become integers S over their common denominator D, which
+    order as the sizes do; sums and products of them are exact and, unlike
+    ``Fraction`` arithmetic, never reduce by a gcd.  Footpoints become
+    integers X over Q = lcm(D**2, footpoint denominators), with
+    c = Q / D**2.  A radius is then c*S**2 over Q and a tangency distance
+    2*c*S_j*S_k, so geometry runs on integers; ``back(v) = Fraction(v, Q)``
+    maps a result back.
     """
     if not isinstance(sizes[0], Fraction):
         return sizes, feet, 1, float
-    ints, scale = integer_scale(sizes)
+    scale = math.lcm(*(v.denominator for v in sizes))
+    ints = [v.numerator * (scale // v.denominator) for v in sizes]
     square = scale * scale
     q = math.lcm(square, *(x.denominator for x in feet))
     lifted = [x.numerator * (q // x.denominator) for x in feet]

@@ -4,6 +4,8 @@ The drawing shows each disk as a circle tangent to a baseline from above,
 dashed vertical lines at both walls, and a span label.  Output bytes are a
 pure function of the placement and the scale: coordinates are formatted
 with a fixed rule and nothing date- or environment-dependent is emitted.
+A placement whose drawing leaves the float range is a
+:class:`DomainError`, never an ``inf`` or ``nan`` in the file.
 """
 
 from __future__ import annotations
@@ -15,9 +17,12 @@ from .geometry import Placement, span
 
 _MARGIN = 20.0
 _LABEL_BAND = 24.0
+_OUT_OF_RANGE = "the drawing of this placement leaves the float range"
 
 
 def _fmt(value: float) -> str:
+    if not math.isfinite(value):
+        raise DomainError(_OUT_OF_RANGE)
     return f"{value:.12g}"
 
 
@@ -28,9 +33,14 @@ def render_svg(placement: Placement, scale: float = 40.0) -> str:
     if not 0 < scale < math.inf:
         raise DomainError(f"scale must be positive and finite, got {scale}")
     report = span(placement)
-    left = float(report.left_wall)
-    width_world = float(report.span)
-    max_radius = max(float(d.radius) for d in placement.disks)
+    try:
+        left, right = float(report.left_wall), float(report.right_wall)
+        width_world = float(report.span)
+        radii = [float(d.radius) for d in placement.disks]
+        feet = list(map(float, placement.footpoints))
+    except OverflowError:  # an exact value beyond the float range
+        raise DomainError(_OUT_OF_RANGE) from None
+    max_radius = max(radii)
 
     width = scale * width_world + 2 * _MARGIN
     baseline_y = _MARGIN + scale * 2 * max_radius
@@ -46,16 +56,15 @@ def render_svg(placement: Placement, scale: float = 40.0) -> str:
         f'<line x1="0" y1="{_fmt(baseline_y)}" x2="{_fmt(width)}" '
         f'y2="{_fmt(baseline_y)}" stroke="black" stroke-width="1"/>',
     ]
-    for wall in (float(report.left_wall), float(report.right_wall)):
+    for wall in (left, right):
         parts.append(
             f'<line x1="{_fmt(x_of(wall))}" y1="{_fmt(_MARGIN * 0.5)}" '
             f'x2="{_fmt(x_of(wall))}" y2="{_fmt(baseline_y)}" stroke="black" '
             f'stroke-width="1" stroke-dasharray="4 3"/>'
         )
-    for disk, x in placement:
-        r = float(disk.radius)
+    for disk, x, r in zip(placement.disks, feet, radii):
         parts.append(
-            f'<circle cx="{_fmt(x_of(float(x)))}" '
+            f'<circle cx="{_fmt(x_of(x))}" '
             f'cy="{_fmt(baseline_y - scale * r)}" r="{_fmt(scale * r)}" '
             f'fill="none" stroke="black" stroke-width="1">'
             f"<title>{disk.id}</title></circle>"
@@ -63,7 +72,7 @@ def render_svg(placement: Placement, scale: float = 40.0) -> str:
     parts.append(
         f'<text x="{_fmt(width / 2)}" y="{_fmt(baseline_y + 16.0)}" '
         f'text-anchor="middle" font-family="monospace" font-size="12">'
-        f"span = {_fmt(float(report.span))}</text>"
+        f"span = {_fmt(width_world)}</text>"
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -17,7 +17,7 @@ from shelfpack.geometry import (
     span,
 )
 from shelfpack.greedy import Certificate, GreedyResult
-from shelfpack.scalars import Backend, Scalar
+from shelfpack.scalars import Backend, Scalar, lift, unified_backend
 
 
 def make_disks(sizes: Sequence, prefix: str = "d") -> list[Disk]:
@@ -39,6 +39,18 @@ def gap_fit_size(a, b, footpoint_gap):
     """Largest size fitting between disks of sizes ``a`` and ``b`` whose
     footpoints are ``footpoint_gap`` apart; a*b/(a+b) for a touching pair."""
     return footpoint_gap / (2 * (a + b))
+
+
+def reference_by_size(disks: Iterable[Disk], caller: str) -> tuple:
+    """``geometry.by_size`` the plain way: sort the disks on their unlifted
+    sizes by (-size, id), then lift the sorted sizes."""
+    order = sorted(disks, key=lambda d: (-d.size, d.id))
+    if not order:
+        raise DomainError(f"{caller} requires at least one disk")
+    sizes = [d.size for d in order]
+    unified_backend(sizes)
+    sizes, _, _, back = lift(sizes)
+    return order, sizes, back
 
 
 def naive_compact(order: Sequence[Disk]) -> Placement:

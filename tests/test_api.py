@@ -34,7 +34,6 @@ PUBLIC_API = {
     "partition_disk_size",
     "reduction_identity_suite",
     "render_svg",
-    "scale_to_integer_radii",
     "solve_linear",
     "span",
     "validate_3partition",

@@ -84,6 +84,16 @@ class TestSolve:
         assert rc == 0
         assert "span: 571.0 (float)" in capsys.readouterr().out
 
+    def test_float_backend_beyond_the_float_range_exits_3(self, tmp_path, capsys):
+        path = write(
+            tmp_path / "huge.instance",
+            f"shelfpack-instance v1\nd1 1/1\nd2 {10**400}/1\n",
+        )
+        out = tmp_path / "f.placement"
+        assert main(["solve", path, "--backend", "float", "--out", str(out)]) == 3
+        assert "disk 'd2' has a size beyond the float range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_linear_mode_rejects_nonlinear(self, nonlinear_instance, tmp_path):
         rc = main(
             ["solve", nonlinear_instance, "--mode", "linear", "--out", str(tmp_path / "x")]
@@ -278,6 +288,15 @@ class TestRender:
             assert main(["render", path, "--out", str(out), "--scale", scale]) == 3
             assert not out.exists()
 
+    def test_beyond_the_float_range_exits_3(self, tmp_path, capsys):
+        # an exact size whose float overflows, and a float radius that does
+        for size in (f"{10**200}/1 0/1", "1e200 0.0"):
+            path = write(tmp_path / "huge.placement", f"shelfpack-placement v1\na {size}\n")
+            out = tmp_path / "x.svg"
+            assert main(["render", path, "--out", str(out)]) == 3
+            assert "float range" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_matches_golden_certificate_rendering(self, tmp_path):
         import pathlib
 
@@ -316,12 +335,26 @@ class TestModuleEntry:
             tmp_path / "big.instance",
             "shelfpack-instance v1\n" + "".join(f"d{i} 1/1\n" for i in range(12)),
         )
+        huge = write(
+            tmp_path / "huge.instance",
+            f"shelfpack-instance v1\na 1/1\nb {10**400}/1\n",
+        )
+        exact_far = write(
+            tmp_path / "far.placement", f"shelfpack-placement v1\na {10**200}/1 0/1\n"
+        )
+        float_far = write(
+            tmp_path / "far_float.placement", "shelfpack-placement v1\na 1e200 0.0\n"
+        )
+        svg = str(tmp_path / "x.svg")
         cases = [
             (["solve", linear_instance], 0),
             (["verify", overlap], 1),
             (["solve", str(tmp_path / "missing.instance")], 2),
             ([], 2),
             (["solve", big, "--mode", "exact"], 3),
+            (["solve", huge, "--backend", "float"], 3),
+            (["render", exact_far, "--out", svg], 3),
+            (["render", float_far, "--out", svg], 3),
         ]
         for args, code in cases:
             module = self.run(["-m", "shelfpack"], args)

@@ -3,13 +3,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import brute_min_span, make_disks, naive_compact, random_linear_disks
+from helpers import (
+    brute_min_span,
+    make_disks,
+    naive_compact,
+    random_linear_disks,
+    reference_by_size,
+)
+from shelfpack import linear, oracle
 from shelfpack.errors import BackendMismatchError, DomainError
 from shelfpack.scalars import Backend
 from shelfpack.geometry import (
     Disk,
     Placement,
     best_support_lower_bound,
+    by_size,
     compact,
     span,
     verify,
@@ -22,6 +30,7 @@ from shelfpack.hardness import (
     SIZE_SMALL_FILLER,
     partition_disk_size,
 )
+from shelfpack.files import format_placement
 from shelfpack.linear import solve_linear
 from shelfpack.oracle import exact_solve
 
@@ -465,3 +474,54 @@ class TestBestSupportLowerBound:
                 bounds.append(4 * m * running - 2 * count * m * m)
             assert repr(best_support_lower_bound(disks)) == repr(max(bounds))
 
+
+
+def tied_disks(rng, values, n, exact):
+    """n sizes drawn from a few ``values`` with coprime denominators, under
+    distinct ids whose string order differs from their input order."""
+    ids = rng.sample(range(1000), n)
+    sizes = [rng.choice(values) for _ in range(n)]
+    return [Disk(f"d{k}", s if exact else float(s)) for k, s in zip(ids, sizes)]
+
+
+class TestBySize:
+    # linear-case sizes (ratio below two) and sizes that let disks hide
+    LINEAR = [F(1), F(8, 7), F(17, 13), F(3, 2), F(19, 10)]
+    SPREAD = [F(1, 3), F(1, 2), F(8, 7), F(17, 13), F(3)]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_matches_the_reference_order(self, exact):
+        rng = random.Random(83)
+        for _ in range(40):
+            disks = tied_disks(rng, self.SPREAD, rng.randint(1, 60), exact)
+            order, sizes, back = by_size(disks, "test")
+            ref_order, ref_sizes, ref_back = reference_by_size(disks, "test")
+            assert order == ref_order and sizes == ref_sizes
+            assert back(sizes[0] * sizes[0]) == order[0].radius
+            assert all(isinstance(s, int if exact else float) for s in sizes)
+
+    def test_rejects_empty_and_mixed_input(self):
+        with pytest.raises(DomainError, match="some_solver requires"):
+            by_size([], "some_solver")
+        with pytest.raises(BackendMismatchError):
+            by_size([Disk("a", F(1)), Disk("b", 1.0)], "some_solver")
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_solvers_place_as_with_the_reference_order(self, exact, monkeypatch):
+        # the lifted sort must order heavily tied sizes as the unlifted one:
+        # both solvers, run once on each, must write the same bytes
+        rng = random.Random(89 if exact else 97)
+        cases = [
+            (linear.solve_linear, linear, self.LINEAR, 40, 30),
+            (oracle.exact_solve, oracle, self.LINEAR, 7, 20),
+            (oracle.exact_solve, oracle, self.SPREAD, 7, 20),
+        ]
+        for solve, module, values, max_n, count in cases:
+            for _ in range(count):
+                disks = tied_disks(rng, values, rng.randint(1, max_n), exact)
+                placement, report = solve(disks)
+                with monkeypatch.context() as patch:
+                    patch.setattr(module, "by_size", reference_by_size)
+                    ref_placement, ref_report = solve(disks)
+                assert format_placement(placement) == format_placement(ref_placement)
+                assert repr(report) == repr(ref_report)

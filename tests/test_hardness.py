@@ -25,7 +25,6 @@ from shelfpack.hardness import (
     build_instance,
     decode_partition,
     partition_disk_size,
-    scale_to_integer_radii,
     validate_3partition,
 )
 
@@ -283,22 +282,6 @@ class TestDecodePreconditions:
             )
             with pytest.raises(InconsistencyError, match="lies in no frame gap"):
                 decode_partition(relabelled, cert)
-
-
-class TestIntegerRadii:
-    def test_all_radii_become_integers(self):
-        hi = build_instance(M2_INSTANCE)
-        scaled, factor = scale_to_integer_radii(hi.disks)
-        assert factor > 0
-        for disk in scaled:
-            assert disk.radius.denominator == 1
-        original = {d.id: d.size for d in hi.disks}
-        for disk in scaled:
-            assert disk.size == original[disk.id] * factor
-
-    def test_needs_exact_sizes(self):
-        with pytest.raises(PreconditionError):
-            scale_to_integer_radii([Disk("a", 0.5)])
 
 
 class TestIdentitySuite:

@@ -134,6 +134,11 @@ class TestLimits:
         with pytest.raises(DomainError):
             exact_solve([])
 
+    def test_cap_is_checked_before_the_backend(self):
+        disks = make_disks([F(1)] * 6) + make_disks([1.0] * 6, prefix="f")
+        with pytest.raises(PreconditionError, match="cap"):
+            exact_solve(disks)
+
     def test_bad_config_rejected(self):
         with pytest.raises(DomainError):
             OracleConfig(max_n=0)

@@ -10,7 +10,7 @@ from shelfpack.scalars import (
     coerce,
     display_scalar,
     format_scalar,
-    integer_scale,
+    lift,
     parse_scalar,
     scalars,
     unified_backend,
@@ -102,9 +102,14 @@ def test_unified_backend_of_one_type_and_of_others():
         unified_backend([0.5, 1, Fraction(1)])
 
 
-def test_integer_scale():
+def test_lift_scales_sizes_to_integers():
     values = [Fraction(1, 7), Fraction(5, 13), Fraction(3), Fraction(7, 990)]
-    ints, scale = integer_scale(values)
-    assert scale == math.lcm(7, 13, 990)
+    ints, feet, c, back = lift(values)
+    scale = math.lcm(7, 13, 990)
     assert all(isinstance(k, int) for k in ints)
     assert [Fraction(k, scale) for k in ints] == values
+    # with no footpoints the map back works over D**2, with c = 1
+    assert (feet, c) == ([], 1)
+    assert back(scale * scale) == 1 and back(1) == Fraction(1, scale * scale)
+    floats = [0.5, 3.0]
+    assert lift(floats) == (floats, (), 1, float)

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import make_disks
 from shelfpack.errors import DomainError
-from shelfpack.geometry import compact
+from shelfpack.geometry import Disk, Placement, compact
 from shelfpack.svg import render_svg
 
 
@@ -34,3 +34,16 @@ def test_non_positive_scale_rejected(scale):
     placement = compact(make_disks([F(1)]))
     with pytest.raises(DomainError):
         render_svg(placement, scale)
+
+
+def test_exact_placement_beyond_the_float_range_rejected():
+    placement = Placement([Disk("a", F(10**200))], [F(0)])
+    with pytest.raises(DomainError, match="float range"):
+        render_svg(placement)
+
+
+def test_float_radius_overflow_rejected():
+    # the size is a finite float, its radius is not
+    placement = Placement([Disk("a", 1e200)], [0.0])
+    with pytest.raises(DomainError, match="float range"):
+        render_svg(placement)
