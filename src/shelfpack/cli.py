@@ -49,9 +49,12 @@ def _to_float_disks(disks: list[Disk]) -> list[Disk]:
     floats = []
     for d in disks:
         try:
-            floats.append(Disk(d.id, float(d.size)))
+            size = float(d.size)
         except OverflowError:
             raise DomainError(f"disk {d.id!r} has a size beyond the float range") from None
+        if size == 0:  # the exact size is positive
+            raise DomainError(f"disk {d.id!r} has a size below the float range")
+        floats.append(Disk(d.id, size))
     return floats
 
 

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, ParseError
-from .geometry import Disk, Placement
+from .geometry import Disk, Placement, _disk_column
 from .hardness import HardnessInstance, PartitionSolution, ThreePartitionInstance
 from .scalars import Backend, Scalar, format_scalar, scalars
 
@@ -33,39 +33,44 @@ PLACEMENT_HEADER = "shelfpack-placement v1"
 SIDECAR_FORMAT = "shelfpack-hardness-sidecar v1"
 
 
-def _rows(lines: list[str], start: int) -> list[tuple[int, list[str]]]:
-    """(line number, tokens) of each line that is neither blank nor a comment."""
+def _rows(lines: Iterable[list[str]], start: int) -> list[tuple[int, list[str]]]:
+    """(line number, tokens) of each line, given as its tokens, that is
+    neither blank nor a comment."""
     return [
         (number, tokens)
-        for number, line in enumerate(lines, start)
-        if (tokens := line.split()) and tokens[0][0] != "#"
+        for number, tokens in enumerate(lines, start)
+        if tokens and tokens[0][0] != "#"
     ]
 
 
-def _columns(text: str, header: str, kind: str, usage: str) -> tuple[tuple[int, ...], list]:
+def _columns(text: str, header: str, kind: str, usage: str) -> tuple[Sequence[int], list]:
     """Line numbers and token columns of a ``kind`` file whose lines hold
     one token per word of ``usage``."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
         raise ParseError(f"missing header line {header!r}")
-    rows = _rows(lines[1:], 2)
-    if not rows:
+    tokens = list(map(str.split, lines[1:]))
+    numbers: Sequence[int] = range(2, len(tokens) + 2)
+    # files this program writes hold neither blank lines nor comments
+    if "#" in text or not all(tokens):
+        rows = _rows(tokens, 2)
+        numbers, tokens = zip(*rows) if rows else ((), ())
+    if not tokens:
         raise ParseError(f"{kind} file has no disks")
-    numbers, tokens = zip(*rows)
     arity = len(usage.split())
     if set(map(len, tokens)) != {arity}:
-        number = next(n for n, row in rows if len(row) != arity)
+        number = next(n for n, row in zip(numbers, tokens) if len(row) != arity)
         raise ParseError(f"line {number}: expected {usage!r}")
     return numbers, list(zip(*tokens))
 
 
 def _tokens(text: str) -> list[str]:
-    return [tok for _, tokens in _rows(text.splitlines(), 1) for tok in tokens]
+    return [tok for _, tokens in _rows(map(str.split, text.splitlines()), 1) for tok in tokens]
 
 
 def _disks(numbers: Sequence[int], ids: Sequence[str], sizes: Sequence[Scalar]) -> list[Disk]:
     try:
-        return list(map(Disk, ids, sizes))
+        return _disk_column(ids, sizes)
     except DomainError:
         for number, disk_id, size in zip(numbers, ids, sizes):
             try:

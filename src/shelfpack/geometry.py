@@ -9,8 +9,11 @@ rational backend.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from operator import lt
+from fractions import Fraction
+from itertools import repeat
+from operator import attrgetter, lt
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError
@@ -39,6 +42,43 @@ class Disk:
         return self.size * self.size
 
 
+# the slot setters of the frozen Disk, for building disks from proven columns
+_SET_ID, _SET_SIZE = Disk.id.__set__, Disk.size.__set__
+
+
+def _proven(values: Sequence) -> bool:
+    """Whether ``coerce`` would return every value as it is: all exact
+    ``float`` and finite, or all exact ``Fraction``.  Checked per column,
+    so a float subclass, an int or a bool leaves the caller to ``coerce``."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return all(map(math.isfinite, values))
+    return kinds == {Fraction}
+
+
+def _disk_column(ids: Sequence[str], sizes: Sequence[Scalar]) -> list[Disk]:
+    """``list(map(Disk, ids, sizes))``, with the checks run once per column.
+
+    The ids must all be ``str`` tokens (joined and split again they come
+    back unchanged) and the sizes must pass :func:`_proven` with a
+    positive minimum; then the disks are built without
+    ``Disk.__post_init__``.  Any other columns go through ``Disk`` one
+    element at a time, which names the first offender."""
+    ids = list(ids)
+    try:
+        tokens = " ".join(ids).split() == ids
+    except TypeError:  # an id that is not a str
+        tokens = False
+    if tokens and len(sizes) == len(ids) and _proven(sizes):
+        signs = map(attrgetter("numerator"), sizes) if type(sizes[0]) is Fraction else sizes
+        if min(signs) > 0:
+            disks = list(map(object.__new__, repeat(Disk, len(ids))))
+            list(map(_SET_ID, disks, ids))
+            list(map(_SET_SIZE, disks, sizes))
+            return disks
+    return list(map(Disk, ids, sizes))
+
+
 @dataclass(frozen=True, slots=True)
 class Placement:
     """``disks[i]`` at ``footpoints[i]``, sorted by strictly increasing
@@ -65,7 +105,8 @@ class Placement:
                 f"disks and {len(feet)} footpoints"
             )
         try:
-            feet = tuple(map(coerce, feet))
+            if not _proven(feet):
+                feet = tuple(map(coerce, feet))
         except DomainError:
             for disk, x in zip(disks, feet):
                 try:
@@ -145,28 +186,37 @@ def wall_fit_exceeds(z: Scalar, a: Scalar) -> bool:
     return s * s > 2 * a * a
 
 
-def _reach(sizes: Sequence, feet: Sequence, k: int, x, pair, pair_max) -> tuple:
+def _reach(sizes: Sequence, feet: Sequence, stack: list, k: int, x, pair) -> tuple:
     """``max(x, max_{j<k} feet[j] + pair*sizes[j]*sizes[k])`` and the j
-    that attains it, or -1 if ``x`` does.
+    that attains it (the largest such j on a tie), or -1 if ``x`` does;
+    then push k onto ``stack``.
 
-    ``feet[:k]`` strictly increase and ``pair_max`` is ``pair`` times the
-    largest size.  The scan runs backward from k-1 and stops at the first
-    j with feet[j] + pair_max*sizes[k] <= x, x being the running maximum:
-    every i < j has feet[i] < feet[j] and pair*sizes[i] <= pair_max, and
-    since rounded float ``+`` and ``*`` are monotone too, its candidate
-    cannot exceed x on either backend.  The result is the full maximum,
-    found in time proportional to the disks within reach of disk k.
+    ``feet[:k]`` increase, and ``stack`` holds the earlier disks that can
+    still attain the maximum for a later disk: a staircase of strictly
+    decreasing sizes from bottom to top.  A disk j is dropped once a later
+    disk k has ``sizes[j] <= sizes[k]``: for every later disk m, j's
+    candidate is then at most k's, and on a tie k is the later one.  The
+    scan runs down from the top and stops at the first kept j with
+    feet[j] + pair*sizes[bottom]*sizes[k] <= x, x being the running
+    maximum: every kept i below j has feet[i] < feet[j] and
+    sizes[i] <= sizes[bottom].  Rounded float ``+`` and ``*`` are monotone,
+    so both arguments hold on either backend, and the result is the full
+    maximum.
     """
     s = sizes[k]
-    reach = pair_max * s
     arg = -1
-    for j in range(k - 1, -1, -1):
-        xj = feet[j]
-        if xj + reach <= x:
-            break
-        c = xj + pair * sizes[j] * s
-        if c > x:
-            x, arg = c, j
+    if stack:
+        reach = pair * sizes[stack[0]] * s
+        for j in reversed(stack):
+            xj = feet[j]
+            if xj + reach <= x:
+                break
+            c = xj + pair * sizes[j] * s
+            if c > x:
+                x, arg = c, j
+        while stack and sizes[stack[-1]] <= s:
+            stack.pop()
+    stack.append(k)
     return x, arg
 
 
@@ -205,10 +255,10 @@ def compact(order: Sequence[Disk]) -> Placement:
     unified_backend(sizes)
     sizes, _, c, back = lift(sizes)
     pair = 2 * c
-    pair_max = pair * max(sizes)
     feet: list = []
+    stack: list = []
     for k, s in enumerate(sizes):
-        feet.append(_reach(sizes, feet, k, c * s * s, pair, pair_max)[0])
+        feet.append(_reach(sizes, feet, stack, k, c * s * s, pair)[0])
     return Placement(order, list(map(back, feet)))
 
 
@@ -264,9 +314,9 @@ def verify(placement: Placement, tolerance: Scalar) -> VerificationResult:
     sizes, feet, c, back = lift([d.size for d in disks], placement.footpoints)
     report = _span(disks, sizes, feet, c, back)
     pair = 2 * c
-    pair_max = pair * max(sizes)
+    stack = [0]
     for k in range(1, len(feet)):
-        x, j = _reach(sizes, feet, k, feet[k] + tolerance, pair, pair_max)
+        x, j = _reach(sizes, feet, stack, k, feet[k] + tolerance, pair)
         if j >= 0:
             overlap = Violation(disks[j].id, disks[k].id, back(x - feet[k]))
             return VerificationResult(False, report, overlap)

@@ -24,6 +24,11 @@ Scalar = Union[Fraction, float]
 # the literal grammar of every file and of ``--tolerance``, matched whole
 _RATIONAL_RE = re.compile(r"[+-]?\d+/\d+")
 _DECIMAL_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+# Over these characters ``float`` accepts exactly the strings that
+# _DECIMAL_RE matches whole: no spaces, underscores, "inf" or "nan" can be
+# spelled, and its grammar of sign, digits, point and exponent is the
+# regex's.  A decimal column over them needs no match per literal.
+_DECIMAL_CHARS = b"0123456789+-.eE"
 
 
 class Backend(enum.Enum):
@@ -86,13 +91,27 @@ def lift(sizes: Sequence[Scalar], feet: Sequence[Scalar] = ()) -> tuple:
     c = Q / D**2.  A radius is then c*S**2 over Q and a tangency distance
     2*c*S_j*S_k, so geometry runs on integers; ``back(v) = Fraction(v, Q)``
     maps a result back.
+
+    Footpoints with many unrelated denominators would make Q, and with it
+    every lifted footpoint, grow with each one.  So Q may have at most the
+    bits of D**2 times the square of the largest footpoint denominator:
+    ``Fraction`` arithmetic on two footpoints and a tangency distance
+    forms numbers of that size, and lifted ones are then no larger.  Past
+    that bound the columns come back as they are, ``Fraction``s with
+    ``c = 1`` and ``back = Fraction``.
     """
     if not isinstance(sizes[0], Fraction):
         return sizes, feet, 1, float
     scale = math.lcm(*(v.denominator for v in sizes))
     ints = [v.numerator * (scale // v.denominator) for v in sizes]
     square = scale * scale
-    q = math.lcm(square, *(x.denominator for x in feet))
+    dens = {x.denominator for x in feet}
+    bound = square.bit_length() + 2 * max(dens, default=1).bit_length()
+    q = square
+    for den in dens:
+        q = math.lcm(q, den)
+        if q.bit_length() > bound:
+            return sizes, feet, 1, Fraction
     lifted = [x.numerator * (q // x.denominator) for x in feet]
     return ints, lifted, q // square, partial(Fraction, denominator=q)
 
@@ -108,6 +127,13 @@ def scalars(literals: Sequence[str]) -> tuple[list[Scalar], Backend]:
     first zero denominator.
     """
     exact = _RATIONAL_RE.fullmatch(literals[0]) is not None
+    if not exact:
+        joined = "".join(literals)
+        if joined.isascii() and not joined.encode().translate(None, _DECIMAL_CHARS):
+            try:
+                return list(map(float, literals)), Backend.FLOAT
+            except ValueError:
+                pass  # the match below names the literal
     grammar = _RATIONAL_RE if exact else _DECIMAL_RE
     if not all(map(grammar.fullmatch, literals)):
         if any(map(_RATIONAL_RE.fullmatch, literals)):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import heapq
 import re
+import statistics
+import time
 from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Optional, Sequence
@@ -22,6 +25,25 @@ from shelfpack.scalars import Backend, Scalar, lift, unified_backend
 
 def make_disks(sizes: Sequence, prefix: str = "d") -> list[Disk]:
     return [Disk(f"{prefix}{i}", s) for i, s in enumerate(sizes)]
+
+
+def doubling_ratio(fn, small, large, pairs: int = 5) -> float:
+    """Median over interleaved pairs of the time of ``fn(large)`` over that
+    of ``fn(small)``, with the garbage collector off; ``large`` holds twice
+    as many disks as ``small``."""
+    ratios = []
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(pairs):
+            start = time.perf_counter()
+            fn(small)
+            middle = time.perf_counter()
+            fn(large)
+            ratios.append((time.perf_counter() - middle) / (middle - start))
+    finally:
+        gc.enable()
+    return statistics.median(ratios)
 
 
 def random_linear_disks(rng, n: int) -> list[Disk]:

@@ -94,6 +94,17 @@ class TestSolve:
         assert "disk 'd2' has a size beyond the float range" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_float_backend_below_the_float_range_exits_3(self, tmp_path, capsys):
+        # the float of a positive size rounds to 0.0: not a non-positive size
+        path = write(
+            tmp_path / "tiny.instance",
+            f"shelfpack-instance v1\nd1 1/1\nd2 1/{10**400}\n",
+        )
+        out = tmp_path / "f.placement"
+        assert main(["solve", path, "--backend", "float", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: disk 'd2' has a size below the float range\n"
+        assert not out.exists()
+
     def test_linear_mode_rejects_nonlinear(self, nonlinear_instance, tmp_path):
         rc = main(
             ["solve", nonlinear_instance, "--mode", "linear", "--out", str(tmp_path / "x")]
@@ -339,6 +350,10 @@ class TestModuleEntry:
             tmp_path / "huge.instance",
             f"shelfpack-instance v1\na 1/1\nb {10**400}/1\n",
         )
+        tiny = write(
+            tmp_path / "tiny.instance",
+            f"shelfpack-instance v1\na 1/{10**400}\nb 1/1\n",
+        )
         exact_far = write(
             tmp_path / "far.placement", f"shelfpack-placement v1\na {10**200}/1 0/1\n"
         )
@@ -353,6 +368,7 @@ class TestModuleEntry:
             ([], 2),
             (["solve", big, "--mode", "exact"], 3),
             (["solve", huge, "--backend", "float"], 3),
+            (["solve", tiny, "--backend", "float"], 3),
             (["render", exact_far, "--out", svg], 3),
             (["render", float_far, "--out", svg], 3),
         ]

@@ -137,10 +137,15 @@ class TestAuxiliaryFormats:
 # Files are written with the forms a hand-written file may use: comments,
 # blank lines, tabs, signs, exponents, leading zeros, `.5` and `5.`.
 FILLERS = ["", "   ", "\t", "# a comment", "  # indented comment", "#"]
-BAD_LITERALS = ["x", "1..2", "1/2/3", "0x10", "nan", "inf", "1_0", "--1", "1e", "/2", "."]
+BAD_LITERALS = ["x", "1..2", "1/2/3", "0x10", "nan", "inf", "1_0", "--1", "1e", "/2", ".",
+                "1e+", "e5", "+", "-.e1"]
+# decimal forms at the edge of the grammar; Arabic-Indic digits match \d
+EDGE_DECIMALS = ["5.e2", "+.5E-3", "\u0663\u0660.5"]
 
 
 def _decimal(rng, negative_ok):
+    if rng.random() < 0.02:
+        return rng.choice(EDGE_DECIMALS)
     whole = str(rng.randint(0, 999)).zfill(rng.choice([1, 1, 3]))
     frac = str(rng.randint(0, 9999))
     text = rng.choice([whole, whole + ".", f"{whole}.{frac}", f".{frac}"])
@@ -184,8 +189,9 @@ def _random_rows(rng, n, exact, placement):
 def _render(rng, rows, placement):
     kind = "placement" if placement else "instance"
     lines = [f"shelfpack-{kind} v1"]
+    fill = rng.choice([0.0, 0.1])  # files this program writes have no fillers
     for row in rows:
-        while rng.random() < 0.1:
+        while rng.random() < fill:
             lines.append(rng.choice(FILLERS))
         lines.append(rng.choice(["", " ", "\t"]) + rng.choice([" ", "  ", "\t"]).join(row))
     return "\n".join(lines) + rng.choice(["\n", "", "\n\n# end\n"])

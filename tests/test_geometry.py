@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,6 +6,7 @@ import pytest
 
 from helpers import (
     brute_min_span,
+    doubling_ratio,
     make_disks,
     naive_compact,
     random_linear_disks,
@@ -12,10 +14,11 @@ from helpers import (
 )
 from shelfpack import linear, oracle
 from shelfpack.errors import BackendMismatchError, DomainError
-from shelfpack.scalars import Backend
+from shelfpack.scalars import Backend, coerce, lift
 from shelfpack.geometry import (
     Disk,
     Placement,
+    _disk_column,
     best_support_lower_bound,
     by_size,
     compact,
@@ -106,6 +109,79 @@ class TestPlacementConstructor:
         for feet in ([F(0)], [F(0), F(2), F(4)]):
             with pytest.raises(DomainError, match="one footpoint per disk"):
                 Placement(disks, feet)
+
+
+class FloatSize(float):
+    pass
+
+
+# Values that Disk and Placement take or refuse one at a time; the column
+# proofs must give the same objects or the same error text for each.
+ID_ROWS = ["a", "\u03a9", 3, None, b"a", "", "a b", "a\tb", " a", "a\u00a0b"]
+SCALAR_ROWS = [1.5, F(3, 2), True, False, 2, 0, FloatSize(1.5), 0.0, -0.0,
+               math.inf, -math.inf, math.nan, F(-1, 2), F(0), 1e-320]
+
+
+def _built(build):
+    """The outcome of ``build()``: what it holds, types included, or the
+    text of its DomainError (and of the error that caused it)."""
+    try:
+        return "ok", [[(type(v), repr(v)) for v in row] for row in build()]
+    except DomainError as exc:
+        return "error", str(exc), str(exc.__cause__)
+
+
+class TestColumnProofs:
+    @pytest.mark.parametrize("first", [None, 1.0, F(1)], ids=["alone", "float", "exact"])
+    def test_disk_column_builds_what_disk_builds(self, first):
+        for disk_id in ID_ROWS:
+            for size in SCALAR_ROWS:
+                ids, sizes = [disk_id], [size]
+                if first is not None:  # one valid row before and after
+                    ids, sizes = ["z", *ids, "y"], [first, *sizes, first]
+                want = _built(lambda: [(d.id, d.size) for d in map(Disk, ids, sizes)])
+                got = _built(lambda: [(d.id, d.size) for d in _disk_column(ids, sizes)])
+                assert got == want, (disk_id, size, first)
+
+    def test_disk_column_of_one_type(self):
+        for size in SCALAR_ROWS:
+            ids, sizes = ["a", "b", "c"], [size] * 3
+            want = _built(lambda: [(d.id, d.size) for d in map(Disk, ids, sizes)])
+            got = _built(lambda: [(d.id, d.size) for d in _disk_column(ids, sizes)])
+            assert got == want, size
+        assert _disk_column(("a", "b"), (2.0, 0.5)) == [Disk("a", 2.0), Disk("b", 0.5)]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_placement_footpoints_as_coerce_makes_them(self, exact):
+        one = F(1) if exact else 1.0
+        disks = make_disks([one, one, one])
+        for x in SCALAR_ROWS:
+            for feet in ([-4 * one, x, 4 * one], [x] * 3):
+
+                def coerced():
+                    for disk, value in zip(disks, feet):
+                        try:
+                            coerce(value)
+                        except DomainError as exc:
+                            raise DomainError(
+                                f"disk {disk.id!r} has footpoint {value!r}"
+                            ) from exc
+                    p = Placement(disks, list(map(coerce, feet)))
+                    return [p.disks, p.footpoints]
+
+                def placed():
+                    p = Placement(disks, feet)
+                    return [p.disks, p.footpoints]
+
+                try:
+                    want = _built(coerced)
+                except BackendMismatchError as exc:
+                    want = ("mixed", str(exc))
+                try:
+                    got = _built(placed)
+                except BackendMismatchError as exc:
+                    got = ("mixed", str(exc))
+                assert got == want, (x, feet)
 
 
 def footpoint_gaps(placement):
@@ -253,6 +329,18 @@ class TestCompact:
             assert got == want
 
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_one_large_disk_then_unit_disks_scales_linearly(self, exact):
+        # the staircase keeps two disks here; scanning every disk within
+        # the largest size's reach made this quadratic (ratio near 4)
+        def family(n):
+            return make_disks([F(10**4) if exact else 1e4] + [F(1) if exact else 1.0] * (n - 1))
+
+        few = family(300)
+        assert compact(few).footpoints == naive_compact(few).footpoints
+        assert doubling_ratio(compact, family(4000), family(8000)) < 3
+
+
 class TestSpan:
     def test_single_disk(self):
         a = F(3)
@@ -376,6 +464,46 @@ class TestVerify:
         nudged = Placement([a, b], [F(1, 7), F(1, 7) + F(4, 9) - F(1, 7 * 10**20)])
         assert verify(nudged, 0).violation.deficit == F(1, 7 * 10**20)
         assert span(touching).right_wall == F(1, 7) + F(4, 9) + F(4, 9)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_tie_names_the_later_disk(self, exact):
+        # a (size 2 at 0) and b (size 1 at 4) touch, and both reach 8 on a
+        # size-2 disk at 7: the later one, b, is named
+        two, one = (F(2), F(1)) if exact else (2.0, 1.0)
+        disks = [Disk("a", two), Disk("b", one), Disk("c", two)]
+        result = verify(Placement(disks, [0 * one, 4 * one, 7 * one]), 0)
+        assert (result.violation.left_disk_id, result.violation.right_disk_id) == ("b", "c")
+        assert result.violation.deficit == one
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_one_large_disk_then_unit_disks_scales_linearly(self, exact):
+        def family(n):
+            return compact(
+                make_disks([F(10**4) if exact else 1e4] + [F(1) if exact else 1.0] * (n - 1))
+            )
+
+        small, large = family(4000), family(8000)
+        assert verify(large, 0).ok
+        assert doubling_ratio(lambda p: verify(p, 0), small, large) < 3
+
+    def test_unrelated_footpoint_denominators_stay_fractions(self):
+        # Q = lcm(D**2, every denominator) would grow with each footpoint;
+        # past its bound the columns stay Fractions, and verify is linear
+        def family(n):
+            rng = random.Random(n)
+            feet = [3 * i + F(1, rng.randint(2, 10**6)) for i in range(n)]
+            return Placement(make_disks([F(1)] * n), feet)
+
+        small, large = family(4000), family(8000)
+        sizes, feet, c, back = lift([F(1)] * 8000, large.footpoints)
+        assert (c, back, tuple(feet)) == (1, F, large.footpoints)
+        result = verify(large, 0)
+        assert result.ok and result.report.span == large.footpoints[-1] - large.footpoints[0] + 2
+        nudged = list(large.footpoints)
+        nudged[5000] -= nudged[5000] - nudged[4999] - 2 + F(1, 10**9)
+        result = verify(Placement(large.disks, nudged), 0)
+        assert (result.violation.right_disk_id, result.violation.deficit) == ("d5000", F(1, 10**9))
+        assert doubling_ratio(lambda p: verify(p, 0), small, large, pairs=3) < 3
 
     def test_moving_a_chain_disk_left_is_rejected(self):
         rng = random.Random(29)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -52,6 +54,30 @@ def test_column_faults_name_the_first_offender():
         scalars(["0.5", "x", "1.5", "y"])
     with pytest.raises(ParseError, match="^zero denominator in rational literal '2/00'$"):
         scalars(["1/2", "2/00", "3/0"])
+
+
+def test_float_reads_the_decimal_grammar_over_its_characters():
+    # a decimal column over "0123456789+-.eE" is checked by float alone;
+    # every string of up to five of these characters (one digit stands for
+    # all) is read by float exactly when the grammar matches it whole
+    grammar = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+    for length in range(1, 6):
+        for chars in itertools.product("1+-.eE", repeat=length):
+            text = "".join(chars)
+            try:
+                float(text)
+            except ValueError:
+                with pytest.raises(ParseError, match="not a rational or decimal literal"):
+                    scalars(["1.5", text])
+                assert grammar.fullmatch(text) is None, text
+            else:
+                assert scalars(["1.5", text]) == ([1.5, float(text)], Backend.FLOAT)
+                assert grammar.fullmatch(text), text
+    # outside those characters the regex decides: \d takes other digits
+    assert scalars(["\u0663.5", "2"]) == ([3.5, 2.0], Backend.FLOAT)
+    for text in (" 1", "1_0", "inf", "1.5\n"):
+        with pytest.raises(ParseError, match="not a rational or decimal literal"):
+            scalars(["1.5", text])
 
 
 def test_format_round_trip():
