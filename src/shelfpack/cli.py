@@ -58,18 +58,18 @@ def _to_float_disks(disks: list[Disk]) -> list[Disk]:
     return floats
 
 
-def _parse_tolerance(text: str, backend: Backend) -> Scalar | int:
-    """Any literal suits a float placement (``verify`` takes it as a
-    float); an exact placement takes an integer or rational literal, never
-    a decimal one."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = parse_scalar(text)
+def _parse_tolerance(text: str, backend: Backend) -> Scalar:
+    """A literal of the file grammar.  Any literal suits a float placement
+    (``verify`` takes it as a float); an exact placement takes an integer
+    or rational literal, never a decimal one."""
+    value = parse_scalar(text)
     if backend is Backend.EXACT and isinstance(value, float):
-        raise PreconditionError(
-            "exact placements need a rational (or integer) tolerance"
-        )
+        try:
+            return parse_scalar(text + "/1")  # an integer literal is exact
+        except ParseError:
+            raise PreconditionError(
+                "exact placements need a rational (or integer) tolerance"
+            ) from None
     return value
 
 
@@ -143,6 +143,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_genhard(args: argparse.Namespace) -> int:
     inst = files.parse_3partition(Path(args.input).read_text(encoding="utf-8"))
     hi = build_instance(inst)  # PreconditionError names a violated constraint
+    if args.certificate:  # built before anything is written
+        groups = files.parse_groups(
+            Path(args.certificate).read_text(encoding="utf-8")
+        )
+        placement = build_certificate(hi, groups)
     files.write_instance(args.out, list(hi.disks))
     sidecar = Path(str(args.out) + ".json")
     sidecar.write_text(files.format_sidecar(hi), encoding="utf-8", newline="\n")
@@ -151,10 +156,6 @@ def cmd_genhard(args: argparse.Namespace) -> int:
     print(f"instance written to {args.out}")
     print(f"sidecar written to {sidecar}")
     if args.certificate:
-        groups = files.parse_groups(
-            Path(args.certificate).read_text(encoding="utf-8")
-        )
-        placement = build_certificate(hi, groups)
         certificate_path = Path(str(args.out) + ".certificate")
         files.write_placement(certificate_path, placement)
         print(f"certificate written to {certificate_path}")

@@ -253,12 +253,11 @@ def compact(order: Sequence[Disk]) -> Placement:
         raise DomainError("cannot compact an empty order")
     sizes = [d.size for d in order]
     unified_backend(sizes)
-    sizes, _, c, back = lift(sizes)
-    pair = 2 * c
+    sizes, _, _, back = lift(sizes)  # c = 1 without footpoints
     feet: list = []
     stack: list = []
     for k, s in enumerate(sizes):
-        feet.append(_reach(sizes, feet, stack, k, c * s * s, pair)[0])
+        feet.append(_reach(sizes, feet, stack, k, s * s, 2)[0])
     return Placement(order, list(map(back, feet)))
 
 

@@ -4,7 +4,7 @@ In such *linear case* instances every optimal placement is a chain of
 pairwise touching disks, so only the left-to-right order matters.  The
 optimal order interleaves large and small disks outward from the middle
 and can be written down after one sort, on integers for exact data
-(:func:`~shelfpack.geometry.by_size`).
+(:func:`~shelfpack.geometry.by_size`); it is compacted once.
 """
 
 from __future__ import annotations
@@ -37,13 +37,14 @@ def is_linear_case(disks: Iterable[Disk]) -> bool:
     return a * b < z * (a + b) and wall_fit_exceeds(z, a)
 
 
-def _interleave(desc: Sequence[Disk]) -> list[Disk]:
-    """Even-count pattern: largest and smallest meet in the middle, the
-    remaining disks alternate outward by parity of their size rank."""
+def _interleave(desc: Sequence[int]) -> list[int]:
+    """Even-count pattern over the size ranks ``desc``: largest and
+    smallest meet in the middle, the remaining ranks alternate outward by
+    parity.  Of an odd count the median ``desc[n // 2]`` is left out."""
     n = len(desc)
     half = n // 2
-    left: list[Disk] = []
-    right: list[Disk] = []
+    left: list[int] = []
+    right: list[int] = []
     for j in range(half):
         if j % 2 == 0:
             left.append(desc[j])
@@ -59,25 +60,25 @@ def solve_linear(disks: Iterable[Disk]) -> tuple[Placement, SpanReport]:
     """Compact the span-minimal order of a linear-case instance; consecutive
     disks all touch.
 
-    For an odd count the median disk goes to whichever end of the
-    even-count pattern yields the smaller compacted span (ties keep it on
-    the right).  Each candidate order is compacted exactly once.
+    For an odd count, :func:`_interleave` leaves out the median m, which
+    goes to the end of the pattern that gives the smaller span.  In the
+    linear case every compaction is a chain of touching disks whose walls
+    are its end disks: otherwise some disk would sit in the gap of two
+    touching disks or in a wall gap.  So the span of an order is
+    r_first + sum 2 s_i s_(i+1) + r_last, and with a, b the sizes at the
+    pattern's ends, m first minus m last is
+    (m**2 + 2 m a + b**2) - (a**2 + 2 b m + m**2) = (a - b)(2m - a - b).
+    m goes first iff that is negative; ties keep it on the right.
     """
     disks = list(disks)
     if not is_linear_case(disks):
         raise PreconditionError("not a linear-case instance")
-    desc = by_size(disks, "solve_linear")[0]
+    desc, sizes, _ = by_size(disks, "solve_linear")
     n = len(desc)
-    if n % 2 == 0:
-        candidates = [_interleave(desc)]
-    else:
-        median = desc[n // 2]
-        pattern = _interleave(desc[: n // 2] + desc[n // 2 + 1 :])
-        candidates = [[median] + pattern, pattern + [median]]
-    best = None
-    for order in candidates:
-        placement = compact(order)
-        report = span(placement)
-        if best is None or report.span <= best[1].span:  # ties: the later one
-            best = (placement, report)
-    return best
+    ranks = _interleave(range(n))
+    if n % 2:
+        m = n // 2
+        a, b = (sizes[ranks[0]], sizes[ranks[-1]]) if ranks else (sizes[m],) * 2
+        ranks = [m] + ranks if (a - b) * (a + b - 2 * sizes[m]) > 0 else ranks + [m]
+    placement = compact([desc[k] for k in ranks])
+    return placement, span(placement)

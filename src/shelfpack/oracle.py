@@ -67,10 +67,12 @@ def exact_solve(
     raises each remaining E[k] to x + 2 s_i s_k if that is larger.  These
     steps are monotone in the span and in E, so a dominated state never
     completes below the state that dominates it, and dropping it is
-    exact.  The best state of the last layer gives the order, which is
-    compacted.  The greedy span is an incumbent, and states at or above it
-    are dropped; if no order beats it, the greedy placement itself is
-    returned (its span is then optimal).
+    exact.  The greedy span is an incumbent, and states at or above it
+    are dropped.  One order is compacted: the best state's in the last
+    layer or, when no order beats the incumbent, the greedy placement's
+    footpoint order.  Compaction is componentwise minimal, so that order
+    compacts to at most the greedy span; on exact data no order beats
+    it, so the two are equal.
     """
     cfg = config or OracleConfig()
     items = list(disks)
@@ -121,12 +123,11 @@ def exact_solve(
                     )
         layer = following
 
-    if not layer:
-        # Nothing beat the greedy incumbent, so the greedy span is optimal.
-        placement = greedy.placement
-    else:
+    if layer:
         (front,) = layer.values()
         best_order = min(front, key=lambda state: state[0])[2]
-        placement = compact([items[i] for i in best_order])
-    report = span(placement)
-    return placement, report
+        order = [items[i] for i in best_order]
+    else:
+        order = greedy.placement.disks  # nothing beat the greedy span
+    placement = compact(order)
+    return placement, span(placement)

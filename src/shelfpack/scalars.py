@@ -164,8 +164,4 @@ def format_scalar(value: Scalar) -> str:
 
 def display_scalar(value: Scalar) -> str:
     """Human form for summaries: integral rationals print without the slash."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    return repr(value)
+    return format_scalar(value).removesuffix("/1")

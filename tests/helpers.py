@@ -15,11 +15,13 @@ from shelfpack.errors import DomainError, ParseError
 from shelfpack.geometry import (
     Disk,
     Placement,
+    SpanReport,
     best_support_lower_bound,
     compact,
     span,
 )
 from shelfpack.greedy import Certificate, GreedyResult
+from shelfpack.linear import _interleave
 from shelfpack.scalars import Backend, Scalar, lift, unified_backend
 
 
@@ -157,6 +159,27 @@ def naive_greedy(disks: Iterable[Disk]) -> GreedyResult:
     report = span(placement)
     lb = best_support_lower_bound(order)
     return GreedyResult(placement, Certificate(report.span, lb, report.span / lb), ops)
+
+
+def reference_solve_linear(disks: Iterable[Disk]) -> tuple[Placement, SpanReport]:
+    """``linear.solve_linear`` by measurement: for an odd count, compact
+    the median at either end of the even-count pattern of the other disks
+    and keep the smaller span, the right end on a tie."""
+    desc = sorted(disks, key=lambda d: (-d.size, d.id))
+    n = len(desc)
+    if n % 2 == 0:
+        candidates = [_interleave(desc)]
+    else:
+        median = desc[n // 2]
+        pattern = _interleave(desc[: n // 2] + desc[n // 2 + 1 :])
+        candidates = [[median] + pattern, pattern + [median]]
+    best = None
+    for order in candidates:
+        placement = compact(order)
+        report = span(placement)
+        if best is None or report.span <= best[1].span:
+            best = (placement, report)
+    return best
 
 
 def brute_min_span(disks: Sequence[Disk]):

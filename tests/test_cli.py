@@ -200,6 +200,38 @@ class TestVerify:
             assert main(args) == 0
             assert main(["verify", out]) == 0
 
+    def test_tolerance_uses_the_file_grammar(self, tmp_path):
+        # spaces and underscores are no literal of a file, so no tolerance
+        floats = write(
+            tmp_path / "f.placement",
+            "shelfpack-placement v1\nu1 1.0 0.0\nu2 1.0 2.0\n",
+        )
+        exact = write(
+            tmp_path / "e.placement",
+            "shelfpack-placement v1\na 1/1 1/1\nb 1/1 3/1\n",
+        )
+        for tolerance in (" 1", "1 ", "1_0", "0_0"):
+            assert main(["verify", floats, "--tolerance", tolerance]) == 2
+        assert main(["verify", exact, "--tolerance", "0_0"]) == 2
+        # an integer literal is exact; a decimal one is refused
+        for tolerance in ("0", "-0", "+0", "0/7"):
+            assert main(["verify", exact, "--tolerance", tolerance]) == 0
+        assert main(["verify", exact, "--tolerance", "0.0"]) == 3
+
+    def test_exact_mode_decimal_output_accepted(self, tmp_path, capsys):
+        # the oracle used to return this greedy placement as it was, and
+        # verify found d4 and d2 overlapping by 2.27e-13
+        sizes = (
+            "33.03772003267411 39.17464336993064 11.581501458750513 "
+            "2.728701968107273 9.76350626456952 1.8517185650551333 "
+            "1.2785622367672385"
+        ).split()
+        rows = "".join(f"d{i} {s}\n" for i, s in enumerate(sizes))
+        inst = write(tmp_path / "d7.instance", "shelfpack-instance v1\n" + rows)
+        out = str(tmp_path / "d7.placement")
+        assert main(["solve", inst, "--mode", "exact", "--out", out]) == 0
+        assert main(["verify", out]) == 0
+
     def test_exact_rejects_nonzero_tolerance(self, tmp_path):
         path = write(
             tmp_path / "ok.placement",
@@ -250,6 +282,16 @@ class TestGenhard:
             (tmp_path / "h.instance.certificate", "certificate_m4.placement"),
         ):
             assert written.read_bytes() == (data / golden).read_bytes(), golden
+
+    def test_bad_certificate_writes_nothing(self, tmp_path, capsys):
+        src = write(tmp_path / "3p.txt", "2 100\n30 33 37 26 35 39\n")
+        groups = write(tmp_path / "groups.txt", "1 2 4\n3 5 6\n")
+        out = tmp_path / "h.instance"
+        rc = main(["genhard", src, "--out", str(out), "--certificate", groups])
+        assert rc == 3
+        assert "sums to 111" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "h.instance.json").exists()
 
     def test_m3_counts(self, tmp_path, capsys):
         src = write(tmp_path / "3p.txt", "3 100\n30 33 37 26 35 39 31 32 37\n")

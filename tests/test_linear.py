@@ -8,6 +8,7 @@ from helpers import (
     improve_until_stuck,
     make_disks,
     random_linear_disks,
+    reference_solve_linear,
     reversal_improvement,
     touching_chain_total,
 )
@@ -101,7 +102,7 @@ class TestSolveLinear:
             _, orc = exact_solve(disks)
             assert lin.span == orc.span
 
-    def test_compacts_each_candidate_once(self, monkeypatch):
+    def test_compacts_one_order(self, monkeypatch):
         calls = []
 
         def counting_compact(order):
@@ -110,13 +111,26 @@ class TestSolveLinear:
 
         monkeypatch.setattr("shelfpack.linear.compact", counting_compact)
         rng = random.Random(11)
-        for n in (2, 3, 4, 7, 10, 13, 41, 100):
+        for n in (1, 2, 3, 4, 7, 10, 13, 41, 100):
             disks = random_linear_disks(rng, n)
             calls.clear()
             placement, report = solve_linear(disks)
-            assert calls == [n] * (2 if n % 2 else 1)
+            assert calls == [n]
             assert placement == compact(placement.disks)
             assert report == span(placement)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 15, 41, 101])
+    def test_median_rule_matches_two_compactions(self, n):
+        # exact sizes drawn with replacement from a few values, so ties
+        # among the median and the pattern's ends are common
+        rng = random.Random(n)
+        for _ in range(40):
+            pool = rng.sample(range(100, 200), rng.randint(1, 6))
+            disks = make_disks([F(rng.choice(pool), 100) for _ in range(n)])
+            placement, report = solve_linear(disks)
+            want_placement, want_report = reference_solve_linear(disks)
+            assert placement.disks == want_placement.disks
+            assert report == want_report
 
     def test_extreme_blocks_are_contiguous(self):
         # the 2k extreme-size disks always form a consecutive run

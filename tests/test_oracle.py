@@ -6,7 +6,7 @@ import pytest
 
 from helpers import brute_min_span, make_disks, random_linear_disks
 from shelfpack.errors import DomainError, PreconditionError
-from shelfpack.geometry import compact, span
+from shelfpack.geometry import compact, span, verify
 from shelfpack.greedy import greedy_solve
 from shelfpack.linear import solve_linear
 from shelfpack.oracle import OracleConfig, exact_solve
@@ -63,8 +63,10 @@ class TestAgainstEnumeration:
             if exact:
                 assert report.span == best
             else:
-                # a greedy fallback may differ from every compacted span
-                # by float rounding
+                # the greedy incumbent is the float span of the greedy's
+                # own placement; when it prunes every order, the greedy
+                # order is compacted, which may miss the smallest compacted
+                # span by float rounding
                 assert report.span == pytest.approx(best, rel=1e-12)
 
     def test_greedy_within_four_thirds_at_larger_n(self):
@@ -84,6 +86,44 @@ class TestAgainstEnumeration:
             for _ in range(100):
                 rng.shuffle(disks)
                 assert report.span <= span(compact(disks)).span
+
+
+class TestOneCompaction:
+    def test_compacts_one_order(self, monkeypatch):
+        calls = []
+
+        def counting_compact(order):
+            calls.append(len(order))
+            return compact(order)
+
+        monkeypatch.setattr("shelfpack.oracle.compact", counting_compact)
+        rng = random.Random(71)
+        instances = [make_disks([F(1), F(1)])]  # the greedy is optimal
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            sizes = [F(rng.randint(2, 40), rng.randint(1, 6)) for _ in range(n)]
+            instances.append(make_disks(sizes))
+        greedy_exits = 0
+        for disks in instances:
+            calls.clear()
+            placement, report = exact_solve(disks)
+            assert calls == [len(disks)]
+            assert report == span(placement)
+            greedy = greedy_solve(disks)
+            if report.span == greedy.certificate.span:
+                # no order beat the incumbent: the greedy's order is compacted
+                assert placement.disks == greedy.placement.disks
+                greedy_exits += 1
+        assert greedy_exits >= 1
+
+    @pytest.mark.parametrize("ratio", [1.9, 6, 50])
+    def test_float_outputs_pass_verify_at_tolerance_zero(self, ratio):
+        rng = random.Random(int(10 * ratio))
+        for _ in range(40):
+            n = rng.randint(4, 8)
+            disks = make_disks([ratio ** rng.random() for _ in range(n)])
+            placement, _ = exact_solve(disks)
+            assert verify(placement, 0).ok
 
 
 class TestSearchModes:

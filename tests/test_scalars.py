@@ -92,6 +92,11 @@ def test_display_scalar():
     assert display_scalar(Fraction(571)) == "571"
     assert display_scalar(Fraction(33, 133)) == "33/133"
     assert display_scalar(1.1875) == "1.1875"
+    # only a denominator of 1 leaves the slash off
+    assert display_scalar(Fraction(-3)) == "-3"
+    assert display_scalar(Fraction(0)) == "0"
+    assert display_scalar(Fraction(1, 11)) == "1/11"
+    assert display_scalar(Fraction(21, 101)) == "21/101"
 
 
 def test_coerce_and_backends():
