@@ -10,7 +10,7 @@ rational backend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import attrgetter, lt
@@ -32,6 +32,8 @@ class Disk:
         # "".split() is [], so the empty id fails the token test too
         if not isinstance(disk_id, str) or disk_id.split() != [disk_id]:
             raise DomainError(f"disk id must be a non-empty token, got {disk_id!r}")
+        if disk_id[0] == "#":  # files read such a line as a comment
+            raise DomainError(f"disk id must not start with '#', got {disk_id!r}")
         size = coerce(self.size)
         if size <= 0:
             raise DomainError(f"disk {disk_id!r} has non-positive size {size}")
@@ -60,13 +62,17 @@ def _disk_column(ids: Sequence[str], sizes: Sequence[Scalar]) -> list[Disk]:
     """``list(map(Disk, ids, sizes))``, with the checks run once per column.
 
     The ids must all be ``str`` tokens (joined and split again they come
-    back unchanged) and the sizes must pass :func:`_proven` with a
-    positive minimum; then the disks are built without
-    ``Disk.__post_init__``.  Any other columns go through ``Disk`` one
-    element at a time, which names the first offender."""
+    back unchanged) none of which starts with ``#``, and the sizes must
+    pass :func:`_proven` with a positive minimum; then the disks are built
+    without ``Disk.__post_init__``.  Any other columns go through ``Disk``
+    one element at a time, which names the first offender."""
     ids = list(ids)
     try:
-        tokens = " ".join(ids).split() == ids
+        joined = " ".join(ids)
+        # one character search settles the usual column with no '#' at all
+        tokens = joined.split() == ids and not (
+            "#" in joined and (joined[0] == "#" or " #" in joined)
+        )
     except TypeError:  # an id that is not a str
         tokens = False
     if tokens and len(sizes) == len(ids) and _proven(sizes):
@@ -90,10 +96,16 @@ class Placement:
     footpoints must be finite), one backend over sizes and footpoints,
     unique ids and strictly increasing footpoints.  The columns are sorted
     by footpoint first; an offender is named in footpoint order.
+
+    The placement lifts its columns once (see
+    :func:`~shelfpack.scalars.lift`) and keeps the lift, outside equality,
+    hash and repr: the order checks run on it, as integers for exact data,
+    and :func:`span` and :func:`verify` read it instead of lifting again.
     """
 
     disks: tuple[Disk, ...]
     footpoints: tuple[Scalar, ...]
+    _lift: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         disks, feet = tuple(self.disks), tuple(self.footpoints)
@@ -114,13 +126,17 @@ class Placement:
                 except DomainError as exc:
                     raise DomainError(f"disk {disk.id!r} has footpoint {x!r}") from exc
             raise
-        unified_backend([d.size for d in disks] + list(feet))
+        sizes = [d.size for d in disks]
+        unified_backend(sizes + list(feet))
+        sizes, lifted, c, back = lift(sizes, feet)
         # compaction and parsed files deliver footpoints in order already
-        in_order = all(map(lt, feet, feet[1:]))
+        in_order = all(map(lt, lifted, lifted[1:]))
         if not in_order:
-            order = sorted(range(len(feet)), key=feet.__getitem__)
+            order = sorted(range(len(feet)), key=lifted.__getitem__)
             disks = tuple(map(disks.__getitem__, order))
             feet = tuple(map(feet.__getitem__, order))
+            sizes = list(map(sizes.__getitem__, order))
+            lifted = list(map(lifted.__getitem__, order))
         ids = [d.id for d in disks]
         if len(set(ids)) < len(ids):
             seen: set[str] = set()
@@ -130,12 +146,13 @@ class Placement:
                 seen.add(disk_id)
         if not in_order:
             for k in range(1, len(feet)):
-                if feet[k - 1] == feet[k]:
+                if lifted[k - 1] == lifted[k]:
                     raise DomainError(
                         f"footpoints of {ids[k - 1]!r} and {ids[k]!r} coincide"
                     )
         object.__setattr__(self, "disks", disks)
         object.__setattr__(self, "footpoints", feet)
+        object.__setattr__(self, "_lift", (sizes, lifted, c, back))
 
     @property
     def backend(self) -> Backend:
@@ -231,7 +248,9 @@ def by_size(disks: Iterable[Disk], caller: str) -> tuple:
     sizes = [d.size for d in items]
     unified_backend(sizes)
     sizes, _, _, back = lift(sizes)
-    rank = sorted(range(len(items)), key=lambda i: (-sizes[i], items[i].id))
+    # two stable sorts, by id and then by size; reverse keeps ties in order
+    rank = sorted(range(len(items)), key=[d.id for d in items].__getitem__)
+    rank.sort(key=sizes.__getitem__, reverse=True)
     return [items[i] for i in rank], [sizes[i] for i in rank], back
 
 
@@ -262,12 +281,11 @@ def compact(order: Sequence[Disk]) -> Placement:
 
 
 def span(placement: Placement) -> SpanReport:
-    """Measure the span, on integers for exact data (see
-    :func:`~shelfpack.scalars.lift`); ties at a wall go to the smallest id."""
+    """Measure the span on the placement's kept lift, as integers for exact
+    data (see :class:`Placement`); ties at a wall go to the smallest id."""
     if not isinstance(placement, Placement):
         raise DomainError("span requires a non-empty placement")
-    disks = placement.disks
-    return _span(disks, *lift([d.size for d in disks], placement.footpoints))
+    return _span(placement.disks, *placement._lift)
 
 
 def _span(disks: Sequence[Disk], sizes, feet, c, back) -> SpanReport:
@@ -296,8 +314,8 @@ def verify(placement: Placement, tolerance: Scalar) -> VerificationResult:
     float compactions pass at tolerance 0.  A rejection names the first
     overlapped disk in footpoint order, the earlier disk that overlaps it
     most and their deficit x_j + 2 s_j s_k - x_k; the span report comes
-    either way.  Exact data is checked on integers (see
-    :func:`~shelfpack.scalars.lift`).
+    either way.  The check reads the placement's kept lift, so exact data
+    is checked on integers without lifting again (see :class:`Placement`).
     """
     tolerance = coerce(tolerance)
     if tolerance < 0:
@@ -310,7 +328,7 @@ def verify(placement: Placement, tolerance: Scalar) -> VerificationResult:
     except OverflowError:
         raise DomainError("tolerance is beyond the float range") from None
     disks = placement.disks
-    sizes, feet, c, back = lift([d.size for d in disks], placement.footpoints)
+    sizes, feet, c, back = placement._lift
     report = _span(disks, sizes, feet, c, back)
     pair = 2 * c
     stack = [0]

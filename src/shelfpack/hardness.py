@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import DomainError, InconsistencyError, PreconditionError
-from .geometry import Disk, Placement, compact, verify
+from .geometry import Disk, Placement, _disk_column, compact, verify
 from .scalars import Backend
 
 SIZE_OUTER = Fraction(1)
@@ -83,10 +83,11 @@ class HardnessInstance:
 
 
 def partition_disk_size(element: int, bound: int) -> Fraction:
-    """Size encoding one element: (17/99) * ((3/100) * element/bound + 99/100)."""
+    """Size encoding one element: (17/99) * ((3/100) * element/bound + 99/100),
+    formed as the one fraction 17 * (3*element + 99*bound) / (9900*bound)."""
     if bound <= 0 or element <= 0:
         raise DomainError("element and bound must be positive")
-    return Fraction(17, 99) * (Fraction(3, 100) * Fraction(element, bound) + Fraction(99, 100))
+    return Fraction(17 * (3 * element + 99 * bound), 9900 * bound)
 
 
 def validate_3partition(inst: ThreePartitionInstance) -> None:
@@ -118,30 +119,27 @@ def _build_family(
     elements: Sequence[int], bound: int
 ) -> tuple[tuple[Disk, ...], dict[str, DiskRole], dict[str, int]]:
     m = len(elements) // 3
-    disks: list[Disk] = []
+    ids: list[str] = []
+    sizes: list[Fraction] = []
     roles: dict[str, DiskRole] = {}
-    element_index: dict[str, int] = {}
-
-    def add(prefix: str, k: int, size: Fraction, role: DiskRole) -> str:
-        disk_id = f"{prefix}-{k}"
-        disks.append(Disk(disk_id, size))
-        roles[disk_id] = role
-        return disk_id
-
-    for k in range(m + 1):
-        add("outer", k, SIZE_OUTER, DiskRole.OUTER_FRAME)
-    for k in range(4 * (m + 1)):
-        add("inner", k, SIZE_INNER, DiskRole.INNER_FRAME)
-    for k in range(2 * (m + 1)):
-        add("large", k, SIZE_LARGE_FILLER, DiskRole.LARGE_FILLER)
-    for k in range(2 * (m + 1)):
-        add("small", k, SIZE_SMALL_FILLER, DiskRole.SMALL_FILLER)
-    for k in range(2):
-        add("end", k, SIZE_END, DiskRole.END)
-    for idx, a in enumerate(elements, start=1):
-        disk_id = add("part", idx, partition_disk_size(a, bound), DiskRole.PARTITION)
-        element_index[disk_id] = idx
-    return tuple(disks), roles, element_index
+    for prefix, count, size, role in (
+        ("outer", m + 1, SIZE_OUTER, DiskRole.OUTER_FRAME),
+        ("inner", 4 * (m + 1), SIZE_INNER, DiskRole.INNER_FRAME),
+        ("large", 2 * (m + 1), SIZE_LARGE_FILLER, DiskRole.LARGE_FILLER),
+        ("small", 2 * (m + 1), SIZE_SMALL_FILLER, DiskRole.SMALL_FILLER),
+        ("end", 2, SIZE_END, DiskRole.END),
+    ):
+        block = [f"{prefix}-{k}" for k in range(count)]
+        ids += block
+        sizes += [size] * count
+        roles.update(dict.fromkeys(block, role))
+    element_index = {f"part-{idx}": idx for idx in range(1, len(elements) + 1)}
+    ids += element_index
+    sizes += [partition_disk_size(a, bound) for a in elements]
+    roles.update(dict.fromkeys(element_index, DiskRole.PARTITION))
+    # the ids are distinct tokens and the sizes positive Fractions, so the
+    # column is checked once rather than disk by disk
+    return tuple(_disk_column(ids, sizes)), roles, element_index
 
 
 def build_instance(inst: ThreePartitionInstance) -> HardnessInstance:
@@ -237,7 +235,8 @@ def decode_partition(hi: HardnessInstance, placement: Placement) -> PartitionSol
         raise PreconditionError(
             f"span {result.report.span} exceeds the budget {hi.budget}"
         )
-    footpoints = {disk.id: x for disk, x in placement}
+    # bisect on the placement's kept lift: integers, in footpoint order
+    footpoints = dict(zip((d.id for d in placement.disks), placement._lift[1]))
     outer = sorted(
         footpoints[d.id] for d in hi.disks if hi.roles[d.id] is DiskRole.OUTER_FRAME
     )

@@ -15,6 +15,8 @@ import math
 import re
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
+from operator import attrgetter, floordiv, mul
 from typing import Iterable, Sequence, Union
 
 from .errors import BackendMismatchError, DomainError, ParseError
@@ -29,6 +31,8 @@ _DECIMAL_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 # spelled, and its grammar of sign, digits, point and exponent is the
 # regex's.  A decimal column over them needs no match per literal.
 _DECIMAL_CHARS = b"0123456789+-.eE"
+
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
 class Backend(enum.Enum):
@@ -66,7 +70,10 @@ def unified_backend(values: Iterable[Scalar]) -> Backend:
     values = list(values)
     backend: Backend | None = None
     # one value per type, in order of first occurrence: the same errors as
-    # a check of every value, without a call per value
+    # a check of every value, without a call per value; a set of the types
+    # is the cheaper pass and settles the common column of one type
+    if len(set(map(type, values))) == 1:
+        values = values[:1]
     for value in dict(zip(map(type, values), values)).values():
         b = backend_of(value)
         if backend is None:
@@ -99,20 +106,26 @@ def lift(sizes: Sequence[Scalar], feet: Sequence[Scalar] = ()) -> tuple:
     forms numbers of that size, and lifted ones are then no larger.  Past
     that bound the columns come back as they are, ``Fraction``s with
     ``c = 1`` and ``back = Fraction``.
+
+    A :class:`~shelfpack.geometry.Placement` calls this once, when it is
+    built, and keeps the result; the solvers lift sizes alone.
+    Numerators and denominators are read one column at a time.
     """
     if not isinstance(sizes[0], Fraction):
         return sizes, feet, 1, float
-    scale = math.lcm(*(v.denominator for v in sizes))
-    ints = [v.numerator * (scale // v.denominator) for v in sizes]
+    size_dens = list(map(_denominator, sizes))
+    scale = math.lcm(*set(size_dens))
+    ints = list(map(mul, map(_numerator, sizes), map(floordiv, repeat(scale), size_dens)))
     square = scale * scale
-    dens = {x.denominator for x in feet}
+    foot_dens = list(map(_denominator, feet))
+    dens = set(foot_dens)
     bound = square.bit_length() + 2 * max(dens, default=1).bit_length()
     q = square
     for den in dens:
         q = math.lcm(q, den)
         if q.bit_length() > bound:
             return sizes, feet, 1, Fraction
-    lifted = [x.numerator * (q // x.denominator) for x in feet]
+    lifted = list(map(mul, map(_numerator, feet), map(floordiv, repeat(q), foot_dens)))
     return ints, lifted, q // square, partial(Fraction, denominator=q)
 
 
@@ -121,10 +134,10 @@ def scalars(literals: Sequence[str]) -> tuple[list[Scalar], Backend]:
 
     ``p/q`` literals are exact and decimal literals are float; the first
     literal decides which, every literal must then match that grammar
-    whole, and the column is converted in one pass.  Only a column that
-    fails is searched again, for the message: a mix of rational and
-    decimal literals, else the first literal that is neither, else the
-    first zero denominator.
+    whole, and the column is converted in one pass, with one ``Fraction``
+    per distinct exact literal.  Only a column that fails is searched
+    again, for the message: a mix of rational and decimal literals, else
+    the first literal that is neither, else the first zero denominator.
     """
     exact = _RATIONAL_RE.fullmatch(literals[0]) is not None
     if not exact:
@@ -143,8 +156,11 @@ def scalars(literals: Sequence[str]) -> tuple[list[Scalar], Backend]:
     if not exact:
         return list(map(float, literals)), Backend.FLOAT
     try:
-        pairs = (text.split("/") for text in literals)
-        return [Fraction(int(p), int(q)) for p, q in pairs], Backend.EXACT
+        # sizes repeat, so each distinct literal becomes one Fraction
+        distinct = dict.fromkeys(literals)
+        pairs = map(str.split, distinct, repeat("/"))
+        value = dict(zip(distinct, [Fraction(int(p), int(q)) for p, q in pairs]))
+        return list(map(value.__getitem__, literals)), Backend.EXACT
     except ZeroDivisionError:
         bad = next(text for text in literals if int(text.split("/")[1]) == 0)
         raise ParseError(f"zero denominator in rational literal {bad!r}") from None

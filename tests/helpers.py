@@ -22,7 +22,7 @@ from shelfpack.geometry import (
 )
 from shelfpack.greedy import Certificate, GreedyResult
 from shelfpack.linear import _interleave
-from shelfpack.scalars import Backend, Scalar, lift, unified_backend
+from shelfpack.scalars import Backend, Scalar, coerce, lift, unified_backend
 
 
 def make_disks(sizes: Sequence, prefix: str = "d") -> list[Disk]:
@@ -75,6 +75,61 @@ def reference_by_size(disks: Iterable[Disk], caller: str) -> tuple:
     unified_backend(sizes)
     sizes, _, _, back = lift(sizes)
     return order, sizes, back
+
+
+def reference_placement(disks: Sequence[Disk], feet: Sequence) -> tuple[tuple, tuple]:
+    """The checks of ``Placement(disks, feet)`` on the unlifted scalars:
+    the columns sorted by footpoint, or the same :class:`DomainError`
+    naming the same first offender."""
+    disks = tuple(disks)
+    if not disks:
+        raise DomainError("a placement must contain at least one disk")
+    if len(disks) != len(feet):
+        raise DomainError(
+            f"a placement needs one footpoint per disk, got {len(disks)} "
+            f"disks and {len(feet)} footpoints"
+        )
+    coerced = []
+    for disk, x in zip(disks, feet):
+        try:
+            coerced.append(coerce(x))
+        except DomainError as exc:
+            raise DomainError(f"disk {disk.id!r} has footpoint {x!r}") from exc
+    unified_backend([d.size for d in disks] + coerced)
+    order = sorted(range(len(disks)), key=coerced.__getitem__)
+    disks = tuple(disks[i] for i in order)
+    feet = tuple(coerced[i] for i in order)
+    seen: set[str] = set()
+    for disk in disks:
+        if disk.id in seen:
+            raise DomainError(f"duplicate disk id {disk.id!r} in placement")
+        seen.add(disk.id)
+    for k in range(1, len(feet)):
+        if feet[k - 1] == feet[k]:
+            raise DomainError(f"footpoints of {disks[k - 1].id!r} and {disks[k].id!r} coincide")
+    return disks, feet
+
+
+def fresh_lift(placement: Placement) -> tuple:
+    """The lift of a placement's columns, made from scratch."""
+    return lift([d.size for d in placement.disks], placement.footpoints)
+
+
+def unlifted(placement: Placement) -> tuple:
+    """A placement's columns as they are, in the form that
+    :func:`~shelfpack.scalars.lift` gives past its guard: every check on it
+    runs on the scalars themselves."""
+    back = float if placement.backend is Backend.FLOAT else Fraction
+    return [d.size for d in placement.disks], list(placement.footpoints), 1, back
+
+
+def with_lift(placement: Placement, lifted: tuple) -> Placement:
+    """A copy of ``placement`` that keeps ``lifted`` in place of its own lift."""
+    copy = object.__new__(Placement)
+    object.__setattr__(copy, "disks", placement.disks)
+    object.__setattr__(copy, "footpoints", placement.footpoints)
+    object.__setattr__(copy, "_lift", lifted)
+    return copy
 
 
 def naive_compact(order: Sequence[Disk]) -> Placement:

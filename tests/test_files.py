@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import make_disks, reference_parse_instance, reference_parse_placement
-from shelfpack.errors import ParseError
+from shelfpack.errors import DomainError, ParseError
 from shelfpack.files import (
     format_instance,
     format_placement,
@@ -14,7 +14,7 @@ from shelfpack.files import (
     parse_instance,
     parse_placement,
 )
-from shelfpack.geometry import compact
+from shelfpack.geometry import Disk, compact
 from shelfpack.hardness import ThreePartitionInstance, build_instance
 from shelfpack.scalars import Backend
 
@@ -81,6 +81,16 @@ class TestPlacementFormat:
         text = "shelfpack-placement v1\na 2/1 0/1\nb 41/50 -82/25\n"
         placement = parse_placement(text)
         assert placement.footpoints[0] == F(-82, 25)
+
+    def test_ids_with_a_hash_round_trip_or_are_refused(self):
+        # a line starting with '#' is a comment, so no disk id may start
+        # with one; elsewhere in an id it is an ordinary character
+        disks = [Disk("a#", F(1)), Disk("b#c", F(2)), Disk("c", F(3))]
+        placement = compact(disks)
+        assert parse_placement(format_placement(placement)) == placement
+        assert parse_instance(format_instance(disks)) == (disks, Backend.EXACT)
+        with pytest.raises(DomainError, match="must not start with '#', got '#a'"):
+            Disk("#a", F(3))
 
     def test_coincident_footpoints_rejected(self):
         with pytest.raises(ParseError, match="not a valid placement"):

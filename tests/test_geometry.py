@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -7,12 +8,16 @@ import pytest
 from helpers import (
     brute_min_span,
     doubling_ratio,
+    fresh_lift,
     make_disks,
     naive_compact,
     random_linear_disks,
     reference_by_size,
+    reference_placement,
+    unlifted,
+    with_lift,
 )
-from shelfpack import linear, oracle
+from shelfpack import geometry, linear, oracle
 from shelfpack.errors import BackendMismatchError, DomainError
 from shelfpack.scalars import Backend, coerce, lift
 from shelfpack.geometry import (
@@ -33,7 +38,8 @@ from shelfpack.hardness import (
     SIZE_SMALL_FILLER,
     partition_disk_size,
 )
-from shelfpack.files import format_placement
+from shelfpack.files import format_placement, parse_placement
+from shelfpack.svg import render_svg
 from shelfpack.linear import solve_linear
 from shelfpack.oracle import exact_solve
 
@@ -116,8 +122,10 @@ class FloatSize(float):
 
 
 # Values that Disk and Placement take or refuse one at a time; the column
-# proofs must give the same objects or the same error text for each.
-ID_ROWS = ["a", "\u03a9", 3, None, b"a", "", "a b", "a\tb", " a", "a\u00a0b"]
+# proofs must give the same objects or the same error text for each.  An id
+# may hold a '#' but not start with one: files read such a line as a comment.
+ID_ROWS = ["a", "\u03a9", 3, None, b"a", "", "a b", "a\tb", " a", "a\u00a0b",
+           "#a", "#", "a#b", "a #b"]
 SCALAR_ROWS = [1.5, F(3, 2), True, False, 2, 0, FloatSize(1.5), 0.0, -0.0,
                math.inf, -math.inf, math.nan, F(-1, 2), F(0), 1e-320]
 
@@ -182,6 +190,120 @@ class TestColumnProofs:
                 except BackendMismatchError as exc:
                     got = ("mixed", str(exc))
                 assert got == want, (x, feet)
+
+
+def _outcome(build):
+    """What ``build()`` returns, types included, or its error and text."""
+    try:
+        return "ok", repr(build())
+    except DomainError as exc:
+        return "error", type(exc).__name__, str(exc)
+
+
+def _typed(lifted):
+    """A lift's columns with the type of every value, its c, and what its
+    ``back`` maps 7 to."""
+    sizes, feet, c, back = lifted
+    return [[(type(v), repr(v)) for v in column] for column in (sizes, feet)], c, repr(back(7))
+
+
+def lift_cases(rng):
+    """(disks, footpoints) columns: exact and float compactions and
+    overlapping placements, each in order and shuffled, and footpoints
+    3i + 1/r_i that trip the lift's guard."""
+    for exact in (True, False):
+        for n in (1, 2, 7, 40):
+            sizes = [F(rng.randint(1, 40), rng.randint(1, 8)) for _ in range(n)]
+            if not exact:
+                sizes = [float(v) for v in sizes]
+            disks = make_disks(sizes)
+            feet = list(compact(disks).footpoints)
+            # spread: every disk moves by its own small fraction, some inward
+            moved = [x + (F(rng.randint(-9, 9), rng.choice((7, 11, 13))) if exact
+                          else rng.uniform(-1, 1)) for x in feet]
+            for columns in ((disks, feet), (disks, moved)):
+                yield columns
+                order = rng.sample(range(n), n)
+                yield [columns[0][i] for i in order], [columns[1][i] for i in order]
+    n = 30
+    guard = [3 * i + F(1, rng.randint(2, 10**6)) for i in range(n)]
+    order = rng.sample(range(n), n)
+    disks = make_disks([F(1)] * n)
+    yield disks, guard
+    yield [disks[i] for i in order], [guard[i] for i in order]
+
+
+class TestKeptLift:
+    """A placement lifts its columns once and keeps the lift; whatever reads
+    it must answer as a lift made from scratch, and as the unlifted
+    scalars, would."""
+
+    def test_kept_lift_is_a_fresh_one(self):
+        rng = random.Random(101)
+        guarded = 0
+        for disks, feet in lift_cases(rng):
+            p = Placement(disks, feet)
+            assert _typed(p._lift) == _typed(fresh_lift(p))
+            guarded += p._lift[3] is F
+        assert guarded == 2
+
+    def test_columns_and_errors_match_the_unlifted_checks(self):
+        rng = random.Random(103)
+        for disks, feet in lift_cases(rng):
+            cases = [(disks, feet)]
+            if len(disks) > 2:
+                twin = list(feet)
+                twin[-1] = twin[1]  # two disks share a footpoint
+                dup = [*disks[:-1], disks[0]]  # and two share an id
+                cases += [(disks, twin), (dup, feet), (dup, twin)]
+            for d, x in cases:
+                got = _outcome(lambda: [Placement(d, x).disks, Placement(d, x).footpoints])
+                want = _outcome(lambda: list(reference_placement(d, x)))
+                assert got == want, (d, x)
+
+    def test_span_and_verify_read_the_kept_lift(self):
+        rng = random.Random(107)
+        for disks, feet in lift_cases(rng):
+            p = Placement(disks, feet)
+            exact = p.backend is Backend.EXACT
+            for q in (with_lift(p, fresh_lift(p)), with_lift(p, unlifted(p))):
+                assert repr(span(q)) == repr(span(p))
+                for tolerance in (0,) if exact else (0, 0.0, 0.5):
+                    assert repr(verify(q, tolerance)) == repr(verify(p, tolerance))
+
+    def test_parse_verify_span_render_lift_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return lift(*args)
+
+        monkeypatch.setattr(geometry, "lift", counted)
+        p = compact(make_disks([F(3, 2), F(1), F(5, 3)]))
+        calls.clear()
+        q = parse_placement(format_placement(p))
+        assert verify(q, 0).ok
+        span(q)
+        render_svg(q)
+        assert calls == [3]
+
+    def test_equality_hash_and_repr_ignore_the_kept_lift(self):
+        disks = make_disks([F(1), F(2), F(1, 2)])
+        p = Placement(disks, [F(9), F(1), F(4)])
+        q = with_lift(Placement(disks[::-1], [F(4), F(1), F(9)]), ("other",))
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+        assert "_lift" not in repr(p) and "other" not in repr(q)
+        assert p != Placement(disks, [F(9), F(1), F(5)])
+
+    def test_replace_checks_and_lifts_again(self):
+        p = compact(make_disks([F(1), F(2), F(1, 2)]))
+        moved = dataclasses.replace(p, footpoints=[x + F(1, 7) for x in p.footpoints])
+        assert _typed(moved._lift) == _typed(fresh_lift(moved))
+        assert span(moved).left_wall == span(p).left_wall + F(1, 7)
+        with pytest.raises(DomainError, match="footpoints of 'd0' and 'd1' coincide"):
+            dataclasses.replace(p, footpoints=[F(0)] * 3)
+        with pytest.raises(ValueError):
+            dataclasses.replace(p, _lift=p._lift)
 
 
 def footpoint_gaps(placement):

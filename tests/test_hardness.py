@@ -1,11 +1,12 @@
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from helpers import footpoint_distance
-from shelfpack.errors import InconsistencyError, PreconditionError
+from helpers import footpoint_distance, fresh_lift, unlifted, with_lift
+from shelfpack.errors import InconsistencyError, PreconditionError, ShelfPackError
 from shelfpack.geometry import Disk, Placement, span, verify
 from shelfpack.hardness import (
     GAP_SIZE_BUDGET,
@@ -46,6 +47,14 @@ class TestConstants:
         assert partition_disk_size(1, 3) == F(17, 99)
         assert partition_disk_size(33, 99) == F(17, 99)
         assert 3 * partition_disk_size(33, 99) == GAP_SIZE_BUDGET
+
+    @pytest.mark.parametrize("bound", [10_000, 997])
+    def test_element_disk_size_closed_form(self, bound):
+        # one Fraction equals the product the module docstring states, for
+        # every element the reduction allows
+        for a in range(bound // 4 + 1, (bound + 1) // 2):
+            product = F(17, 99) * (F(3, 100) * F(a, bound) + F(99, 100))
+            assert partition_disk_size(a, bound) == product
 
 
 class TestValidate3Partition:
@@ -111,6 +120,14 @@ class TestBuildInstance:
                 idx = hi.element_index[disk.id]
                 expected = partition_disk_size(M2_INSTANCE.elements[idx - 1], 100)
                 assert disk.size == expected
+
+    def test_disks_are_the_disks_disk_builds(self):
+        hi = build_instance(M2_INSTANCE)
+        assert hi.disks == tuple(Disk(d.id, d.size) for d in hi.disks)
+        assert [hi.roles[d.id] for d in hi.disks[:3]] == [DiskRole.OUTER_FRAME] * 3
+        assert [d.id for d in hi.disks[-6:]] == [f"part-{k}" for k in range(1, 7)]
+        assert list(hi.roles) == [d.id for d in hi.disks]
+        assert list(hi.element_index.items()) == [(f"part-{k}", k) for k in range(1, 7)]
 
     def test_rejects_invalid_source(self):
         with pytest.raises(PreconditionError, match="a_i < B/2"):
@@ -282,6 +299,51 @@ class TestDecodePreconditions:
             )
             with pytest.raises(InconsistencyError, match="lies in no frame gap"):
                 decode_partition(relabelled, cert)
+
+
+def random_3partition(rng, m, bound=100):
+    """A valid instance with m groups of elements in (B/4, B/2), shuffled,
+    and its partition."""
+    triples = []
+    while len(triples) < m:
+        a, b = rng.randint(bound // 4 + 1, bound // 2 - 1), rng.randint(bound // 4 + 1, bound // 2 - 1)
+        if bound // 4 < bound - a - b < bound / 2:
+            triples.append((a, b, bound - a - b))
+    flat = [x for t in triples for x in t]
+    order = rng.sample(range(3 * m), 3 * m)
+    elements = tuple(flat[i] for i in order)
+    where = {i: k + 1 for k, i in enumerate(order)}
+    groups = tuple(tuple(where[3 * g + j] for j in range(3)) for g in range(m))
+    return ThreePartitionInstance(elements, bound), PartitionSolution(groups)
+
+
+class TestDecodeOnTheKeptLift:
+    def _decoded(self, hi, placement):
+        try:
+            return "ok", decode_partition(hi, placement)
+        except ShelfPackError as exc:
+            return "error", type(exc).__name__, str(exc)
+
+    def test_same_groups_and_errors_as_fresh_and_unlifted_columns(self):
+        rng = random.Random(113)
+        cases = []
+        for m in (2, 5, 12):
+            inst, sol = random_3partition(rng, m)
+            hi = build_instance(inst)
+            cert = build_certificate(hi, sol)
+            cases.append((hi, cert))
+            # over budget, and an end disk relabelled into no frame gap
+            cases.append((hi, Placement(cert.disks, [x + 1 if x >= 5 else x for x in cert.footpoints])))
+            end = next(d for d in cert.disks if hi.roles[d.id] is DiskRole.END)
+            cases.append((replace(hi, roles={**hi.roles, end.id: DiskRole.PARTITION},
+                                  element_index={**hi.element_index, end.id: 1}), cert))
+            # groups decoded from a certificate whose gaps are in another order
+            cases.append((hi, build_certificate(hi, PartitionSolution(sol.groups[::-1]))))
+        for hi, placement in cases:
+            want = self._decoded(hi, placement)
+            assert self._decoded(hi, with_lift(placement, fresh_lift(placement))) == want
+            assert self._decoded(hi, with_lift(placement, unlifted(placement))) == want
+        assert [self._decoded(hi, p)[0] for hi, p in cases] == ["ok", "error", "error", "ok"] * 3
 
 
 class TestIdentitySuite:

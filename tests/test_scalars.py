@@ -144,3 +144,24 @@ def test_lift_scales_sizes_to_integers():
     assert back(scale * scale) == 1 and back(1) == Fraction(1, scale * scale)
     floats = [0.5, 3.0]
     assert lift(floats) == (floats, (), 1, float)
+
+
+def test_lift_of_footpoints_over_their_common_denominator():
+    sizes = [Fraction(1, 3), Fraction(2, 3)]
+    feet = [Fraction(1, 7), Fraction(-5, 2), Fraction(4)]
+    ints, lifted, c, back = lift(sizes, feet)
+    q = math.lcm(9, 7, 2)
+    assert (ints, c) == ([1, 2], q // 9)
+    assert lifted == [x * q for x in feet] and all(type(x) is int for x in lifted)
+    assert list(map(back, lifted)) == feet
+
+
+def test_one_fraction_per_distinct_exact_literal():
+    column = ["1/2", "3/4", "1/2", "2/4", "-1/2", "3/4"]
+    values, backend = scalars(column)
+    assert backend is Backend.EXACT
+    assert values == [Fraction(text) for text in column]
+    assert values[0] is values[2] and values[1] is values[5]
+    assert values[3] == values[0] and values[3] is not values[0]
+    with pytest.raises(ParseError, match="zero denominator in rational literal '3/0'"):
+        scalars(["1/2", "1/2", "3/0", "1/2", "4/0"])
