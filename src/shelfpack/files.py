@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 from .errors import DomainError, ParseError
 from .geometry import Disk, Placement, _disk_column
 from .hardness import HardnessInstance, PartitionSolution, ThreePartitionInstance
-from .scalars import Backend, Scalar, format_scalar, scalars
+from .scalars import Backend, Scalar, _format_column, format_scalar, scalars
 
 INSTANCE_HEADER = "shelfpack-instance v1"
 PLACEMENT_HEADER = "shelfpack-placement v1"
@@ -93,9 +93,9 @@ def parse_instance(text: str) -> tuple[list[Disk], Backend]:
 
 
 def format_instance(disks: Sequence[Disk]) -> str:
-    lines = [INSTANCE_HEADER]
-    lines.extend(f"{d.id} {format_scalar(d.size)}" for d in disks)
-    return "\n".join(lines) + "\n"
+    sizes = _format_column([d.size for d in disks])
+    rows = map(" ".join, zip([d.id for d in disks], sizes))
+    return "\n".join([INSTANCE_HEADER, *rows, ""])
 
 
 def parse_placement(text: str) -> Placement:
@@ -111,12 +111,11 @@ def parse_placement(text: str) -> Placement:
 
 
 def format_placement(placement: Placement) -> str:
-    lines = [PLACEMENT_HEADER]
-    lines.extend(
-        f"{disk.id} {format_scalar(disk.size)} {format_scalar(x)}"
-        for disk, x in placement
-    )
-    return "\n".join(lines) + "\n"
+    disks = placement.disks
+    sizes = _format_column([d.size for d in disks])
+    feet = _format_column(placement.footpoints)
+    rows = map(" ".join, zip([d.id for d in disks], sizes, feet))
+    return "\n".join([PLACEMENT_HEADER, *rows, ""])
 
 
 def parse_3partition(text: str) -> ThreePartitionInstance:

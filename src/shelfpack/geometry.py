@@ -10,6 +10,7 @@ rational backend.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -20,9 +21,17 @@ from .errors import DomainError
 from .scalars import Backend, Scalar, backend_of, coerce, lift, unified_backend
 
 
+# A float size must have a radius size*size that is a normal float: an
+# infinite radius has no geometry, and a subnormal or zero one has lost the
+# relative precision that spans and their lower bound are divided by.
+_RADIUS_MIN, _RADIUS_MAX = sys.float_info.min, sys.float_info.max
+
+
 @dataclass(frozen=True, slots=True)
 class Disk:
-    """A disk identified by ``id`` with positive size (radius = size**2)."""
+    """A disk identified by ``id`` with positive size (radius = size**2).
+
+    A float size must have a radius that is a normal float."""
 
     id: str
     size: Scalar
@@ -37,6 +46,10 @@ class Disk:
         size = coerce(self.size)
         if size <= 0:
             raise DomainError(f"disk {disk_id!r} has non-positive size {size}")
+        if isinstance(size, float) and not _RADIUS_MIN <= size * size <= _RADIUS_MAX:
+            raise DomainError(
+                f"disk {disk_id!r} has size {size!r}, whose radius leaves the float range"
+            )
         object.__setattr__(self, "size", size)
 
     @property
@@ -63,7 +76,8 @@ def _disk_column(ids: Sequence[str], sizes: Sequence[Scalar]) -> list[Disk]:
 
     The ids must all be ``str`` tokens (joined and split again they come
     back unchanged) none of which starts with ``#``, and the sizes must
-    pass :func:`_proven` with a positive minimum; then the disks are built
+    pass :func:`_proven` with a positive minimum (float sizes: and radii
+    that are normal floats, as ``Disk`` demands); then the disks are built
     without ``Disk.__post_init__``.  Any other columns go through ``Disk``
     one element at a time, which names the first offender."""
     ids = list(ids)
@@ -76,8 +90,12 @@ def _disk_column(ids: Sequence[str], sizes: Sequence[Scalar]) -> list[Disk]:
     except TypeError:  # an id that is not a str
         tokens = False
     if tokens and len(sizes) == len(ids) and _proven(sizes):
-        signs = map(attrgetter("numerator"), sizes) if type(sizes[0]) is Fraction else sizes
-        if min(signs) > 0:
+        if type(sizes[0]) is Fraction:
+            valid = min(map(attrgetter("numerator"), sizes)) > 0
+        else:  # x*x is monotone for x > 0, so the extremes bound every radius
+            low, high = min(sizes), max(sizes)
+            valid = low > 0 and _RADIUS_MIN <= low * low and high * high <= _RADIUS_MAX
+        if valid:
             disks = list(map(object.__new__, repeat(Disk, len(ids))))
             list(map(_SET_ID, disks, ids))
             list(map(_SET_SIZE, disks, sizes))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import floordiv, truediv
 from typing import Iterable
 
 from .geometry import Disk, Placement, by_size, prefix_support_bound
@@ -46,7 +47,7 @@ class Certificate:
 class GreedyResult:
     placement: Placement
     certificate: Certificate
-    queue_ops: int  # heap pushes plus non-stale pops; bounded by 3n
+    queue_ops: int  # heap pushes plus pops: 3 per gap placement, 1 per end placement
 
 
 def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
@@ -82,67 +83,63 @@ def _greedy(order: list[Disk], sizes: list, back) -> tuple[GreedyResult, Scalar]
     # floor(g * unit / w) >= d * unit exactly when g/w >= d.
     unit = 1 << 2 * (4 * max(sizes)).bit_length() if exact else 1
     ids = [d.id for d in order]
-    foot: list = [sizes[0] * 0]
-    right_nb: list[int] = [-1]
+    n = len(sizes)
+    foot: list = [sizes[0] * 0] * n
+    right_nb = [-1] * n  # the right neighbour of each placed disk, or -1
     head = tail = 0
     left_wall = foot[0] - sizes[0] * sizes[0]
     right_wall = foot[0] + sizes[0] * sizes[0]
-    # heap entries: (-fit, left id, left index, right index); -fit is the
-    # float itself or the negated exact key
+    # Heap entries: (-fit, left id, left index, right index); -fit is the
+    # float itself or the negated exact key.  Only the top gap is ever
+    # split, and it is split when it is taken, so every entry is a pair of
+    # neighbours: there are no stale entries to skip.
     heap: list[tuple] = []
-    push, pop = heapq.heappush, heapq.heappop
-    ops = 0  # heap pushes plus non-stale pops
+    push, replace = heapq.heappush, heapq.heapreplace
+    div = floordiv if exact else truediv
+    in_gaps = 0
 
-    for k in range(1, len(sizes)):
+    for k in range(1, n):
         d = sizes[k]
-        limit = d * unit
-        pairs = None
-        while heap:
-            neg_fit, _, li, ri = heap[0]
-            if right_nb[li] != ri:  # stale: the pair is no longer adjacent
-                pop(heap)
-                continue
-            if -neg_fit < limit:
-                break
-            pop(heap)
-            ops += 1
+        if heap and -heap[0][0] >= d * unit:
+            # the widest gap fits: its entry becomes its left half, and the
+            # right half is pushed
+            _, _, li, ri = heap[0]
             if sizes[li] <= sizes[ri]:
                 x = foot[li] + 2 * sizes[li] * d
             else:
                 x = foot[ri] - 2 * sizes[ri] * d
-            right_nb.append(ri)
+            foot[k] = x
+            right_nb[k] = ri
             right_nb[li] = k
-            pairs = ((li, k), (k, ri))
-            break
-        if pairs is None:
-            x_left = foot[head] - 2 * sizes[head] * d
-            x_right = foot[tail] + 2 * sizes[tail] * d
-            fits_left = x_left - d * d >= left_wall
-            fits_right = x_right + d * d <= right_wall
-            if fits_left or (not fits_right and sizes[head] > sizes[tail]):
-                x = x_left
-                right_nb.append(head)
-                pairs = ((k, head),)
-                head = k
-            else:
-                x = x_right
-                right_nb.append(-1)
-                right_nb[tail] = k
-                pairs = ((tail, k),)
-                tail = k
-        foot.append(x)
-        for li, ri in pairs:
-            gap = foot[ri] - foot[li]
-            width = 2 * (sizes[li] + sizes[ri])
-            fit = gap * unit // width if exact else gap / width
-            push(heap, (-fit, ids[li], li, ri))
-        ops += len(pairs)
-        le = x - d * d
-        re = x + d * d
-        if le < left_wall:
-            left_wall = le
-        if re > right_wall:
-            right_wall = re
+            gap, width = x - foot[li], 2 * (sizes[li] + d)
+            replace(heap, (-div(gap * unit, width), ids[li], li, k))
+            gap, width = foot[ri] - x, 2 * (d + sizes[ri])
+            push(heap, (-div(gap * unit, width), ids[k], k, ri))
+            in_gaps += 1
+            # The disk is no larger than either neighbour and sits between
+            # their footpoints, so it stays inside the walls: only end
+            # placements move them.
+            continue
+        x_left = foot[head] - 2 * sizes[head] * d
+        x_right = foot[tail] + 2 * sizes[tail] * d
+        fits_left = x_left - d * d >= left_wall
+        fits_right = x_right + d * d <= right_wall
+        if fits_left or (not fits_right and sizes[head] > sizes[tail]):
+            li, ri = k, head
+            x = foot[k] = x_left
+            right_nb[k] = head
+            head = k
+            if not fits_left:
+                left_wall = x - d * d
+        else:
+            li, ri = tail, k
+            x = foot[k] = x_right
+            right_nb[tail] = k
+            tail = k
+            if not fits_right:
+                right_wall = x + d * d
+        gap, width = foot[ri] - foot[li], 2 * (sizes[li] + sizes[ri])
+        push(heap, (-div(gap * unit, width), ids[li], li, ri))
 
     # The walls are the extents span() finds, and the bound is
     # best_support_lower_bound's prefix pass over the sorted sizes.
@@ -158,5 +155,7 @@ def _greedy(order: list[Disk], sizes: list, back) -> tuple[GreedyResult, Scalar]
         chain.append(k)
         k = right_nb[k]
     placement = Placement([order[k] for k in chain], [back(foot[k]) for k in chain])
+    # a gap placement pops one entry and pushes two, an end placement pushes one
+    ops = n - 1 + 2 * in_gaps
     return GreedyResult(placement, certificate, ops), lifted
 

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 from .errors import DomainError, PreconditionError
 from .geometry import Disk, Placement, SpanReport, by_size, compact, span
 from .geometry import wall_fit_exceeds
-from .scalars import unified_backend
+from .scalars import lift, unified_backend
 
 
 def is_linear_case(disks: Iterable[Disk]) -> bool:
@@ -23,8 +23,11 @@ def is_linear_case(disks: Iterable[Disk]) -> bool:
 
     With a, b the two largest sizes and z the smallest, the instance is
     linear iff 1/z < 1/a + 1/b and z > (sqrt(2) - 1) a, both strict.
-    The first comparison is evaluated as a*b < z*(a + b).  The three sizes
-    are read in linear time, without sorting.
+    The first comparison is evaluated as a*b < z*(a + b).  Both are
+    homogeneous of degree 2 in the sizes, so they are read from the sizes
+    lifted once (see :func:`~shelfpack.scalars.lift`): exact sizes as the
+    integers S = size*D over their common denominator D, floats as they
+    are.  a, b and z come from linear passes over that column.
     """
     sizes = [d.size for d in disks]
     if not sizes:
@@ -32,6 +35,7 @@ def is_linear_case(disks: Iterable[Disk]) -> bool:
     unified_backend(sizes)
     if len(sizes) == 1:
         return True  # a lone disk has no gap to hide in
+    sizes = lift(sizes)[0]
     a, b = heapq.nlargest(2, sizes)
     z = min(sizes)
     return a * b < z * (a + b) and wall_fit_exceeds(z, a)

@@ -171,11 +171,19 @@ def parse_scalar(text: str) -> Scalar:
     return scalars([text])[0][0]
 
 
+def _format_column(values: Sequence[Scalar]) -> list[str]:
+    """The file form of each value of a column of one backend, in one pass:
+    ``numerator/denominator`` for an exact column, whose values always
+    keep the slash, and ``repr`` for any other.  The first value decides
+    which."""
+    if values and not isinstance(values[0], float) and isinstance(values[0], Fraction):
+        return [f"{v.numerator}/{v.denominator}" for v in values]
+    return list(map(repr, values))
+
+
 def format_scalar(value: Scalar) -> str:
     """Round-trippable file form: exact values always keep the slash."""
-    if not isinstance(value, float) and isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return repr(value)
+    return _format_column((value,))[0]
 
 
 def display_scalar(value: Scalar) -> str:

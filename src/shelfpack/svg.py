@@ -18,6 +18,10 @@ from .geometry import Placement, span
 _MARGIN = 20.0
 _LABEL_BAND = 24.0
 _OUT_OF_RANGE = "the drawing of this placement leaves the float range"
+_CIRCLE = (
+    '<circle cx="%.12g" cy="%.12g" r="%.12g" fill="none" stroke="black" '
+    'stroke-width="1"><title>%s</title></circle>'
+)
 
 
 def _fmt(value: float) -> str:
@@ -62,13 +66,14 @@ def render_svg(placement: Placement, scale: float = 40.0) -> str:
             f'x2="{_fmt(x_of(wall))}" y2="{_fmt(baseline_y)}" stroke="black" '
             f'stroke-width="1" stroke-dasharray="4 3"/>'
         )
-    for disk, x, r in zip(placement.disks, feet, radii):
-        parts.append(
-            f'<circle cx="{_fmt(x_of(x))}" '
-            f'cy="{_fmt(baseline_y - scale * r)}" r="{_fmt(scale * r)}" '
-            f'fill="none" stroke="black" stroke-width="1">'
-            f"<title>{disk.id}</title></circle>"
-        )
+    # Rounding is monotone, so every circle stays within values checked
+    # above: margin <= cx <= the right wall's x, and r and cy lie in
+    # [0, baseline_y].  The circles need no check per value.
+    circles = (
+        _CIRCLE % (_MARGIN + scale * (x - left), baseline_y - r, r, disk.id)
+        for disk, x, r in zip(placement.disks, feet, map(scale.__mul__, radii))
+    )
+    parts.extend(circles)
     parts.append(
         f'<text x="{_fmt(width / 2)}" y="{_fmt(baseline_y + 16.0)}" '
         f'text-anchor="middle" font-family="monospace" font-size="12">'

@@ -105,6 +105,28 @@ class TestSolve:
         assert capsys.readouterr().err == "error: disk 'd2' has a size below the float range\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("body, line, size", [
+        ("a 1e-200\nb 1e-200\nc 3e-200\n", 2, "1e-200"),
+        ("a 1e-200\n", 2, "1e-200"),
+        ("z 1.0\na 1e200\n", 3, "1e+200"),
+    ])
+    def test_float_radius_beyond_the_float_range_exits_2(self, tmp_path, capsys, body, line, size):
+        # the first two used to divide by a lower bound of 0.0 (exit 1)
+        path = write(tmp_path / "far.instance", f"shelfpack-instance v1\n{body}")
+        out = tmp_path / "far.placement"
+        assert main(["solve", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line {line}: disk 'a' has size {size}, whose radius leaves the float range\n"
+        )
+        assert not out.exists()
+
+    def test_float_backend_radius_below_the_float_range_exits_3(self, tmp_path, capsys):
+        path = write(tmp_path / "small.instance", f"shelfpack-instance v1\nd1 1/{10**200}\n")
+        assert main(["solve", path, "--backend", "float"]) == 3
+        assert capsys.readouterr().err == (
+            "error: disk 'd1' has size 1e-200, whose radius leaves the float range\n"
+        )
+
     def test_linear_mode_rejects_nonlinear(self, nonlinear_instance, tmp_path):
         rc = main(
             ["solve", nonlinear_instance, "--mode", "linear", "--out", str(tmp_path / "x")]
@@ -239,6 +261,15 @@ class TestVerify:
         )
         assert main(["verify", path, "--tolerance", "1/10"]) == 3
 
+    def test_float_radius_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        # used to verify as "span: inf" and reject with "overlap by inf"
+        path = write(tmp_path / "far.placement",
+                     "shelfpack-placement v1\na 1e200 0\nb 1e200 1e308\n")
+        assert main(["verify", path]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: line 2: disk 'a' has size 1e+200, whose radius leaves the float range\n"
+        ))
+
     def test_empty_file(self, tmp_path):
         path = write(tmp_path / "empty.placement", "")
         assert main(["verify", path]) == 2
@@ -342,8 +373,10 @@ class TestRender:
             assert not out.exists()
 
     def test_beyond_the_float_range_exits_3(self, tmp_path, capsys):
-        # an exact size whose float overflows, and a float radius that does
-        for size in (f"{10**200}/1 0/1", "1e200 0.0"):
+        # an exact size whose float overflows, and a float radius that is
+        # finite but whose drawing overflows (a radius beyond the float
+        # range is refused when the file is read)
+        for size in (f"{10**200}/1 0/1", "1e154 0.0"):
             path = write(tmp_path / "huge.placement", f"shelfpack-placement v1\na {size}\n")
             out = tmp_path / "x.svg"
             assert main(["render", path, "--out", str(out)]) == 3
@@ -400,8 +433,12 @@ class TestModuleEntry:
             tmp_path / "far.placement", f"shelfpack-placement v1\na {10**200}/1 0/1\n"
         )
         float_far = write(
-            tmp_path / "far_float.placement", "shelfpack-placement v1\na 1e200 0.0\n"
+            tmp_path / "far_float.placement", "shelfpack-placement v1\na 1e154 0.0\n"
         )
+        float_radius = write(
+            tmp_path / "radius.placement", "shelfpack-placement v1\na 1e200 0.0\n"
+        )
+        exact_tiny = write(tmp_path / "small.instance", f"shelfpack-instance v1\na 1/{10**200}\n")
         svg = str(tmp_path / "x.svg")
         cases = [
             (["solve", linear_instance], 0),
@@ -413,6 +450,8 @@ class TestModuleEntry:
             (["solve", tiny, "--backend", "float"], 3),
             (["render", exact_far, "--out", svg], 3),
             (["render", float_far, "--out", svg], 3),
+            (["render", float_radius, "--out", svg], 2),
+            (["solve", exact_tiny, "--backend", "float"], 3),
         ]
         for args, code in cases:
             module = self.run(["-m", "shelfpack"], args)

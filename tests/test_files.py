@@ -16,7 +16,7 @@ from shelfpack.files import (
 )
 from shelfpack.geometry import Disk, compact
 from shelfpack.hardness import ThreePartitionInstance, build_instance
-from shelfpack.scalars import Backend
+from shelfpack.scalars import Backend, format_scalar
 
 
 class TestInstanceFormat:
@@ -99,6 +99,23 @@ class TestPlacementFormat:
     def test_mixed_literals_rejected(self):
         with pytest.raises(ParseError, match="mixes"):
             parse_placement("shelfpack-placement v1\na 1/1 0.5\n")
+
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_columns_written_as_rows_of_format_scalar(self, exact):
+        # the columns are formatted whole; each row must read as its values
+        # formatted one at a time
+        rng = random.Random(67)
+        sizes = [F(rng.randint(1, 10**6), rng.choice((1, 3, 10**6))) for _ in range(200)]
+        disks = make_disks(sizes if exact else [float(s) for s in sizes])
+        placement = compact(disks)
+        want = "".join(
+            f"{d.id} {format_scalar(d.size)} {format_scalar(x)}\n" for d, x in placement
+        )
+        assert format_placement(placement) == "shelfpack-placement v1\n" + want
+        want = "".join(f"{d.id} {format_scalar(d.size)}\n" for d in disks)
+        assert format_instance(disks) == "shelfpack-instance v1\n" + want
+        assert format_instance([]) == "shelfpack-instance v1\n"
 
 
 class TestAuxiliaryFormats:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -127,7 +128,8 @@ class FloatSize(float):
 ID_ROWS = ["a", "\u03a9", 3, None, b"a", "", "a b", "a\tb", " a", "a\u00a0b",
            "#a", "#", "a#b", "a #b"]
 SCALAR_ROWS = [1.5, F(3, 2), True, False, 2, 0, FloatSize(1.5), 0.0, -0.0,
-               math.inf, -math.inf, math.nan, F(-1, 2), F(0), 1e-320]
+               math.inf, -math.inf, math.nan, F(-1, 2), F(0), 1e-320,
+               1e-200, 1e200, FloatSize(1e200), 1.3e154, F(1, 10**200)]
 
 
 def _built(build):
@@ -158,6 +160,28 @@ class TestColumnProofs:
             got = _built(lambda: [(d.id, d.size) for d in _disk_column(ids, sizes)])
             assert got == want, size
         assert _disk_column(("a", "b"), (2.0, 0.5)) == [Disk("a", 2.0), Disk("b", 0.5)]
+
+    def test_float_radius_must_be_a_normal_float(self):
+        # the radius size*size must be a normal float: below its least
+        # normal value, or infinite, the size is refused, one column or
+        # one disk at a time, with the one message
+        low = math.sqrt(sys.float_info.min)
+        high = math.sqrt(sys.float_info.max)
+        low = low if low * low >= sys.float_info.min else math.nextafter(low, 2)
+        high = high if high * high <= sys.float_info.max else math.nextafter(high, 0)
+        for size, ok in ((low, True), (math.nextafter(low, 0), False), (high, True),
+                         (math.nextafter(high, math.inf), False), (1e-200, False),
+                         (1e200, False), (FloatSize(1e200), False), (1.0, True)):
+            for sizes in ([size], [1.0, size, 2.0], [size, size]):
+                ids = [f"d{i}" for i in range(len(sizes))]
+                want = _built(lambda: [(d.id, d.size) for d in map(Disk, ids, sizes)])
+                got = _built(lambda: [(d.id, d.size) for d in _disk_column(ids, sizes)])
+                assert got == want, (size, sizes)
+                assert (want[0] == "ok") is ok, (size, want)
+        with pytest.raises(DomainError) as error:
+            Disk("a", 1e-200)
+        assert str(error.value) == "disk 'a' has size 1e-200, whose radius leaves the float range"
+        assert Disk("a", F(1, 10**200)).radius == F(1, 10**400)  # exact sizes have no range
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_placement_footpoints_as_coerce_makes_them(self, exact):

@@ -182,6 +182,28 @@ class TestAgainstNaiveGreedy:
     def test_reduction_instance(self, exact):
         self.assert_same(reduction_disks(20, seed=53), exact)
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_one_and_two_disks(self, exact):
+        for sizes in ([F(3)], [F(1, 3)], [F(2), F(2)], [F(2), F(1)], [F(1), F(5, 7)],
+                      [F(2), F(82, 100)]):
+            for disks in (make_disks(sizes), make_disks(sizes[::-1])):
+                self.assert_same(disks, exact)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_tie_heavy(self, exact):
+        # few distinct sizes in long runs, so gaps tie on fit and the
+        # (left id, left index, right index) order decides
+        rng = random.Random(59)
+        for _ in range(60):
+            dens = (1, 2, 3, 7)
+            kinds = [F(rng.randint(1, 12), rng.choice(dens)) for _ in range(rng.randint(1, 4))]
+            sizes = [rng.choice(kinds) for _ in range(rng.randint(1, 120))]
+            disks = make_disks(sizes)
+            rng.shuffle(disks)
+            self.assert_same(disks, exact)
+        self.assert_same(make_disks([F(1)] * 200), exact)
+        self.assert_same(make_disks([F(4)] * 3 + [F(2)] * 40 + [F(1)] * 90), exact)
+
     def test_fits_closer_than_float_precision(self):
         # z, then y on its right, then c on its left: the gaps (c, z) and
         # (z, y) fit 2/3 and 2(1+eps)/(3+eps), about 1e-21 apart, so both

@@ -31,6 +31,37 @@ class TestIsLinearCase:
         for _ in range(50):
             assert is_linear_case(random_linear_disks(rng, rng.randint(2, 9)))
 
+    @staticmethod
+    def reference(sizes):
+        """The two comparisons on the sizes themselves."""
+        *_, b, a = sorted(sizes)
+        z = min(sizes)
+        return a * b < z * (a + b) and (z + a) ** 2 > 2 * a * a
+
+    def test_lifted_sizes_against_fractions(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            den = rng.choice((1, 7, 990, 13200, 2**40 + 1))
+            n = rng.randint(2, 12)
+            sizes = [F(rng.randint(den, rng.choice((2, 3, 6)) * den), rng.choice((1, den)))
+                     for _ in range(n)]
+            disks = make_disks(sizes)
+            rng.shuffle(disks)
+            assert is_linear_case(disks) is self.reference(sizes), sizes
+            floats = make_disks([float(x) for x in sizes])
+            assert is_linear_case(floats) is self.reference([d.size for d in floats])
+
+    def test_boundary_of_the_gap_test(self):
+        # a*b == z*(a + b): the smallest disk fits the gap exactly, which
+        # is not linear; a hair larger is, over denominators of all kinds
+        for a, b in ((F(2), F(2)), (F(10, 7), F(13, 10)), (F(12, 5), F(11, 5)),
+                     (F(10**12 + 3, 10**12), F(10**12 + 1, 10**12))):
+            z = a * b / (a + b)
+            for bump, want in ((0, False), (F(1, 10**30), True)):
+                sizes = [b, a, z + bump, b, (z + b) / 2]
+                assert self.reference(sizes) is want
+                assert is_linear_case(make_disks(sizes)) is want, (a, b, bump)
+
     def test_one_disk_is_linear(self):
         # a lone disk has no gap to hide in; an empty list has no answer
         assert is_linear_case(make_disks([F(1)])) is True

@@ -8,6 +8,7 @@ import pytest
 from shelfpack.errors import BackendMismatchError, DomainError, ParseError
 from shelfpack.scalars import (
     Backend,
+    _format_column,
     backend_of,
     coerce,
     display_scalar,
@@ -86,6 +87,26 @@ def test_format_round_trip():
         assert isinstance(parse_scalar(format_scalar(value)), Fraction)
     for value in [0.33, 1.0, 2.0000000000000004, 8.0089]:
         assert parse_scalar(format_scalar(value)) == value
+
+
+class FloatSize(float):
+    def __repr__(self):  # repr decides a float's file form, a subclass's too
+        return f"FloatSize({float(self)!r})"
+
+
+def test_format_column_matches_format_scalar_value_by_value():
+    exact = [Fraction(571), Fraction(-3), Fraction(0), Fraction(-5, 7), Fraction(33, 133),
+             Fraction(10**30 + 1, 10**20), Fraction(-(2**70), 3)]
+    floats = [0.33, 1.0, -0.0, 0.0, -2.5, 5e-324, 2.2250738585072014e-308 / 3,
+              1.7976931348623157e308, 2.0000000000000004, FloatSize(1.5), FloatSize(-0.0)]
+    for column in (exact, floats, exact[:1], floats[:1], floats[::-1]):
+        assert _format_column(column) == [format_scalar(v) for v in column]
+        assert _format_column(tuple(column)) == _format_column(column)
+    assert _format_column(exact) == [f"{v.numerator}/{v.denominator}" for v in exact]
+    assert _format_column(floats) == list(map(repr, floats))
+    assert format_scalar(Fraction(-3)) == "-3/1" and format_scalar(-0.0) == "-0.0"
+    assert format_scalar(FloatSize(1.5)) == "FloatSize(1.5)"
+    assert _format_column([]) == []
 
 
 def test_display_scalar():

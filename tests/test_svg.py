@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from helpers import make_disks
 from shelfpack.errors import DomainError
-from shelfpack.geometry import Disk, Placement, compact
+from shelfpack.geometry import Disk, Placement, compact, span
+from shelfpack.greedy import greedy_solve
 from shelfpack.svg import render_svg
 
 
@@ -43,7 +45,38 @@ def test_exact_placement_beyond_the_float_range_rejected():
 
 
 def test_float_radius_overflow_rejected():
-    # the size is a finite float, its radius is not
-    placement = Placement([Disk("a", 1e200)], [0.0])
+    # the radius is a finite float, its drawing is not (a radius beyond the
+    # float range is refused by Disk)
+    placement = Placement([Disk("a", 1e154)], [0.0])
     with pytest.raises(DomainError, match="float range"):
         render_svg(placement)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_circles_as_formatted_one_value_at_a_time(exact):
+    # the circle rows are filled from one template; each coordinate must
+    # read as the value formatted on its own
+    rng = random.Random(61)
+    sizes = [F(rng.randint(1, 5000), rng.choice((7, 1000))) for _ in range(300)]
+    disks = make_disks(sizes if exact else [float(s) for s in sizes])
+    placement = greedy_solve(disks).placement
+    scale = 13.7
+    report = span(placement)
+    left = float(report.left_wall)
+    baseline_y = 20.0 + scale * 2 * max(float(d.radius) for d in placement.disks)
+    want = [
+        f'<circle cx="{20.0 + scale * (float(x) - left):.12g}" '
+        f'cy="{baseline_y - scale * float(d.radius):.12g}" r="{scale * float(d.radius):.12g}" '
+        f'fill="none" stroke="black" stroke-width="1"><title>{d.id}</title></circle>'
+        for d, x in placement
+    ]
+    lines = render_svg(placement, scale).splitlines()
+    got = [line for line in lines if line.startswith("<circle")]
+    assert got == want
+
+
+def test_far_apart_footpoints_rejected():
+    # far apart footpoints: the drawing overflows towards the right wall
+    placement = Placement(make_disks([1.0, 1.0]), [-1e308, 1e308])
+    with pytest.raises(DomainError, match="float range"):
+        render_svg(placement, 1.0)
