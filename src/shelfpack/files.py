@@ -24,9 +24,19 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ParseError
-from .geometry import Disk, Placement, _disk_column
+from .geometry import Disk, Placement, _disk_column, _Ratios
 from .hardness import HardnessInstance, PartitionSolution, ThreePartitionInstance
-from .scalars import Backend, Scalar, _format_column, format_scalar, scalars
+from .scalars import (
+    Backend,
+    Scalar,
+    _format_column,
+    _format_lifted,
+    _fractions,
+    _ints,
+    _read_column,
+    format_scalar,
+    scalars,
+)
 
 INSTANCE_HEADER = "shelfpack-instance v1"
 PLACEMENT_HEADER = "shelfpack-placement v1"
@@ -102,10 +112,15 @@ def parse_placement(text: str) -> Placement:
     numbers, (ids, sizes, feet) = _columns(
         text, PLACEMENT_HEADER, "placement", "<id> <size> <footpoint>"
     )
-    values, _ = scalars(sizes + feet)
-    disks = _disks(numbers, ids, values[: len(ids)])
+    values, _ = _read_column(sizes + feet)
+    if values is None:  # exact: the footpoints stay ints
+        disks = _disks(numbers, ids, _fractions(sizes))
+        parts = _ints(feet)
+        feet = _Ratios(parts[0::2], parts[1::2])
+    else:
+        disks, feet = _disks(numbers, ids, values[: len(ids)]), values[len(ids) :]
     try:
-        return Placement(disks, values[len(ids) :])
+        return Placement(disks, feet)
     except DomainError as exc:
         raise ParseError(f"not a valid placement: {exc}") from exc
 
@@ -113,7 +128,8 @@ def parse_placement(text: str) -> Placement:
 def format_placement(placement: Placement) -> str:
     disks = placement.disks
     sizes = _format_column([d.size for d in disks])
-    feet = _format_column(placement.footpoints)
+    _, lifted, _, back = placement._lift
+    feet = _format_lifted(lifted, back)
     rows = map(" ".join, zip([d.id for d in disks], sizes, feet))
     return "\n".join([PLACEMENT_HEADER, *rows, ""])
 

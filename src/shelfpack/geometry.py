@@ -103,6 +103,29 @@ def _disk_column(ids: Sequence[str], sizes: Sequence[Scalar]) -> list[Disk]:
     return list(map(Disk, ids, sizes))
 
 
+class _Lifted(list):
+    """Exact footpoints as a solver computes them: integers over D**2, with
+    the sizes lifted to integers over D and the map ``back`` of
+    :func:`~shelfpack.scalars.lift` (c = 1), in footpoint order."""
+
+    __slots__ = ("sizes", "back")
+
+    def __init__(self, feet: Sequence[int], sizes: Sequence[int], back) -> None:
+        super().__init__(feet)
+        self.sizes, self.back = sizes, back
+
+
+class _Ratios(list):
+    """Exact footpoints as a file spells them: int numerators over the int
+    denominators ``dens``."""
+
+    __slots__ = ("dens",)
+
+    def __init__(self, nums: Sequence[int], dens: Sequence[int]) -> None:
+        super().__init__(nums)
+        self.dens = dens
+
+
 @dataclass(frozen=True, slots=True)
 class Placement:
     """``disks[i]`` at ``footpoints[i]``, sorted by strictly increasing
@@ -118,7 +141,11 @@ class Placement:
     The placement lifts its columns once (see
     :func:`~shelfpack.scalars.lift`) and keeps the lift, outside equality,
     hash and repr: the order checks run on it, as integers for exact data,
-    and :func:`span` and :func:`verify` read it instead of lifting again.
+    and :func:`span`, :func:`verify`, the file writer and the SVG read it
+    instead of lifting again.  The solvers and the file reader hand over
+    exact footpoints as integer columns of their own (``_Lifted``,
+    ``_Ratios``), so the disks' sizes are trusted as one exact backend;
+    the ``Fraction`` footpoints are then built only when first read.
     """
 
     disks: tuple[Disk, ...]
@@ -126,7 +153,11 @@ class Placement:
     _lift: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        disks, feet = tuple(self.disks), tuple(self.footpoints)
+        disks, feet = tuple(self.disks), self.footpoints
+        kind = type(feet)
+        integers = kind is _Lifted or kind is _Ratios
+        if not integers:
+            feet = tuple(feet)
         if not disks:
             raise DomainError("a placement must contain at least one disk")
         if len(disks) != len(feet):
@@ -134,25 +165,31 @@ class Placement:
                 f"a placement needs one footpoint per disk, got {len(disks)} "
                 f"disks and {len(feet)} footpoints"
             )
-        try:
-            if not _proven(feet):
-                feet = tuple(map(coerce, feet))
-        except DomainError:
-            for disk, x in zip(disks, feet):
-                try:
-                    coerce(x)
-                except DomainError as exc:
-                    raise DomainError(f"disk {disk.id!r} has footpoint {x!r}") from exc
-            raise
-        sizes = [d.size for d in disks]
-        unified_backend(sizes + list(feet))
-        sizes, lifted, c, back = lift(sizes, feet)
+        if kind is _Lifted:  # lifted by the solver already
+            sizes, lifted, c, back = feet.sizes, list(feet), 1, feet.back
+        elif kind is _Ratios:
+            sizes, lifted, c, back = lift([d.size for d in disks], feet, feet.dens)
+        else:
+            try:
+                if not _proven(feet):
+                    feet = tuple(map(coerce, feet))
+            except DomainError:
+                for disk, x in zip(disks, feet):
+                    try:
+                        coerce(x)
+                    except DomainError as exc:
+                        raise DomainError(f"disk {disk.id!r} has footpoint {x!r}") from exc
+                raise
+            sizes = [d.size for d in disks]
+            unified_backend(sizes + list(feet))
+            sizes, lifted, c, back = lift(sizes, feet)
         # compaction and parsed files deliver footpoints in order already
         in_order = all(map(lt, lifted, lifted[1:]))
         if not in_order:
-            order = sorted(range(len(feet)), key=lifted.__getitem__)
+            order = sorted(range(len(lifted)), key=lifted.__getitem__)
             disks = tuple(map(disks.__getitem__, order))
-            feet = tuple(map(feet.__getitem__, order))
+            if not integers:
+                feet = tuple(map(feet.__getitem__, order))
             sizes = list(map(sizes.__getitem__, order))
             lifted = list(map(lifted.__getitem__, order))
         ids = [d.id for d in disks]
@@ -163,14 +200,26 @@ class Placement:
                     raise DomainError(f"duplicate disk id {disk_id!r} in placement")
                 seen.add(disk_id)
         if not in_order:
-            for k in range(1, len(feet)):
+            for k in range(1, len(lifted)):
                 if lifted[k - 1] == lifted[k]:
                     raise DomainError(
                         f"footpoints of {ids[k - 1]!r} and {ids[k]!r} coincide"
                     )
         object.__setattr__(self, "disks", disks)
-        object.__setattr__(self, "footpoints", feet)
         object.__setattr__(self, "_lift", (sizes, lifted, c, back))
+        if integers:  # left unset until read; see __getattr__
+            object.__delattr__(self, "footpoints")
+        else:
+            object.__setattr__(self, "footpoints", feet)
+
+    def __getattr__(self, name: str):
+        # called only for an unset slot: the footpoints of integer columns
+        if name != "footpoints":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        _, lifted, _, back = self._lift
+        feet = tuple(map(back, lifted))
+        object.__setattr__(self, "footpoints", feet)
+        return feet
 
     @property
     def backend(self) -> Backend:
@@ -295,7 +344,17 @@ def compact(order: Sequence[Disk]) -> Placement:
     stack: list = []
     for k, s in enumerate(sizes):
         feet.append(_reach(sizes, feet, stack, k, s * s, 2)[0])
-    return Placement(order, list(map(back, feet)))
+    return _solved(order, sizes, feet, back)
+
+
+def _solved(disks: Sequence[Disk], sizes: list, feet: list, back) -> Placement:
+    """The :class:`Placement` of a solver's columns, lifted by
+    :func:`~shelfpack.scalars.lift` with sizes alone: float footpoints as
+    they are, exact ones as integers over D**2 that the placement keeps as
+    its lift."""
+    if back is float:
+        return Placement(disks, feet)
+    return Placement(disks, _Lifted(feet, sizes, back))
 
 
 def span(placement: Placement) -> SpanReport:

@@ -12,10 +12,11 @@ lists.  Float sizes are used as they are, in the closed forms 2ab
 bit-identical to the scalar reference greedy in the tests.  Exact sizes
 arrive as integers over their common denominator, so no ``Fraction`` is
 reduced inside the loop.  The output goes to :class:`Placement` in
-footpoint order, by the neighbour links, and it rejects duplicate ids,
-coinciding footpoints and float footpoints that overflowed.  The
-certificate comes from the loop as well: the span from the walls it
-tracks, the lower bound from one prefix pass over the sorted sizes.
+footpoint order, by the neighbour links, exact footpoints as the loop's
+integers, and it rejects duplicate ids, coinciding footpoints and float
+footpoints that overflowed.  The certificate comes from the loop as
+well: the span from the walls it tracks, the lower bound from one prefix
+pass over the sorted sizes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from operator import floordiv, truediv
 from typing import Iterable
 
-from .geometry import Disk, Placement, by_size, prefix_support_bound
+from .geometry import Disk, Placement, _solved, by_size, prefix_support_bound
 from .scalars import Scalar
 
 
@@ -154,7 +155,8 @@ def _greedy(order: list[Disk], sizes: list, back) -> tuple[GreedyResult, Scalar]
     while k >= 0:
         chain.append(k)
         k = right_nb[k]
-    placement = Placement([order[k] for k in chain], [back(foot[k]) for k in chain])
+    columns = [list(map(column.__getitem__, chain)) for column in (order, sizes, foot)]
+    placement = _solved(*columns, back)
     # a gap placement pops one entry and pushes two, an end placement pushes one
     ops = n - 1 + 2 * in_gaps
     return GreedyResult(placement, certificate, ops), lifted

@@ -208,7 +208,9 @@ def build_certificate(hi: HardnessInstance, sol: PartitionSolution) -> Placement
         order += take(L, T)
     order += take(O, T, L, F, E, F)  # last outer frame and the right end
     placement = compact(order)
-    if placement.footpoints[-1] + SIZE_INNER**2 != 2 * (hi.m + 1):
+    # the right wall, read on the kept lift: the last disk is an inner frame
+    sizes, feet, c, back = placement._lift
+    if back(feet[-1] + c * sizes[-1] * sizes[-1]) != 2 * (hi.m + 1):
         raise InconsistencyError("the certificate overflows the span budget 2(m+1)")
     return placement
 

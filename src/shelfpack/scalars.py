@@ -16,21 +16,27 @@ import re
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
-from operator import attrgetter, floordiv, mul
+from operator import attrgetter, floordiv, mul, truediv
 from typing import Iterable, Sequence, Union
 
 from .errors import BackendMismatchError, DomainError, ParseError
 
 Scalar = Union[Fraction, float]
 
-# the literal grammar of every file and of ``--tolerance``, matched whole
-_RATIONAL_RE = re.compile(r"[+-]?\d+/\d+")
-_DECIMAL_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+# the literal grammar of every file and of ``--tolerance``, matched whole;
+# digits are ASCII digits only
+_RATIONAL_RE = re.compile(r"[+-]?\d+/\d+", re.ASCII)
+_DECIMAL_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 # Over these characters ``float`` accepts exactly the strings that
 # _DECIMAL_RE matches whole: no spaces, underscores, "inf" or "nan" can be
 # spelled, and its grammar of sign, digits, point and exponent is the
 # regex's.  A decimal column over them needs no match per literal.
 _DECIMAL_CHARS = b"0123456789+-.eE"
+# byte maps for _plain_rationals: each folds the byte pairs one of its checks
+# forbids into one pair, so that the check is one search
+_MINUS_TO_PLUS = bytes.maketrans(b"-", b"+")
+_SIGNS_TO_SPACE = bytes.maketrans(b"+-", b"  ")
+_ZERO_TO_SPACE = bytes.maketrans(b"0", b" ")
 
 _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
@@ -87,7 +93,7 @@ def unified_backend(values: Iterable[Scalar]) -> Backend:
     return backend
 
 
-def lift(sizes: Sequence[Scalar], feet: Sequence[Scalar] = ()) -> tuple:
+def lift(sizes: Sequence[Scalar], feet: Sequence = (), dens: Sequence[int] | None = None) -> tuple:
     """Sizes and footpoints of one backend as ``(sizes, feet, c, back)``.
 
     Floats pass through as they are, with ``c = 1`` and ``back = float``.
@@ -97,19 +103,23 @@ def lift(sizes: Sequence[Scalar], feet: Sequence[Scalar] = ()) -> tuple:
     integers X over Q = lcm(D**2, footpoint denominators), with
     c = Q / D**2.  A radius is then c*S**2 over Q and a tangency distance
     2*c*S_j*S_k, so geometry runs on integers; ``back(v) = Fraction(v, Q)``
-    maps a result back.
+    maps a result back.  Exact footpoints come as ``Fraction``s or, with
+    ``dens``, as int numerators ``feet`` over the int denominators ``dens``
+    that a file spells; those are brought to lowest terms first, so Q is
+    the one their ``Fraction``s give.
 
     Footpoints with many unrelated denominators would make Q, and with it
     every lifted footpoint, grow with each one.  So Q may have at most the
     bits of D**2 times the square of the largest footpoint denominator:
     ``Fraction`` arithmetic on two footpoints and a tangency distance
     forms numbers of that size, and lifted ones are then no larger.  Past
-    that bound the columns come back as they are, ``Fraction``s with
+    that bound the columns come back unlifted, as ``Fraction``s, with
     ``c = 1`` and ``back = Fraction``.
 
-    A :class:`~shelfpack.geometry.Placement` calls this once, when it is
-    built, and keeps the result; the solvers lift sizes alone.
-    Numerators and denominators are read one column at a time.
+    A :class:`~shelfpack.geometry.Placement` keeps one lift for its
+    lifetime; the solvers lift sizes alone and hand the placement their
+    footpoints over D**2.  Numerators and denominators are read one column
+    at a time.
     """
     if not isinstance(sizes[0], Fraction):
         return sizes, feet, 1, float
@@ -117,30 +127,61 @@ def lift(sizes: Sequence[Scalar], feet: Sequence[Scalar] = ()) -> tuple:
     scale = math.lcm(*set(size_dens))
     ints = list(map(mul, map(_numerator, sizes), map(floordiv, repeat(scale), size_dens)))
     square = scale * scale
-    foot_dens = list(map(_denominator, feet))
-    dens = set(foot_dens)
-    bound = square.bit_length() + 2 * max(dens, default=1).bit_length()
+    ratios = dens is not None
+    if ratios:
+        nums = feet
+        gcds = list(map(math.gcd, nums, dens))
+        if gcds.count(1) < len(gcds):
+            nums = list(map(floordiv, nums, gcds))
+            dens = list(map(floordiv, dens, gcds))
+    else:
+        nums, dens = list(map(_numerator, feet)), list(map(_denominator, feet))
+    distinct = set(dens)
+    bound = square.bit_length() + 2 * max(distinct, default=1).bit_length()
     q = square
-    for den in dens:
+    for den in distinct:
         q = math.lcm(q, den)
         if q.bit_length() > bound:
-            return sizes, feet, 1, Fraction
-    lifted = list(map(mul, map(_numerator, feet), map(floordiv, repeat(q), foot_dens)))
+            return sizes, list(map(Fraction, nums, dens)) if ratios else feet, 1, Fraction
+    lifted = list(map(mul, nums, map(floordiv, repeat(q), dens)))
     return ints, lifted, q // square, partial(Fraction, denominator=q)
 
 
-def scalars(literals: Sequence[str]) -> tuple[list[Scalar], Backend]:
-    """Parse a non-empty column of literals of one backend.
+def _over(back) -> int | None:
+    """Q, when ``back`` comes from a lift whose columns became integers over
+    Q (see :func:`lift`); else None: the values are floats or ``Fraction``s
+    as they are."""
+    return back.keywords["denominator"] if isinstance(back, partial) else None
 
-    ``p/q`` literals are exact and decimal literals are float; the first
-    literal decides which, every literal must then match that grammar
-    whole, and the column is converted in one pass, with one ``Fraction``
-    per distinct exact literal.  Only a column that fails is searched
-    again, for the message: a mix of rational and decimal literals, else
-    the first literal that is neither, else the first zero denominator.
+
+def _lifted_floats(values: Sequence, back) -> list[float]:
+    """``float(back(v))`` of each value of a lift's column: for an integer X
+    over Q the int true division X / Q, which rounds correctly, as
+    ``float(Fraction)`` does.  OverflowError past the float range."""
+    q = _over(back)
+    if q is None:
+        return list(map(float, values))
+    return list(map(truediv, values, repeat(q)))
+
+
+def _read_column(literals: Sequence[str]) -> tuple[list[float] | None, Backend]:
+    """Check a non-empty column of literals of one backend; read it too if
+    it is a decimal column.  An exact column comes back as None: its
+    literals are read by :func:`_fractions` or :func:`_ints`.
+
+    The first literal decides the backend, and every literal must then
+    match that grammar whole.  A column is checked whole in C: decimals by
+    ``float`` alone over their characters, rationals by
+    :func:`_plain_rationals`.  Only a column that fails is searched again,
+    literal by literal: for the message, a mix of rational and decimal
+    literals, else the first literal that is neither, else the first zero
+    denominator.
     """
     exact = _RATIONAL_RE.fullmatch(literals[0]) is not None
-    if not exact:
+    if exact:
+        if _plain_rationals(literals):
+            return None, Backend.EXACT
+    else:
         joined = "".join(literals)
         if joined.isascii() and not joined.encode().translate(None, _DECIMAL_CHARS):
             try:
@@ -155,15 +196,56 @@ def scalars(literals: Sequence[str]) -> tuple[list[Scalar], Backend]:
         raise ParseError(f"not a rational or decimal literal: {bad!r}")
     if not exact:
         return list(map(float, literals)), Backend.FLOAT
-    try:
-        # sizes repeat, so each distinct literal becomes one Fraction
-        distinct = dict.fromkeys(literals)
-        pairs = map(str.split, distinct, repeat("/"))
-        value = dict(zip(distinct, [Fraction(int(p), int(q)) for p, q in pairs]))
-        return list(map(value.__getitem__, literals)), Backend.EXACT
-    except ZeroDivisionError:
-        bad = next(text for text in literals if int(text.split("/")[1]) == 0)
-        raise ParseError(f"zero denominator in rational literal {bad!r}") from None
+    bad = next((text for text in literals if int(text.split("/")[1]) == 0), None)
+    if bad is not None:
+        raise ParseError(f"zero denominator in rational literal {bad!r}")
+    return None, Backend.EXACT  # some denominator has a leading zero
+
+
+def _plain_rationals(literals: Sequence[str]) -> bool:
+    """Whether every literal matches ``[+-]?[0-9]+/[1-9][0-9]*``, as the
+    writer spells them, checked by a few C-level scans of the joined column
+    and nothing per literal."""
+    joined = " ".join(literals)
+    if not joined.isascii():
+        return False
+    text = joined.encode()
+    # without digits and signs the column reads "/ / ... /": one slash in
+    # each literal, and no other character
+    if text.translate(None, b"0123456789+-") != b"/ " * (len(literals) - 1) + b"/":
+        return False
+    text = b" " + text + b" "
+    signs = text.translate(_MINUS_TO_PLUS)
+    return (
+        signs.count(b"+") == signs.count(b" +")  # a sign only opens a literal
+        and b" /" not in text.translate(_SIGNS_TO_SPACE)  # p is not empty
+        # q is not empty and does not start with 0
+        and b"/ " not in text.translate(_ZERO_TO_SPACE)
+    )
+
+
+def _ints(literals: Iterable[str]) -> list[int]:
+    """``[p0, q0, p1, q1, ...]`` of checked ``p/q`` literals, by one ``int``
+    map over the joined column split at its spaces and slashes."""
+    return list(map(int, " ".join(literals).replace("/", " ").split(" ")))
+
+
+def _fractions(literals: Sequence[str]) -> list[Fraction]:
+    """The values of checked ``p/q`` literals, with one ``Fraction`` per
+    distinct literal: sizes repeat (footpoints mostly do not, and are read
+    by :func:`_ints`)."""
+    distinct = dict.fromkeys(literals)
+    parts = _ints(distinct)
+    value = dict(zip(distinct, map(Fraction, parts[0::2], parts[1::2])))
+    return list(map(value.__getitem__, literals))
+
+
+def scalars(literals: Sequence[str]) -> tuple[list[Scalar], Backend]:
+    """Parse a non-empty column of literals of one backend: ``p/q`` literals
+    are exact and decimal literals are float (see :func:`_read_column`).
+    Exact columns hold one ``Fraction`` per distinct literal."""
+    values, backend = _read_column(literals)
+    return _fractions(literals) if values is None else values, backend
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -179,6 +261,18 @@ def _format_column(values: Sequence[Scalar]) -> list[str]:
     if values and not isinstance(values[0], float) and isinstance(values[0], Fraction):
         return [f"{v.numerator}/{v.denominator}" for v in values]
     return list(map(repr, values))
+
+
+def _format_lifted(values: Sequence, back) -> list[str]:
+    """The file form of each value of a lift's column (see :func:`lift`):
+    an integer X over Q as ``X/Q`` in lowest terms, with one gcd per value,
+    as ``Fraction`` would write it; floats and ``Fraction``s as
+    :func:`_format_column` writes them."""
+    q = _over(back)
+    if q is None:
+        return _format_column(values)
+    gcds = list(map(math.gcd, values, repeat(q)))
+    return [f"{x // g}/{q // g}" for x, g in zip(values, gcds)]
 
 
 def format_scalar(value: Scalar) -> str:

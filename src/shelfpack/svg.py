@@ -14,6 +14,7 @@ import math
 
 from .errors import DomainError
 from .geometry import Placement, span
+from .scalars import _lifted_floats
 
 _MARGIN = 20.0
 _LABEL_BAND = 24.0
@@ -37,11 +38,12 @@ def render_svg(placement: Placement, scale: float = 40.0) -> str:
     if not 0 < scale < math.inf:
         raise DomainError(f"scale must be positive and finite, got {scale}")
     report = span(placement)
+    sizes, lifted, c, back = placement._lift
     try:
         left, right = float(report.left_wall), float(report.right_wall)
         width_world = float(report.span)
-        radii = [float(d.radius) for d in placement.disks]
-        feet = list(map(float, placement.footpoints))
+        radii = _lifted_floats([c * s * s for s in sizes], back)
+        feet = _lifted_floats(lifted, back)
     except OverflowError:  # an exact value beyond the float range
         raise DomainError(_OUT_OF_RANGE) from None
     max_radius = max(radii)

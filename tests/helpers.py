@@ -325,8 +325,8 @@ def improve_until_stuck(order: list[Disk], max_steps: int) -> tuple[list[Disk], 
 # Reference readers: the per-row parsers that the column-at-a-time ones in
 # shelfpack.files replaced.  Each literal is classified, then parsed, one
 # at a time, and each row is checked before the next.
-_REF_RATIONAL = re.compile(r"^[+-]?\d+/\d+$")
-_REF_DECIMAL = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_REF_RATIONAL = re.compile(r"^[+-]?\d+/\d+$", re.ASCII)
+_REF_DECIMAL = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$", re.ASCII)
 
 
 def reference_scalar(text: str) -> Scalar:

@@ -1,14 +1,19 @@
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import shelfpack
+from shelfpack import files, geometry
 from shelfpack.cli import main
 from shelfpack.files import read_placement
-from shelfpack.geometry import span, verify
+from shelfpack.geometry import Disk, span, verify
+from shelfpack.greedy import greedy_solve
+from shelfpack.scalars import lift
 
 
 def write(path, text):
@@ -483,3 +488,61 @@ class TestModuleEntry:
             assert proc.wait(timeout=60) == 0
             assert stderr.startswith("method: greedy"), stderr
             assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+class TestExactPlacementsStayIntegers:
+    """An exact placement goes from file to file as integers: ``Fraction``s
+    are built for the distinct sizes and a few results, never one per
+    footpoint, and a read placement is lifted once."""
+
+    N = 1000
+
+    @staticmethod
+    def count_fractions(monkeypatch):
+        made = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        return made
+
+    def instance(self, tmp_path):
+        rng = random.Random(16)
+        sizes = [Fraction(rng.randint(1, 60), rng.choice((7, 11, 13, 20))) for _ in range(self.N)]
+        disks = [Disk(f"d{i}", size) for i, size in enumerate(sizes)]
+        path = tmp_path / "n1000.instance"
+        files.write_instance(path, disks)
+        return path, len(set(sizes))
+
+    def test_verify_builds_fractions_for_distinct_sizes_and_lifts_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path, distinct = self.instance(tmp_path)
+        placement = greedy_solve(files.read_instance(path)[0]).placement
+        out = tmp_path / "n1000.placement"
+        files.write_placement(out, placement)
+        lifts = []
+
+        def counted_lift(*args):
+            lifts.append(len(args[0]))
+            return lift(*args)
+
+        monkeypatch.setattr(geometry, "lift", counted_lift)
+        made = self.count_fractions(monkeypatch)
+        assert main(["verify", str(out)]) == 0
+        assert "accepted" in capsys.readouterr().out
+        assert lifts == [self.N]
+        assert distinct < len(made) <= distinct + 10, len(made)
+
+    def test_solve_builds_no_fraction_per_footpoint(self, tmp_path, monkeypatch, capsys):
+        path, distinct = self.instance(tmp_path)
+        out = tmp_path / "n1000.placement"
+        made = self.count_fractions(monkeypatch)
+        assert main(["solve", str(path), "--out", str(out)]) == 0
+        assert "method: greedy" in capsys.readouterr().out
+        assert distinct < len(made) <= distinct + 20, len(made)
+        monkeypatch.undo()
+        assert files.read_placement(out) == greedy_solve(files.read_instance(path)[0]).placement

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +119,66 @@ class TestPlacementFormat:
         assert format_instance([]) == "shelfpack-instance v1\n"
 
 
+DATA = Path(__file__).parent / "data"
+HEADER = "shelfpack-placement v1\n"
+
+
+class TestExactFootpointColumn:
+    """Exact footpoints are read as ints, checked as integers and written
+    from them; the values, the errors and the bytes are those of the
+    ``Fraction`` footpoints they stand for."""
+
+    @pytest.mark.parametrize("rows", [("a", "b"), ("b", "a")])
+    def test_one_value_spelled_twice_coincides(self, rows):
+        first, second = rows
+        text = HEADER + f"{first} 1/1 1/2\n{second} 1/1 2/4\n"
+        message = f"not a valid placement: footpoints of '{first}' and '{second}' coincide"
+        with pytest.raises(ParseError, match=message):
+            parse_placement(text)
+        with pytest.raises(ParseError, match=message):
+            reference_parse_placement(text)
+
+    def test_signed_and_zero_footpoints_are_read(self):
+        text = HEADER + "c 1/1 +3/4\na 1/1 -1/2\nb 1/1 0/7\n"
+        placement = parse_placement(text)
+        assert [d.id for d in placement.disks] == ["a", "b", "c"]
+        assert placement.footpoints == (F(-1, 2), F(0), F(3, 4))
+        assert placement == reference_parse_placement(text)
+        assert format_placement(placement) == HEADER + "a 1/1 -1/2\nb 1/1 0/1\nc 1/1 3/4\n"
+
+    @pytest.mark.parametrize("bad", ["3/", "/4", "3/+4", "+-3/4", "1/2/3", "1/0"])
+    def test_malformed_footpoints_keep_their_messages(self, bad):
+        mixes = "file mixes rational and decimal literals"
+        if bad == "1/0":
+            in_rationals, in_decimals = "zero denominator in rational literal '1/0'", mixes
+        else:
+            in_rationals, in_decimals = mixes, f"not a rational or decimal literal: {bad!r}"
+        rational = HEADER + f"a 1/1 0/1\n# a comment\nb 1/1 {bad}\nc 0/1 2/1\n"
+        decimal = HEADER + f"a 1.0 {bad}\nb 0 2.0\n"
+        for text, message in ((rational, in_rationals), (decimal, in_decimals)):
+            assert _outcome(parse_placement, text) == ("error", message)
+            assert _outcome(reference_parse_placement, text) == ("error", message)
+        # well-formed, the same rows fail on the size of line 5, by number
+        good = rational.replace(bad, "5/4")
+        message = "line 5: disk 'c' has non-positive size 0"
+        assert _outcome(parse_placement, good) == ("error", message)
+        assert _outcome(reference_parse_placement, good) == ("error", message)
+
+    def test_non_reduced_literals_are_written_in_lowest_terms(self):
+        placement = parse_placement(HEADER + "a 1/1 2/4\nb 2/4 -6/3\nc 3/1 010/0015\n")
+        assert placement.footpoints == (F(-2), F(1, 2), F(2, 3))
+        text = format_placement(placement)
+        assert text == HEADER + "b 1/2 -2/1\na 1/1 1/2\nc 3/1 2/3\n"
+        assert parse_placement(text) == placement
+
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.placement")), ids=lambda p: p.name)
+    def test_data_files_round_trip_byte_identically(self, path):
+        text = path.read_text(encoding="utf-8")
+        placement = parse_placement(text)
+        assert format_placement(placement) == text
+        assert placement == reference_parse_placement(text)
+
+
 class TestAuxiliaryFormats:
     def test_parse_3partition(self):
         inst = parse_3partition("# comment\n2 100\n30 33 37\n26 35 39\n")
@@ -164,10 +225,11 @@ class TestAuxiliaryFormats:
 # Files are written with the forms a hand-written file may use: comments,
 # blank lines, tabs, signs, exponents, leading zeros, `.5` and `5.`.
 FILLERS = ["", "   ", "\t", "# a comment", "  # indented comment", "#"]
+# digits are ASCII only: Arabic-Indic and fullwidth digits are no literal
 BAD_LITERALS = ["x", "1..2", "1/2/3", "0x10", "nan", "inf", "1_0", "--1", "1e", "/2", ".",
-                "1e+", "e5", "+", "-.e1"]
-# decimal forms at the edge of the grammar; Arabic-Indic digits match \d
-EDGE_DECIMALS = ["5.e2", "+.5E-3", "\u0663\u0660.5"]
+                "1e+", "e5", "+", "-.e1", "\u0663\u0660.5", "\u0661/\u0662", "\uff11/\uff12"]
+# decimal forms at the edge of the grammar
+EDGE_DECIMALS = ["5.e2", "+.5E-3"]
 
 
 def _decimal(rng, negative_ok):

@@ -74,11 +74,35 @@ def test_float_reads_the_decimal_grammar_over_its_characters():
             else:
                 assert scalars(["1.5", text]) == ([1.5, float(text)], Backend.FLOAT)
                 assert grammar.fullmatch(text), text
-    # outside those characters the regex decides: \d takes other digits
-    assert scalars(["\u0663.5", "2"]) == ([3.5, 2.0], Backend.FLOAT)
-    for text in (" 1", "1_0", "inf", "1.5\n"):
+    # outside those characters the regex decides, and its digits are ASCII
+    for text in (" 1", "1_0", "inf", "1.5\n", "\u0663.5", "\uff11.5"):
         with pytest.raises(ParseError, match="not a rational or decimal literal"):
             scalars(["1.5", text])
+
+
+def test_rational_columns_read_as_the_grammar_says():
+    # an exact column is checked by scans of the joined column; every
+    # string of up to five of "01+-/ " (one nonzero digit stands for all)
+    # must read, next to a valid literal or alone, as the per-literal
+    # grammar says
+    grammar = re.compile(r"[+-]?[0-9]+/[0-9]+")
+    for length in range(1, 6):
+        for chars in itertools.product("01+-/ ", repeat=length):
+            text = "".join(chars)
+            for column in (["1/2", text], [text, "1/2", "3/4"], ["-5/1", text]):
+                if grammar.fullmatch(text) is None:
+                    with pytest.raises(ParseError, match="mixes rational and decimal"):
+                        scalars(column)
+                elif int(text.split("/")[1]) == 0:
+                    message = f"zero denominator in rational literal '{text}'"
+                    with pytest.raises(ParseError, match=re.escape(message)):
+                        scalars(column)
+                else:
+                    want = [Fraction(*map(int, lit.split("/"))) for lit in column]
+                    assert scalars(column) == (want, Backend.EXACT), column
+            if grammar.fullmatch(text) is None and text.strip("01+-"):
+                with pytest.raises(ParseError, match="not a rational or decimal literal"):
+                    scalars([text])
 
 
 def test_format_round_trip():
