@@ -7,12 +7,15 @@ the greedy approximation and the exact oracle), ``verify``,
 Exit codes: 0 success, 1 verification rejected, 2 parse error or a file
 that cannot be read or written, 3 precondition or domain violation.  A
 reader that closes standard output early (``shelfpack solve big.instance
-| head -1``) ends the command quietly with status 0.
+| head -1``) ends the command quietly with status 0.  A command runs with
+the cyclic collector paused, and :func:`main` restores the caller's
+setting.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -234,6 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a command builds columns of containers and frees them by reference
+    # counts; the collections they would set off find next to nothing to free
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
@@ -248,6 +255,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, PreconditionError, BackendMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entry() -> None:

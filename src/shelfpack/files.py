@@ -6,14 +6,25 @@ mixes the two.  Blank lines and lines starting with ``#`` are ignored.
 
 Instance and placement files are read a column at a time: each check
 runs over a whole column, and only a failed check looks for its first
-offender.  A file with several faults reports the first failing check
-in this order: the header, an empty body, the number of tokens on a
-line (first such line), the literals (a mix of rational and decimal
-literals; else the first literal that is neither, then the first zero
-denominator, sizes before footpoints), duplicate ids in an instance
-(first repeated line), the disks (first line with a non-positive or
-non-finite size), and last the placement as a whole (duplicate ids,
-non-finite footpoints, coinciding footpoints; named as
+offender.  The body after the header line is split once, and the flat
+token list is cut into its columns by stride slices.  That split stands
+only for a file laid out as the writers lay it out: the header line
+exactly, no ``#`` anywhere in the body, and the body equal to its
+columns joined again with single spaces and newlines, a newline ending
+every row.  Any other file (comments, blank lines, tabs, runs of
+spaces, CRLF line ends, a missing final newline, a row with too many
+tokens) is split line by line, which skips blanks and comments and
+numbers the lines its messages name.  The CLI reads with the cyclic
+collector paused (see :func:`shelfpack.cli.main`).
+
+A file with several faults reports the first failing check in this
+order: the header, an empty body, the number of tokens on a line (first
+such line), the literals (a mix of rational and decimal literals; else
+the first literal that is neither, then the first zero denominator,
+sizes before footpoints), duplicate ids in an instance (first repeated
+line), the disks (first line with a non-positive or non-finite size),
+and last the placement as a whole (duplicate ids, non-finite
+footpoints, coinciding footpoints; named as
 :class:`~shelfpack.geometry.Placement` names them).
 """
 
@@ -56,18 +67,22 @@ def _rows(lines: Iterable[list[str]], start: int) -> list[tuple[int, list[str]]]
 def _columns(text: str, header: str, kind: str, usage: str) -> tuple[Sequence[int], list]:
     """Line numbers and token columns of a ``kind`` file whose lines hold
     one token per word of ``usage``."""
+    arity = len(usage.split())
+    head, _, body = text.partition("\n")
+    if head == header and "#" not in body:
+        flat = body.split()
+        columns = [flat[i::arity] for i in range(arity)]
+        # exactly the writers' layout: rows of single-spaced tokens, each
+        # ending in a newline; any other file takes the per-line walk
+        if flat and "\n".join(map(" ".join, zip(*columns))) + "\n" == body:
+            return range(2, len(columns[0]) + 2), columns
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
         raise ParseError(f"missing header line {header!r}")
-    tokens = list(map(str.split, lines[1:]))
-    numbers: Sequence[int] = range(2, len(tokens) + 2)
-    # files this program writes hold neither blank lines nor comments
-    if "#" in text or not all(tokens):
-        rows = _rows(tokens, 2)
-        numbers, tokens = zip(*rows) if rows else ((), ())
-    if not tokens:
+    rows = _rows(map(str.split, lines[1:]), 2)
+    if not rows:
         raise ParseError(f"{kind} file has no disks")
-    arity = len(usage.split())
+    numbers, tokens = zip(*rows)
     if set(map(len, tokens)) != {arity}:
         number = next(n for n, row in zip(numbers, tokens) if len(row) != arity)
         raise ParseError(f"line {number}: expected {usage!r}")

@@ -1,3 +1,5 @@
+import gc
+import io
 import os
 import random
 import subprocess
@@ -488,6 +490,65 @@ class TestModuleEntry:
             assert proc.wait(timeout=60) == 0
             assert stderr.startswith("method: greedy"), stderr
             assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+class TestCollector:
+    """``main`` runs its command with the cyclic collector paused and
+    leaves it as the caller set it, whatever the exit."""
+
+    class ClosedPipe(io.StringIO):
+        """Standard output whose reader has gone away."""
+
+        def __init__(self, fd):
+            super().__init__()
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return self.fd
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+    def test_main_restores_the_callers_setting(
+        self, tmp_path, linear_instance, monkeypatch, capsys, collecting
+    ):
+        overlap = write(
+            tmp_path / "bad.placement", "shelfpack-placement v1\na 1/1 1/1\nb 1/1 2/1\n"
+        )
+        big = write(
+            tmp_path / "big.instance",
+            "shelfpack-instance v1\n" + "".join(f"d{i} 1/1\n" for i in range(12)),
+        )
+        during = []  # the collector's state as each command reads its file
+
+        def spy(read):
+            return lambda path: during.append(gc.isenabled()) or read(path)
+
+        monkeypatch.setattr(files, "read_instance", spy(files.read_instance))
+        monkeypatch.setattr(files, "read_placement", spy(files.read_placement))
+        cases = [
+            (["solve", linear_instance], 0),
+            (["verify", overlap], 1),
+            (["verify", str(tmp_path / "missing.placement")], 2),
+            (["solve", big, "--mode", "exact"], 3),
+        ]
+        was = gc.isenabled()
+        fd = os.open(os.devnull, os.O_WRONLY)  # the closed pipe's stand-in
+        try:
+            (gc.enable if collecting else gc.disable)()
+            for args, code in cases:
+                assert main(args) == code, args
+                assert gc.isenabled() is collecting, args
+            with monkeypatch.context() as m:
+                m.setattr(sys, "stdout", self.ClosedPipe(fd))
+                assert main(["solve", linear_instance]) == 0
+            assert gc.isenabled() is collecting
+        finally:
+            os.close(fd)
+            (gc.enable if was else gc.disable)()
+        assert during == [False] * 5
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestExactPlacementsStayIntegers:

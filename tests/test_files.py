@@ -300,13 +300,100 @@ def test_random_valid_files_parse_as_the_reference_does(exact, placement):
     parse = parse_placement if placement else parse_instance
     reference = reference_parse_placement if placement else reference_parse_instance
     for n in [1, 2, 3, 7, 50, 300, 2000]:
-        text = _render(rng, _random_rows(rng, n, exact, placement), placement)
-        got, want = parse(text), reference(text)
-        assert got == want
-        if placement:
-            assert got.backend is (Backend.EXACT if exact else Backend.FLOAT)
-        else:
-            assert got[1] is (Backend.EXACT if exact else Backend.FLOAT)
+        rows = _random_rows(rng, n, exact, placement)
+        # by hand, and in the writers' layout, which the whole-body split reads
+        for text in (_render(rng, rows, placement), _canonical(rows, placement)):
+            got, want = parse(text), reference(text)
+            assert got == want
+            if placement:
+                assert got.backend is (Backend.EXACT if exact else Backend.FLOAT)
+            else:
+                assert got[1] is (Backend.EXACT if exact else Backend.FLOAT)
+
+
+def _canonical(rows, placement):
+    """The file as the writers lay it out: the header, then one line of
+    single-spaced tokens per row, each ending in a newline."""
+    kind = "placement" if placement else "instance"
+    return "".join(f"{line}\n" for line in [f"shelfpack-{kind} v1", *map(" ".join, rows)])
+
+
+# One edit each to a file in the writers' layout, as a function of its
+# lines (header first, no newlines).  Each takes the file off the
+# whole-body split and onto the per-line walk, which must give the result,
+# or the error and line number, that the reference gives.
+def _row(k, change):
+    return lambda lines: [*lines[:k], change(lines[k]), *lines[k + 1 :]]
+
+
+def _insert(k, line):
+    return lambda lines: [*lines[:k], line, *lines[k:]]
+
+
+def _move_token(source, target):
+    """Move the last token of line ``source`` to the end of line
+    ``target``: the file keeps a multiple of arity tokens."""
+
+    def edit(lines):
+        lines = list(lines)
+        lines[source], _, last = lines[source].rpartition(" ")
+        lines[target] += " " + last
+        return lines
+
+    return edit
+
+
+def _comment_of_arity_tokens(lines):
+    """'#' and the first row's tokens but its last, as a line of its own."""
+    return _insert(2, "# " + lines[1].rpartition(" ")[0])(lines)
+
+
+NEAR_CANONICAL = {
+    "comment with arity tokens": _comment_of_arity_tokens,
+    "blank line": _insert(2, ""),
+    "line of spaces": _insert(3, "   "),
+    "tab": _row(2, lambda line: line.replace(" ", "\t", 1)),
+    "double space": _row(1, lambda line: line.replace(" ", "  ", 1)),
+    "form feed": _row(2, lambda line: line.replace(" ", "\f", 1)),
+    "no-break space": _row(2, lambda line: line.replace(" ", "\xa0", 1)),
+    "leading space": _row(3, lambda line: " " + line),
+    "trailing space": _row(2, lambda line: line + " "),
+    "CRLF": lambda lines: [line + "\r" for line in lines],
+    "one CR": _row(2, lambda line: line + "\r"),
+    "header with trailing spaces": _row(0, lambda line: line + "  "),
+    "header with a leading space": _row(0, lambda line: " " + line),
+    "long row then short row": _move_token(2, 3),
+    "short row then long row": _move_token(3, 2),
+    "header only": lambda lines: lines[:1],
+    "header and a blank line": lambda lines: [lines[0], ""],
+}
+
+
+def _edited(text, edit):
+    if edit == "missing final newline":
+        return text[:-1]
+    if edit == "extra final newline":
+        return text + "\n"
+    return "".join(line + "\n" for line in NEAR_CANONICAL[edit](text.splitlines()))
+
+
+@pytest.mark.parametrize("edit", [*NEAR_CANONICAL, "missing final newline", "extra final newline"])
+@pytest.mark.parametrize("placement", [False, True], ids=["instance", "placement"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_nearly_canonical_files_parse_as_the_reference_does(exact, placement, edit):
+    rng = random.Random(6006)
+    parse = parse_placement if placement else parse_instance
+    reference = reference_parse_placement if placement else reference_parse_instance
+    rows = _random_rows(rng, 6, exact, placement)
+    bad = [*rows[:-1], [rows[-1][0], "0/1" if exact else "0", *rows[-1][2:]]]
+    outcomes = []
+    # a valid file, and one whose last size is zero, named by its line
+    for base in (rows, bad):
+        text = _edited(_canonical(base, placement), edit)
+        got, want = _outcome(parse, text), _outcome(reference, text)
+        assert got == want, text
+        outcomes.append(got[0])
+    assert outcomes[1] == "error"
 
 
 def _inject(rng, rows, kind, exact, placement):
