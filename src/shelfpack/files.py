@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ParseError
-from .geometry import Disk, Placement, _disk_column, _Ratios
+from .geometry import Disk, Placement, _disk_column
 from .hardness import HardnessInstance, PartitionSolution, ThreePartitionInstance
 from .scalars import (
     Backend,
@@ -46,6 +46,7 @@ from .scalars import (
     _ints,
     _read_column,
     format_scalar,
+    lift,
     scalars,
 )
 
@@ -129,13 +130,13 @@ def parse_placement(text: str) -> Placement:
     )
     values, _ = _read_column(sizes + feet)
     if values is None:  # exact: the footpoints stay ints
-        disks = _disks(numbers, ids, _fractions(sizes))
-        parts = _ints(feet)
-        feet = _Ratios(parts[0::2], parts[1::2])
+        sizes, parts = _fractions(sizes), _ints(feet)
+        feet, dens = parts[0::2], parts[1::2]
     else:
-        disks, feet = _disks(numbers, ids, values[: len(ids)]), values[len(ids) :]
+        sizes, feet, dens = values[: len(ids)], values[len(ids) :], None
+    disks = _disks(numbers, ids, sizes)
     try:
-        return Placement(disks, feet)
+        return Placement(disks, lift(sizes, feet, dens))
     except DomainError as exc:
         raise ParseError(f"not a valid placement: {exc}") from exc
 
@@ -143,8 +144,8 @@ def parse_placement(text: str) -> Placement:
 def format_placement(placement: Placement) -> str:
     disks = placement.disks
     sizes = _format_column([d.size for d in disks])
-    _, lifted, _, back = placement._lift
-    feet = _format_lifted(lifted, back)
+    lifted = placement._lift
+    feet = _format_lifted(lifted.feet, lifted.back)
     rows = map(" ".join, zip([d.id for d in disks], sizes, feet))
     return "\n".join([PLACEMENT_HEADER, *rows, ""])
 

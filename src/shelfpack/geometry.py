@@ -18,7 +18,7 @@ from operator import attrgetter, lt
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError
-from .scalars import Backend, Scalar, backend_of, coerce, lift, unified_backend
+from .scalars import Backend, Lift, Scalar, backend_of, coerce, lift, unified_backend
 
 
 # A float size must have a radius size*size that is a normal float: an
@@ -103,29 +103,6 @@ def _disk_column(ids: Sequence[str], sizes: Sequence[Scalar]) -> list[Disk]:
     return list(map(Disk, ids, sizes))
 
 
-class _Lifted(list):
-    """Exact footpoints as a solver computes them: integers over D**2, with
-    the sizes lifted to integers over D and the map ``back`` of
-    :func:`~shelfpack.scalars.lift` (c = 1), in footpoint order."""
-
-    __slots__ = ("sizes", "back")
-
-    def __init__(self, feet: Sequence[int], sizes: Sequence[int], back) -> None:
-        super().__init__(feet)
-        self.sizes, self.back = sizes, back
-
-
-class _Ratios(list):
-    """Exact footpoints as a file spells them: int numerators over the int
-    denominators ``dens``."""
-
-    __slots__ = ("dens",)
-
-    def __init__(self, nums: Sequence[int], dens: Sequence[int]) -> None:
-        super().__init__(nums)
-        self.dens = dens
-
-
 @dataclass(frozen=True, slots=True)
 class Placement:
     """``disks[i]`` at ``footpoints[i]``, sorted by strictly increasing
@@ -139,37 +116,37 @@ class Placement:
     by footpoint first; an offender is named in footpoint order.
 
     The placement lifts its columns once (see
-    :func:`~shelfpack.scalars.lift`) and keeps the lift, outside equality,
-    hash and repr: the order checks run on it, as integers for exact data,
-    and :func:`span`, :func:`verify`, the file writer and the SVG read it
-    instead of lifting again.  The solvers and the file reader hand over
-    exact footpoints as integer columns of their own (``_Lifted``,
-    ``_Ratios``), so the disks' sizes are trusted as one exact backend;
-    the ``Fraction`` footpoints are then built only when first read.
+    :func:`~shelfpack.scalars.lift`) and keeps the :class:`Lift`, outside
+    equality, hash and repr: the order checks run on it, as integers for
+    exact data, and :func:`span`, :func:`verify`, the file writer and the
+    SVG read it instead of lifting again.  The solvers and the file reader
+    pass a ``Lift`` of the disks' sizes as the footpoints.  Its types and
+    backend are trusted, but float footpoints that overflowed take the
+    checks of plain footpoints, which name the disk.  The footpoints of a
+    ``Lift`` are built only when first read.
     """
 
     disks: tuple[Disk, ...]
     footpoints: tuple[Scalar, ...]
-    _lift: tuple = field(init=False, repr=False, compare=False)
+    _lift: Lift = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         disks, feet = tuple(self.disks), self.footpoints
-        kind = type(feet)
-        integers = kind is _Lifted or kind is _Ratios
-        if not integers:
+        plain = type(feet) is not Lift
+        if not plain and feet.back is float and not all(map(math.isfinite, feet.feet)):
+            plain, feet = True, feet.feet  # the plain checks name the disk
+        if plain:
             feet = tuple(feet)
         if not disks:
             raise DomainError("a placement must contain at least one disk")
-        if len(disks) != len(feet):
+        count = len(feet) if plain else len(feet.feet)
+        if len(disks) != count:
             raise DomainError(
                 f"a placement needs one footpoint per disk, got {len(disks)} "
-                f"disks and {len(feet)} footpoints"
+                f"disks and {count} footpoints"
             )
-        if kind is _Lifted:  # lifted by the solver already
-            sizes, lifted, c, back = feet.sizes, list(feet), 1, feet.back
-        elif kind is _Ratios:
-            sizes, lifted, c, back = lift([d.size for d in disks], feet, feet.dens)
-        else:
+        kept = feet
+        if plain:
             try:
                 if not _proven(feet):
                     feet = tuple(map(coerce, feet))
@@ -182,16 +159,18 @@ class Placement:
                 raise
             sizes = [d.size for d in disks]
             unified_backend(sizes + list(feet))
-            sizes, lifted, c, back = lift(sizes, feet)
+            kept = lift(sizes, feet)
+        sizes, points = kept.sizes, kept.feet
         # compaction and parsed files deliver footpoints in order already
-        in_order = all(map(lt, lifted, lifted[1:]))
+        in_order = all(map(lt, points, points[1:]))
         if not in_order:
-            order = sorted(range(len(lifted)), key=lifted.__getitem__)
+            order = sorted(range(len(points)), key=points.__getitem__)
             disks = tuple(map(disks.__getitem__, order))
-            if not integers:
+            if plain:
                 feet = tuple(map(feet.__getitem__, order))
             sizes = list(map(sizes.__getitem__, order))
-            lifted = list(map(lifted.__getitem__, order))
+            points = list(map(points.__getitem__, order))
+            kept = kept._replace(sizes=sizes, feet=points)
         ids = [d.id for d in disks]
         if len(set(ids)) < len(ids):
             seen: set[str] = set()
@@ -200,20 +179,20 @@ class Placement:
                     raise DomainError(f"duplicate disk id {disk_id!r} in placement")
                 seen.add(disk_id)
         if not in_order:
-            for k in range(1, len(lifted)):
-                if lifted[k - 1] == lifted[k]:
+            for k in range(1, len(points)):
+                if points[k - 1] == points[k]:
                     raise DomainError(
                         f"footpoints of {ids[k - 1]!r} and {ids[k]!r} coincide"
                     )
         object.__setattr__(self, "disks", disks)
-        object.__setattr__(self, "_lift", (sizes, lifted, c, back))
-        if integers:  # left unset until read; see __getattr__
-            object.__delattr__(self, "footpoints")
-        else:
+        object.__setattr__(self, "_lift", kept)
+        if plain:
             object.__setattr__(self, "footpoints", feet)
+        else:  # left unset until read; see __getattr__
+            object.__delattr__(self, "footpoints")
 
     def __getattr__(self, name: str):
-        # called only for an unset slot: the footpoints of integer columns
+        # called only for an unset slot: the footpoints of a Lift
         if name != "footpoints":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         _, lifted, _, back = self._lift
@@ -331,30 +310,22 @@ def compact(order: Sequence[Disk]) -> Placement:
     span-minimal for that order.
 
     The sizes must share one backend; exact sizes run as integers (see
-    :func:`~shelfpack.scalars.lift`).  The :class:`Placement` built from
-    the result checks the output once: unique ids, and float footpoints
-    that did not overflow.
+    :func:`~shelfpack.scalars.lift`), and the footpoints go to the
+    :class:`Placement` as a :class:`Lift` over D**2.  The placement checks
+    the output once: unique ids, and float footpoints that did not
+    overflow.
     """
     if not order:
         raise DomainError("cannot compact an empty order")
     sizes = [d.size for d in order]
     unified_backend(sizes)
-    sizes, _, _, back = lift(sizes)  # c = 1 without footpoints
+    lifted = lift(sizes)  # c = 1 without footpoints
+    sizes = lifted.sizes
     feet: list = []
     stack: list = []
     for k, s in enumerate(sizes):
         feet.append(_reach(sizes, feet, stack, k, s * s, 2)[0])
-    return _solved(order, sizes, feet, back)
-
-
-def _solved(disks: Sequence[Disk], sizes: list, feet: list, back) -> Placement:
-    """The :class:`Placement` of a solver's columns, lifted by
-    :func:`~shelfpack.scalars.lift` with sizes alone: float footpoints as
-    they are, exact ones as integers over D**2 that the placement keeps as
-    its lift."""
-    if back is float:
-        return Placement(disks, feet)
-    return Placement(disks, _Lifted(feet, sizes, back))
+    return Placement(order, lifted._replace(feet=feet))
 
 
 def span(placement: Placement) -> SpanReport:

@@ -12,9 +12,10 @@ lists.  Float sizes are used as they are, in the closed forms 2ab
 bit-identical to the scalar reference greedy in the tests.  Exact sizes
 arrive as integers over their common denominator, so no ``Fraction`` is
 reduced inside the loop.  The output goes to :class:`Placement` in
-footpoint order, by the neighbour links, exact footpoints as the loop's
-integers, and it rejects duplicate ids, coinciding footpoints and float
-footpoints that overflowed.  The certificate comes from the loop as
+footpoint order, by the neighbour links, as a
+:class:`~shelfpack.scalars.Lift` of the loop's sizes and footpoints, and
+it rejects duplicate ids, coinciding footpoints and float footpoints
+that overflowed.  The certificate comes from the loop as
 well: the span from the walls it tracks, the lower bound from one prefix
 pass over the sorted sizes.
 """
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 from operator import floordiv, truediv
 from typing import Iterable
 
-from .geometry import Disk, Placement, _solved, by_size, prefix_support_bound
-from .scalars import Scalar
+from .geometry import Disk, Placement, by_size, prefix_support_bound
+from .scalars import Lift, Scalar
 
 
 @dataclass(frozen=True)
@@ -155,8 +156,8 @@ def _greedy(order: list[Disk], sizes: list, back) -> tuple[GreedyResult, Scalar]
     while k >= 0:
         chain.append(k)
         k = right_nb[k]
-    columns = [list(map(column.__getitem__, chain)) for column in (order, sizes, foot)]
-    placement = _solved(*columns, back)
+    disks, sizes, foot = [list(map(column.__getitem__, chain)) for column in (order, sizes, foot)]
+    placement = Placement(disks, Lift(sizes, foot, 1, back))
     # a gap placement pops one entry and pushes two, an end placement pushes one
     ops = n - 1 + 2 * in_gaps
     return GreedyResult(placement, certificate, ops), lifted

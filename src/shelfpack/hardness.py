@@ -238,7 +238,7 @@ def decode_partition(hi: HardnessInstance, placement: Placement) -> PartitionSol
             f"span {result.report.span} exceeds the budget {hi.budget}"
         )
     # bisect on the placement's kept lift: integers, in footpoint order
-    footpoints = dict(zip((d.id for d in placement.disks), placement._lift[1]))
+    footpoints = dict(zip((d.id for d in placement.disks), placement._lift.feet))
     outer = sorted(
         footpoints[d.id] for d in hi.disks if hi.roles[d.id] is DiskRole.OUTER_FRAME
     )

@@ -27,15 +27,25 @@ def is_linear_case(disks: Iterable[Disk]) -> bool:
     homogeneous of degree 2 in the sizes, so they are read from the sizes
     lifted once (see :func:`~shelfpack.scalars.lift`): exact sizes as the
     integers S = size*D over their common denominator D, floats as they
-    are.  a, b and z come from linear passes over that column.
+    are.
     """
-    sizes = [d.size for d in disks]
-    if not sizes:
-        raise DomainError("the linear-case test needs at least one disk")
+    sizes = [d.size for d in _nonempty(disks)]
     unified_backend(sizes)
+    return _linear(lift(sizes).sizes)
+
+
+def _nonempty(disks: Iterable[Disk]) -> list[Disk]:
+    disks = list(disks)
+    if not disks:
+        raise DomainError("the linear-case test needs at least one disk")
+    return disks
+
+
+def _linear(sizes: Sequence) -> bool:
+    """:func:`is_linear_case` on the lifted sizes; a, b and z come from
+    linear passes over them."""
     if len(sizes) == 1:
         return True  # a lone disk has no gap to hide in
-    sizes = lift(sizes)[0]
     a, b = heapq.nlargest(2, sizes)
     z = min(sizes)
     return a * b < z * (a + b) and wall_fit_exceeds(z, a)
@@ -74,10 +84,9 @@ def solve_linear(disks: Iterable[Disk]) -> tuple[Placement, SpanReport]:
     (m**2 + 2 m a + b**2) - (a**2 + 2 b m + m**2) = (a - b)(2m - a - b).
     m goes first iff that is negative; ties keep it on the right.
     """
-    disks = list(disks)
-    if not is_linear_case(disks):
+    desc, sizes, _ = by_size(_nonempty(disks), "solve_linear")
+    if not _linear(sizes):  # tested on the sizes by_size lifted
         raise PreconditionError("not a linear-case instance")
-    desc, sizes, _ = by_size(disks, "solve_linear")
     n = len(desc)
     ranks = _interleave(range(n))
     if n % 2:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import re
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
@@ -93,8 +94,12 @@ def unified_backend(values: Iterable[Scalar]) -> Backend:
     return backend
 
 
-def lift(sizes: Sequence[Scalar], feet: Sequence = (), dens: Sequence[int] | None = None) -> tuple:
-    """Sizes and footpoints of one backend as ``(sizes, feet, c, back)``.
+# the columns of one backend as lift gives them
+Lift = namedtuple("Lift", "sizes feet c back")
+
+
+def lift(sizes: Sequence[Scalar], feet: Sequence = (), dens: Sequence[int] | None = None) -> Lift:
+    """Sizes and footpoints of one backend as ``Lift(sizes, feet, c, back)``.
 
     Floats pass through as they are, with ``c = 1`` and ``back = float``.
     Exact sizes become integers S over their common denominator D, which
@@ -116,13 +121,14 @@ def lift(sizes: Sequence[Scalar], feet: Sequence = (), dens: Sequence[int] | Non
     that bound the columns come back unlifted, as ``Fraction``s, with
     ``c = 1`` and ``back = Fraction``.
 
-    A :class:`~shelfpack.geometry.Placement` keeps one lift for its
-    lifetime; the solvers lift sizes alone and hand the placement their
-    footpoints over D**2.  Numerators and denominators are read one column
-    at a time.
+    A :class:`~shelfpack.geometry.Placement` takes a ``Lift`` as its
+    footpoints and keeps one for its lifetime: the solvers lift sizes
+    alone (Q = D**2, c = 1) and hand over their footpoints over D**2, and
+    the file reader lifts the columns it reads.  Numerators and
+    denominators are read one column at a time.
     """
     if not isinstance(sizes[0], Fraction):
-        return sizes, feet, 1, float
+        return Lift(sizes, feet, 1, float)
     size_dens = list(map(_denominator, sizes))
     scale = math.lcm(*set(size_dens))
     ints = list(map(mul, map(_numerator, sizes), map(floordiv, repeat(scale), size_dens)))
@@ -142,9 +148,9 @@ def lift(sizes: Sequence[Scalar], feet: Sequence = (), dens: Sequence[int] | Non
     for den in distinct:
         q = math.lcm(q, den)
         if q.bit_length() > bound:
-            return sizes, list(map(Fraction, nums, dens)) if ratios else feet, 1, Fraction
+            return Lift(sizes, list(map(Fraction, nums, dens)) if ratios else feet, 1, Fraction)
     lifted = list(map(mul, nums, map(floordiv, repeat(q), dens)))
-    return ints, lifted, q // square, partial(Fraction, denominator=q)
+    return Lift(ints, lifted, q // square, partial(Fraction, denominator=q))
 
 
 def _over(back) -> int | None:

@@ -22,7 +22,7 @@ from shelfpack.geometry import (
 )
 from shelfpack.greedy import Certificate, GreedyResult
 from shelfpack.linear import _interleave
-from shelfpack.scalars import Backend, Scalar, coerce, lift, unified_backend
+from shelfpack.scalars import Backend, Lift, Scalar, coerce, lift, unified_backend
 
 
 def make_disks(sizes: Sequence, prefix: str = "d") -> list[Disk]:
@@ -110,17 +110,17 @@ def reference_placement(disks: Sequence[Disk], feet: Sequence) -> tuple[tuple, t
     return disks, feet
 
 
-def fresh_lift(placement: Placement) -> tuple:
+def fresh_lift(placement: Placement) -> Lift:
     """The lift of a placement's columns, made from scratch."""
     return lift([d.size for d in placement.disks], placement.footpoints)
 
 
-def unlifted(placement: Placement) -> tuple:
+def unlifted(placement: Placement) -> Lift:
     """A placement's columns as they are, in the form that
     :func:`~shelfpack.scalars.lift` gives past its guard: every check on it
     runs on the scalars themselves."""
     back = float if placement.backend is Backend.FLOAT else Fraction
-    return [d.size for d in placement.disks], list(placement.footpoints), 1, back
+    return Lift([d.size for d in placement.disks], list(placement.footpoints), 1, back)
 
 
 def with_lift(placement: Placement, lifted: tuple) -> Placement:

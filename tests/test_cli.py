@@ -550,6 +550,19 @@ class TestCollector:
         assert during == [False] * 5
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to count descriptors")
+    def test_closed_pipe_leaves_no_descriptor_open(self, linear_instance, monkeypatch):
+        fd = os.open(os.devnull, os.O_WRONLY)  # the closed pipe's stand-in
+        try:
+            before = len(os.listdir("/dev/fd"))
+            with monkeypatch.context() as m:
+                m.setattr(sys, "stdout", self.ClosedPipe(fd))
+                for _ in range(5):
+                    assert main(["solve", linear_instance]) == 0
+            assert len(os.listdir("/dev/fd")) == before
+        finally:
+            os.close(fd)
+
 
 class TestExactPlacementsStayIntegers:
     """An exact placement goes from file to file as integers: ``Fraction``s
@@ -592,6 +605,7 @@ class TestExactPlacementsStayIntegers:
             return lift(*args)
 
         monkeypatch.setattr(geometry, "lift", counted_lift)
+        monkeypatch.setattr(files, "lift", counted_lift)  # the reader's lift
         made = self.count_fractions(monkeypatch)
         assert main(["verify", str(out)]) == 0
         assert "accepted" in capsys.readouterr().out

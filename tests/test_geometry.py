@@ -18,7 +18,7 @@ from helpers import (
     unlifted,
     with_lift,
 )
-from shelfpack import geometry, linear, oracle
+from shelfpack import files, geometry, linear, oracle
 from shelfpack.errors import BackendMismatchError, DomainError
 from shelfpack.scalars import Backend, coerce, lift
 from shelfpack.geometry import (
@@ -231,6 +231,12 @@ def _typed(lifted):
     return [[(type(v), repr(v)) for v in column] for column in (sizes, feet)], c, repr(back(7))
 
 
+def from_lift(disks, feet):
+    """``Placement(disks, feet)`` built as the solvers and the reader build
+    it: the footpoints handed over as a ``Lift`` of the disks' sizes."""
+    return Placement(disks, lift([d.size for d in disks], feet))
+
+
 def lift_cases(rng):
     """(disks, footpoints) columns: exact and float compactions and
     overlapping placements, each in order and shuffled, and footpoints
@@ -268,7 +274,9 @@ class TestKeptLift:
         for disks, feet in lift_cases(rng):
             p = Placement(disks, feet)
             assert _typed(p._lift) == _typed(fresh_lift(p))
-            guarded += p._lift[3] is F
+            guarded += p._lift.back is F
+            q = from_lift(disks, feet)
+            assert q == p and _typed(q._lift) == _typed(p._lift)
         assert guarded == 2
 
     def test_columns_and_errors_match_the_unlifted_checks(self):
@@ -284,6 +292,23 @@ class TestKeptLift:
                 got = _outcome(lambda: [Placement(d, x).disks, Placement(d, x).footpoints])
                 want = _outcome(lambda: list(reference_placement(d, x)))
                 assert got == want, (d, x)
+                got = _outcome(lambda: [from_lift(d, x).disks, from_lift(d, x).footpoints])
+                assert got == want, (d, x)
+
+    def test_a_lift_is_refused_as_plain_footpoints_are(self):
+        floats = make_disks([1.0, 2.0, 0.5])
+        exact = make_disks([F(1), F(2), F(1, 2)])
+        cases = [
+            (floats, [0.0, 3.0, math.inf]),  # an overflowed float footpoint
+            (floats, [math.nan, -math.inf, 3.0]),
+            (floats, [0.0, 3.0]),  # one footpoint short
+            (exact, [F(0), F(3)]),
+            (exact, [F(0), F(3), F(5), F(7)]),  # one too many
+        ]
+        for disks, feet in cases:
+            want = _outcome(lambda: Placement(disks, feet))
+            assert want[0] == "error", feet
+            assert _outcome(lambda: from_lift(disks, feet)) == want, feet
 
     def test_span_and_verify_read_the_kept_lift(self):
         rng = random.Random(107)
@@ -303,6 +328,7 @@ class TestKeptLift:
             return lift(*args)
 
         monkeypatch.setattr(geometry, "lift", counted)
+        monkeypatch.setattr(files, "lift", counted)  # the reader's lift
         p = compact(make_disks([F(3, 2), F(1), F(5, 3)]))
         calls.clear()
         q = parse_placement(format_placement(p))

@@ -12,10 +12,12 @@ from helpers import (
     reversal_improvement,
     touching_chain_total,
 )
-from shelfpack.errors import DomainError, PreconditionError
-from shelfpack.geometry import compact, span
+from shelfpack import geometry, linear
+from shelfpack.errors import BackendMismatchError, DomainError, PreconditionError
+from shelfpack.geometry import Disk, compact, span
 from shelfpack.linear import is_linear_case, solve_linear
 from shelfpack.oracle import exact_solve
+from shelfpack.scalars import lift
 
 
 class TestIsLinearCase:
@@ -108,6 +110,26 @@ class TestOptimalOrder:
     def test_rejects_non_linear(self):
         with pytest.raises(PreconditionError):
             solve_linear(make_disks([F(5), F(4), F(3), F(2)]))
+
+    def test_refuses_as_the_linear_case_test_does(self):
+        with pytest.raises(DomainError, match="^the linear-case test needs at least one disk$"):
+            solve_linear([])
+        with pytest.raises(BackendMismatchError):
+            solve_linear([Disk("a", F(1)), Disk("b", 1.0)])
+
+    def test_lifts_the_sizes_twice(self, monkeypatch):
+        # the sort lifts them, and the condition is read from that lift;
+        # the compaction lifts them again in footpoint order
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return lift(*args)
+
+        for module in (geometry, linear):
+            monkeypatch.setattr(module, "lift", counted)
+        solve_linear(make_disks([F(10), F(9), F(8), F(7), F(6)]))
+        assert calls == [5, 5]
 
 
 class TestSolveLinear:
