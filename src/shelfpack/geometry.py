@@ -115,15 +115,15 @@ class Placement:
     unique ids and strictly increasing footpoints.  The columns are sorted
     by footpoint first; an offender is named in footpoint order.
 
-    The placement lifts its columns once (see
-    :func:`~shelfpack.scalars.lift`) and keeps the :class:`Lift`, outside
-    equality, hash and repr: the order checks run on it, as integers for
-    exact data, and :func:`span`, :func:`verify`, the file writer and the
-    SVG read it instead of lifting again.  The solvers and the file reader
-    pass a ``Lift`` of the disks' sizes as the footpoints.  Its types and
-    backend are trusted, but float footpoints that overflowed take the
-    checks of plain footpoints, which name the disk.  The footpoints of a
-    ``Lift`` are built only when first read.
+    A placement is its disks and one :class:`Lift` of its columns (see
+    :func:`~shelfpack.scalars.lift`), kept outside equality, hash and repr:
+    the order checks run on it, as integers for exact data, and
+    :func:`span`, :func:`verify`, the file writer and the SVG read it
+    instead of lifting again.  The footpoints are built from the lift when
+    first read.  The solvers and the file reader pass a ``Lift`` of the
+    disks' sizes as the footpoints.  Its types and backend are trusted,
+    but float footpoints that overflowed take the checks of plain
+    footpoints (see :func:`_lift_footpoints`), which name the disk.
     """
 
     disks: tuple[Disk, ...]
@@ -131,46 +131,25 @@ class Placement:
     _lift: Lift = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        disks, feet = tuple(self.disks), self.footpoints
-        plain = type(feet) is not Lift
-        if not plain and feet.back is float and not all(map(math.isfinite, feet.feet)):
-            plain, feet = True, feet.feet  # the plain checks name the disk
-        if plain:
-            feet = tuple(feet)
+        disks, kept = tuple(self.disks), self.footpoints
+        feet = kept.feet if type(kept) is Lift else tuple(kept)
         if not disks:
             raise DomainError("a placement must contain at least one disk")
-        count = len(feet) if plain else len(feet.feet)
-        if len(disks) != count:
+        if len(disks) != len(feet):
             raise DomainError(
                 f"a placement needs one footpoint per disk, got {len(disks)} "
-                f"disks and {count} footpoints"
+                f"disks and {len(feet)} footpoints"
             )
-        kept = feet
-        if plain:
-            try:
-                if not _proven(feet):
-                    feet = tuple(map(coerce, feet))
-            except DomainError:
-                for disk, x in zip(disks, feet):
-                    try:
-                        coerce(x)
-                    except DomainError as exc:
-                        raise DomainError(f"disk {disk.id!r} has footpoint {x!r}") from exc
-                raise
-            sizes = [d.size for d in disks]
-            unified_backend(sizes + list(feet))
-            kept = lift(sizes, feet)
-        sizes, points = kept.sizes, kept.feet
+        if type(kept) is not Lift or (kept.back is float and not all(map(math.isfinite, feet))):
+            kept = _lift_footpoints(disks, feet)
+        points = kept.feet
         # compaction and parsed files deliver footpoints in order already
         in_order = all(map(lt, points, points[1:]))
         if not in_order:
             order = sorted(range(len(points)), key=points.__getitem__)
             disks = tuple(map(disks.__getitem__, order))
-            if plain:
-                feet = tuple(map(feet.__getitem__, order))
-            sizes = list(map(sizes.__getitem__, order))
             points = list(map(points.__getitem__, order))
-            kept = kept._replace(sizes=sizes, feet=points)
+            kept = kept._replace(sizes=list(map(kept.sizes.__getitem__, order)), feet=points)
         ids = [d.id for d in disks]
         if len(set(ids)) < len(ids):
             seen: set[str] = set()
@@ -186,13 +165,10 @@ class Placement:
                     )
         object.__setattr__(self, "disks", disks)
         object.__setattr__(self, "_lift", kept)
-        if plain:
-            object.__setattr__(self, "footpoints", feet)
-        else:  # left unset until read; see __getattr__
-            object.__delattr__(self, "footpoints")
+        object.__delattr__(self, "footpoints")  # built when first read
 
     def __getattr__(self, name: str):
-        # called only for an unset slot: the footpoints of a Lift
+        # called only for an unset slot: the footpoints, built from the lift
         if name != "footpoints":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         _, lifted, _, back = self._lift
@@ -209,6 +185,22 @@ class Placement:
 
     def __iter__(self) -> Iterator[tuple[Disk, Scalar]]:
         return zip(self.disks, self.footpoints)
+
+
+def _lift_footpoints(disks: Sequence[Disk], feet: Sequence) -> Lift:
+    """The checks of plain footpoints, then their lift with the disks'
+    sizes: each footpoint a scalar as :func:`~shelfpack.scalars.coerce`
+    makes it, its disk named on failure, and one backend over sizes and
+    footpoints."""
+    coerced = []
+    for disk, x in zip(disks, feet):
+        try:
+            coerced.append(coerce(x))
+        except DomainError as exc:
+            raise DomainError(f"disk {disk.id!r} has footpoint {x!r}") from exc
+    sizes = [d.size for d in disks]
+    unified_backend(sizes + coerced)
+    return lift(sizes, coerced)
 
 
 @dataclass(frozen=True)
@@ -245,8 +237,13 @@ def wall_fit_exceeds(z: Scalar, a: Scalar) -> bool:
     unified_backend((z, a))
     if z <= 0 or a <= 0:
         raise DomainError("sizes must be positive")
-    s = z + a
-    return s * s > 2 * a * a
+    return _wall_gap_overflows(z, a)
+
+
+def _wall_gap_overflows(z, a) -> bool:
+    """:func:`wall_fit_exceeds` on positive sizes of one backend, such as
+    lifted ones."""
+    return (z + a) * (z + a) > 2 * a * a
 
 
 def _reach(sizes: Sequence, feet: Sequence, stack: list, k: int, x, pair) -> tuple:
@@ -283,17 +280,23 @@ def _reach(sizes: Sequence, feet: Sequence, stack: list, k: int, x, pair) -> tup
     return x, arg
 
 
-def by_size(disks: Iterable[Disk], caller: str) -> tuple:
-    """The solvers' front end: at least one disk (the error names
-    ``caller``) and one backend, then the disks and their sizes lifted once
-    (see :func:`~shelfpack.scalars.lift`), by decreasing size, ties by id,
-    and the map ``back``.  Exact sizes sort as integers over D."""
-    items = list(disks)
-    if not items:
-        raise DomainError(f"{caller} requires at least one disk")
-    sizes = [d.size for d in items]
+def _lifted_sizes(disks: Iterable[Disk], empty_message: str) -> Lift:
+    """The front door of every size column: at least one disk (else a
+    :class:`DomainError` with ``empty_message``) and one backend, then the
+    sizes lifted once (see :func:`~shelfpack.scalars.lift`), with c = 1."""
+    sizes = [d.size for d in disks]
+    if not sizes:
+        raise DomainError(empty_message)
     unified_backend(sizes)
-    sizes, _, _, back = lift(sizes)
+    return lift(sizes)
+
+
+def by_size(disks: Iterable[Disk], empty_message: str) -> tuple:
+    """The solvers' front end: the disks and their sizes as
+    :func:`_lifted_sizes` checks and lifts them, by decreasing size, ties
+    by id, and the map ``back``.  Exact sizes sort as integers over D."""
+    items = list(disks)
+    sizes, _, _, back = _lifted_sizes(items, empty_message)
     # two stable sorts, by id and then by size; reverse keeps ties in order
     rank = sorted(range(len(items)), key=[d.id for d in items].__getitem__)
     rank.sort(key=sizes.__getitem__, reverse=True)
@@ -315,11 +318,7 @@ def compact(order: Sequence[Disk]) -> Placement:
     the output once: unique ids, and float footpoints that did not
     overflow.
     """
-    if not order:
-        raise DomainError("cannot compact an empty order")
-    sizes = [d.size for d in order]
-    unified_backend(sizes)
-    lifted = lift(sizes)  # c = 1 without footpoints
+    lifted = _lifted_sizes(order, "cannot compact an empty order")
     sizes = lifted.sizes
     feet: list = []
     stack: list = []
@@ -406,11 +405,8 @@ def best_support_lower_bound(disks: Iterable[Disk]) -> Scalar:
     """
     # Each prefix bound depends only on the multiset of sizes in the
     # prefix, so the sizes alone are sorted; ties need no order.
-    sizes = [d.size for d in disks]
-    if not sizes:
-        raise DomainError("best_support_lower_bound requires at least one disk")
-    unified_backend(sizes)
-    sizes, _, _, back = lift(sizes)
+    empty = "best_support_lower_bound requires at least one disk"
+    sizes, _, _, back = _lifted_sizes(disks, empty)
     return back(prefix_support_bound(sorted(sizes, reverse=True)))
 
 

@@ -69,7 +69,7 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
     Gaps are ranked by (-fit, left id, left index, right index), where a
     gap between sizes a and b with footpoints g apart has fit g / (2(a+b)).
     """
-    return _greedy(*by_size(disks, "greedy_solve"))[0]
+    return _greedy(*by_size(disks, "greedy_solve requires at least one disk"))[0]
 
 
 def _greedy(order: list[Disk], sizes: list, back) -> tuple[GreedyResult, Scalar]:

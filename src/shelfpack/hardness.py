@@ -381,15 +381,6 @@ def _capacity_check(
     )
 
 
-def _equality_check(name: str, value: Fraction, expected: Fraction) -> IdentityCheck:
-    return IdentityCheck(
-        name=name,
-        passed=value == expected,
-        value=value,
-        detail=f"{value} == {expected}",
-    )
-
-
 def reduction_identity_suite() -> IdentityReport:
     """Recompute every construction identity and impossibility bound exactly.
 
@@ -400,31 +391,25 @@ def reduction_identity_suite() -> IdentityReport:
     naming every failed check; returns the full report otherwise.
     """
     f, l, t, e = SIZE_INNER, SIZE_LARGE_FILLER, SIZE_SMALL_FILLER, SIZE_END
+    equalities = [
+        ("large filler fills the outer/inner corner", 1 / l, 1 + 1 / f),
+        ("small filler fills the outer/large-filler corner", 1 / t, 1 + 1 / l),
+        ("end disk fills the end slot with zero slack", 2 * f + 4 * f * e + f * f, Fraction(1)),
+        ("gap size budget for three element disks", GAP_SIZE_BUDGET, Fraction(17, 33)),
+        ("three average element disks exactly meet the budget",
+         3 * partition_disk_size(1, 3), Fraction(17, 33)),
+        ("minimum element size at a_i > B/4",
+         Fraction(17, 99) * Fraction(399, 400), Fraction(2261, 13200)),
+        ("five inner frames overflow a gap by 0.1912",
+         _chain_distance(_sequence_sizes("O F F F F F O")), Fraction("2.1912")),
+        ("three inner frames overflow an end by 0.2045",
+         _chain_distance(_sequence_sizes("O F F F")) + f * f, Fraction("1.2045")),
+    ]
     checks: list[IdentityCheck] = [
-        _equality_check("large filler fills the outer/inner corner", 1 / l, 1 + 1 / f),
-        _equality_check("small filler fills the outer/large-filler corner", 1 / t, 1 + 1 / l),
-        _equality_check("end disk fills the end slot with zero slack", 2 * f + 4 * f * e + f * f, Fraction(1)),
-        _equality_check("gap size budget for three element disks", GAP_SIZE_BUDGET, Fraction(17, 33)),
-        _equality_check(
-            "three average element disks exactly meet the budget",
-            3 * partition_disk_size(1, 3),
-            Fraction(17, 33),
-        ),
-        _equality_check(
-            "minimum element size at a_i > B/4",
-            Fraction(17, 99) * Fraction(399, 400),
-            Fraction(2261, 13200),
-        ),
-        _equality_check(
-            "five inner frames overflow a gap by 0.1912",
-            _chain_distance(_sequence_sizes("O F F F F F O")),
-            Fraction("2.1912"),
-        ),
-        _equality_check(
-            "three inner frames overflow an end by 0.2045",
-            _chain_distance(_sequence_sizes("O F F F")) + f * f,
-            Fraction("1.2045"),
-        ),
+        IdentityCheck(name, value == expected, value, f"{value} == {expected}")
+        for name, value, expected in equalities
+    ]
+    checks += [
         IdentityCheck(
             "end disk is above the minimum element size",
             SIZE_END > SIZE_MIN_ELEMENT,

@@ -12,10 +12,11 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Sequence
 
-from .errors import DomainError, PreconditionError
+from .errors import PreconditionError
 from .geometry import Disk, Placement, SpanReport, by_size, compact, span
-from .geometry import wall_fit_exceeds
-from .scalars import lift, unified_backend
+from .geometry import _lifted_sizes, _wall_gap_overflows
+
+_EMPTY = "the linear-case test needs at least one disk"
 
 
 def is_linear_case(disks: Iterable[Disk]) -> bool:
@@ -25,20 +26,11 @@ def is_linear_case(disks: Iterable[Disk]) -> bool:
     linear iff 1/z < 1/a + 1/b and z > (sqrt(2) - 1) a, both strict.
     The first comparison is evaluated as a*b < z*(a + b).  Both are
     homogeneous of degree 2 in the sizes, so they are read from the sizes
-    lifted once (see :func:`~shelfpack.scalars.lift`): exact sizes as the
-    integers S = size*D over their common denominator D, floats as they
-    are.
+    lifted once (see :func:`~shelfpack.geometry._lifted_sizes`): exact
+    sizes as the integers S = size*D over their common denominator D,
+    floats as they are.
     """
-    sizes = [d.size for d in _nonempty(disks)]
-    unified_backend(sizes)
-    return _linear(lift(sizes).sizes)
-
-
-def _nonempty(disks: Iterable[Disk]) -> list[Disk]:
-    disks = list(disks)
-    if not disks:
-        raise DomainError("the linear-case test needs at least one disk")
-    return disks
+    return _linear(_lifted_sizes(disks, _EMPTY).sizes)
 
 
 def _linear(sizes: Sequence) -> bool:
@@ -48,7 +40,7 @@ def _linear(sizes: Sequence) -> bool:
         return True  # a lone disk has no gap to hide in
     a, b = heapq.nlargest(2, sizes)
     z = min(sizes)
-    return a * b < z * (a + b) and wall_fit_exceeds(z, a)
+    return a * b < z * (a + b) and _wall_gap_overflows(z, a)
 
 
 def _interleave(desc: Sequence[int]) -> list[int]:
@@ -84,7 +76,7 @@ def solve_linear(disks: Iterable[Disk]) -> tuple[Placement, SpanReport]:
     (m**2 + 2 m a + b**2) - (a**2 + 2 b m + m**2) = (a - b)(2m - a - b).
     m goes first iff that is negative; ties keep it on the right.
     """
-    desc, sizes, _ = by_size(_nonempty(disks), "solve_linear")
+    desc, sizes, _ = by_size(disks, _EMPTY)
     if not _linear(sizes):  # tested on the sizes by_size lifted
         raise PreconditionError("not a linear-case instance")
     n = len(desc)

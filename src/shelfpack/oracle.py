@@ -81,7 +81,7 @@ def exact_solve(
             f"instance has {len(items)} disks, above the oracle cap of "
             f"{cfg.max_n}; raise OracleConfig.max_n to search anyway"
         )
-    items, sizes, back = by_size(items, "exact_solve")
+    items, sizes, back = by_size(items, "exact_solve requires at least one disk")
     n = len(items)
     radii = [s * s for s in sizes]
     pair = [[2 * a * b for b in sizes] for a in sizes]

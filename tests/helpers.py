@@ -65,12 +65,12 @@ def gap_fit_size(a, b, footpoint_gap):
     return footpoint_gap / (2 * (a + b))
 
 
-def reference_by_size(disks: Iterable[Disk], caller: str) -> tuple:
+def reference_by_size(disks: Iterable[Disk], empty_message: str) -> tuple:
     """``geometry.by_size`` the plain way: sort the disks on their unlifted
     sizes by (-size, id), then lift the sorted sizes."""
     order = sorted(disks, key=lambda d: (-d.size, d.id))
     if not order:
-        raise DomainError(f"{caller} requires at least one disk")
+        raise DomainError(empty_message)
     sizes = [d.size for d in order]
     unified_backend(sizes)
     sizes, _, _, back = lift(sizes)

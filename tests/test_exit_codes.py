@@ -80,6 +80,7 @@ def test_mutated_files_keep_the_exit_code_contract(tmp_path, capsys):
     rng = random.Random(1717)
     seeds = _seed_files()
     statuses = set()
+    verified = 0
     for case in range(FILES):
         kind, text, _ = seeds[case % len(seeds)]
         for _ in range(rng.randint(1, 3)):
@@ -88,11 +89,19 @@ def test_mutated_files_keep_the_exit_code_contract(tmp_path, capsys):
         path.write_text(text, encoding="utf-8")
         for args in _commands(kind, str(path), tmp_path):
             status = main(args)
-            err = capsys.readouterr().err
+            out, err = capsys.readouterr()
             assert status in EXITS, (args, text)
             assert "Traceback" not in err, (args, text, err)
             statuses.add(status)
+            # an exact solve's output must pass the verifier; a float one
+            # waits on float output that is truly non-overlapping
+            if status == 0 and "--out" in args and " (exact)\n" in out:
+                written = args[args.index("--out") + 1]
+                assert main(["verify", written]) == 0, text
+                capsys.readouterr()
+                verified += 1
     assert statuses == EXITS
+    assert verified > 0
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from helpers import (
     reversal_improvement,
     touching_chain_total,
 )
-from shelfpack import geometry, linear
+from shelfpack import geometry
 from shelfpack.errors import BackendMismatchError, DomainError, PreconditionError
 from shelfpack.geometry import Disk, compact, span
 from shelfpack.linear import is_linear_case, solve_linear
@@ -71,6 +71,19 @@ class TestIsLinearCase:
         with pytest.raises(DomainError):
             is_linear_case([])
 
+    def test_reads_the_lifted_sizes_without_coercing_them(self, monkeypatch):
+        # the wall-gap test runs on the lifted sizes as they are: no
+        # Fraction is built back from them and no backend checked again
+        def refused(value):
+            raise AssertionError(f"coerce({value!r})")
+
+        exact = make_disks([F(10), F(9), F(8), F(7)])
+        floats = make_disks([10.0, 9.0, 8.0, 7.0])
+        spread = make_disks([F(5), F(4), F(3), F(2)])
+        monkeypatch.setattr(geometry, "coerce", refused)
+        assert is_linear_case(exact) is True and is_linear_case(floats) is True
+        assert is_linear_case(spread) is False
+
 
 def linear_order(disks):
     """The solver's order: compacted footpoints strictly increase."""
@@ -126,8 +139,7 @@ class TestOptimalOrder:
             calls.append(len(args[0]))
             return lift(*args)
 
-        for module in (geometry, linear):
-            monkeypatch.setattr(module, "lift", counted)
+        monkeypatch.setattr(geometry, "lift", counted)
         solve_linear(make_disks([F(10), F(9), F(8), F(7), F(6)]))
         assert calls == [5, 5]
 
