@@ -69,12 +69,7 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
     Gaps are ranked by (-fit, left id, left index, right index), where a
     gap between sizes a and b with footpoints g apart has fit g / (2(a+b)).
     """
-    return _greedy(*by_size(disks, "greedy_solve requires at least one disk"))[0]
-
-
-def _greedy(order: list[Disk], sizes: list, back) -> tuple[GreedyResult, Scalar]:
-    """:func:`greedy_solve` on the output of ``by_size``; also returns the
-    span in lifted units, an integer over D**2 on exact data."""
+    order, sizes, back = by_size(disks, "greedy_solve requires at least one disk")
     exact = not isinstance(sizes[0], float)
     # Exact sizes are integers over their common denominator D, so
     # footpoints and walls are integers over D**2.  An exact fit g/w is
@@ -145,8 +140,7 @@ def _greedy(order: list[Disk], sizes: list, back) -> tuple[GreedyResult, Scalar]
 
     # The walls are the extents span() finds, and the bound is
     # best_support_lower_bound's prefix pass over the sorted sizes.
-    lifted = right_wall - left_wall
-    extent = back(lifted)
+    extent = back(right_wall - left_wall)
     lower_bound = back(prefix_support_bound(sizes))
     certificate = Certificate(extent, lower_bound, extent / lower_bound)
     # the links run left to right, so the columns go out in footpoint order
@@ -160,5 +154,5 @@ def _greedy(order: list[Disk], sizes: list, back) -> tuple[GreedyResult, Scalar]
     placement = Placement(disks, Lift(sizes, foot, 1, back))
     # a gap placement pops one entry and pushes two, an end placement pushes one
     ops = n - 1 + 2 * in_gaps
-    return GreedyResult(placement, certificate, ops), lifted
+    return GreedyResult(placement, certificate, ops)
 

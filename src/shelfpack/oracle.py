@@ -14,9 +14,12 @@ completion are built from the state by ``max`` and ``+`` alone, both
 monotone (on floats as well, since rounding is monotone), so the dominated
 state can never finish below the one that dominates it.  Equal-size disks
 enter in index order only, so permutations among them are built once.
+No other state is dropped, so the last layer holds an optimal order.
 The disks and their lifted sizes come from the solvers' shared front end,
-:func:`~shelfpack.geometry.by_size`, so on exact data every state value,
-and the greedy span that serves as incumbent, is an integer over D**2.
+:func:`~shelfpack.geometry.by_size`, so on exact data every state value is
+an integer over D**2.  On floats each footpoint is rounded as
+:func:`~shelfpack.geometry.compact` rounds it, so the span found is the
+smallest compacted span, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from typing import Iterable, Optional
 
 from .errors import DomainError, PreconditionError
 from .geometry import Disk, Placement, SpanReport, by_size, compact, span
-from .greedy import _greedy
 
 
 @dataclass(frozen=True)
@@ -67,12 +69,9 @@ def exact_solve(
     raises each remaining E[k] to x + 2 s_i s_k if that is larger.  These
     steps are monotone in the span and in E, so a dominated state never
     completes below the state that dominates it, and dropping it is
-    exact.  The greedy span is an incumbent, and states at or above it
-    are dropped.  One order is compacted: the best state's in the last
-    layer or, when no order beats the incumbent, the greedy placement's
-    footpoint order.  Compaction is componentwise minimal, so that order
-    compacts to at most the greedy span; on exact data no order beats
-    it, so the two are equal.
+    exact.  One order is compacted: the best state's in the last layer.
+    Its DP span is its compacted span, computed the same way, so on floats
+    too the result is the smallest compacted span.
     """
     cfg = config or OracleConfig()
     items = list(disks)
@@ -81,13 +80,11 @@ def exact_solve(
             f"instance has {len(items)} disks, above the oracle cap of "
             f"{cfg.max_n}; raise OracleConfig.max_n to search anyway"
         )
-    items, sizes, back = by_size(items, "exact_solve requires at least one disk")
+    items, sizes, _ = by_size(items, "exact_solve requires at least one disk")
     n = len(items)
     radii = [s * s for s in sizes]
     pair = [[2 * a * b for b in sizes] for a in sizes]
     zero = sizes[0] * 0
-
-    greedy, incumbent = _greedy(items, sizes, back)
 
     # placed-set bitmask -> its front of (span, envelope, order) states;
     # envelope entries of placed disks stay zero so they never decide
@@ -109,8 +106,6 @@ def exact_solve(
                     x = env[i] if env[i] > r else r
                     extent = x + r
                     new_span = partial if partial > extent else extent
-                    if new_span >= incumbent:
-                        continue
                     new_env = list(env)
                     new_env[i] = zero
                     for k in rest:
@@ -123,11 +118,7 @@ def exact_solve(
                     )
         layer = following
 
-    if layer:
-        (front,) = layer.values()
-        best_order = min(front, key=lambda state: state[0])[2]
-        order = [items[i] for i in best_order]
-    else:
-        order = greedy.placement.disks  # nothing beat the greedy span
-    placement = compact(order)
+    (front,) = layer.values()
+    best_order = min(front, key=lambda state: state[0])[2]
+    placement = compact([items[i] for i in best_order])
     return placement, span(placement)

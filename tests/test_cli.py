@@ -338,6 +338,20 @@ class TestGenhard:
         captured = capsys.readouterr().out
         assert "disks: 47" in captured and "budget: 8" in captured
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 100\n30 33 37 26 35 x\n", "non-integer token in 3-Partition input"),
+            ("0 100\n", "m must be at least 1, got 0"),
+        ],
+    )
+    def test_unparsable_source_exits_2(self, tmp_path, capsys, text, message):
+        src = write(tmp_path / "3p.txt", text)
+        out = tmp_path / "h.instance"
+        assert main(["genhard", src, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_element_exits_3_with_constraint(self, tmp_path, capsys):
         src = write(tmp_path / "3p.txt", "2 100\n50 33 37 26 35 39\n")
         rc = main(["genhard", src, "--out", str(tmp_path / "h.instance")])

@@ -188,6 +188,18 @@ class TestAuxiliaryFormats:
         with pytest.raises(ParseError, match="expected 6 elements"):
             parse_3partition("2 100\n30 33 37\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 100\n30 33 37\n26 35 39.5\n", "non-integer token in 3-Partition input"),
+            ("0 100\n", "m must be at least 1, got 0"),
+            ("-1 100\n", "m must be at least 1, got -1"),
+        ],
+    )
+    def test_parse_3partition_refusals(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_3partition(text)
+
     def test_parse_groups(self):
         sol = parse_groups("1 2 3\n4 5 6\n")
         assert sol.groups == ((1, 2, 3), (4, 5, 6))

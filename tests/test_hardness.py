@@ -6,7 +6,12 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import footpoint_distance, fresh_lift, unlifted, with_lift
-from shelfpack.errors import InconsistencyError, PreconditionError, ShelfPackError
+from shelfpack.errors import (
+    DomainError,
+    InconsistencyError,
+    PreconditionError,
+    ShelfPackError,
+)
 from shelfpack.geometry import Disk, Placement, span, verify
 from shelfpack.hardness import (
     GAP_SIZE_BUDGET,
@@ -80,6 +85,26 @@ class TestValidate3Partition:
             PreconditionError, match="invalid 3-Partition instance: element count 2"
         ):
             validate_3partition(ThreePartitionInstance((30, 33), 100))
+
+    @pytest.mark.parametrize("bound", [0, -100])
+    def test_rejects_non_positive_bound(self, bound):
+        with pytest.raises(
+            PreconditionError, match=rf"invalid 3-Partition instance: bound B = {bound} is not positive"
+        ):
+            validate_3partition(ThreePartitionInstance((30, 33, 37), bound))
+
+    @pytest.mark.parametrize("element", [0, -30])
+    def test_rejects_non_positive_element(self, element):
+        with pytest.raises(
+            PreconditionError,
+            match=rf"element 2: a_i > 0 violated \(a_2 = {element}\)",
+        ):
+            validate_3partition(ThreePartitionInstance((30, element, 37), 100))
+
+    def test_element_disk_size_refuses_non_positive_input(self):
+        for element, bound in ((0, 3), (1, 0), (-1, 3)):
+            with pytest.raises(DomainError, match="element and bound must be positive"):
+                partition_disk_size(element, bound)
 
 
 class TestBuildInstance:
@@ -298,6 +323,52 @@ class TestDecodePreconditions:
                 element_index={**hi.element_index, end.id: 1},
             )
             with pytest.raises(InconsistencyError, match="lies in no frame gap"):
+                decode_partition(relabelled, cert)
+
+    def test_rejects_a_placement_missing_a_disk(self):
+        hi = build_instance(M2_INSTANCE)
+        cert = build_certificate(hi, M2_SOLUTION)
+        short = Placement(cert.disks[:-1], cert.footpoints[:-1])
+        assert verify(short, 0).ok
+        with pytest.raises(
+            PreconditionError, match="placement does not hold exactly the instance's disks"
+        ):
+            decode_partition(hi, short)
+
+    def test_rejects_an_overlapping_placement(self):
+        # every certificate disk touches its left neighbour, so moving the
+        # second one left by 1/1000 overlaps the first
+        hi = build_instance(M2_INSTANCE)
+        cert = build_certificate(hi, M2_SOLUTION)
+        feet = list(cert.footpoints)
+        feet[1] -= F(1, 1000)
+        first, second = (d.id for d in cert.disks[:2])
+        with pytest.raises(
+            PreconditionError,
+            match=rf"placement is not valid: disks '{first}' and '{second}' overlap by ",
+        ):
+            decode_partition(hi, Placement(cert.disks, feet))
+
+    def test_inner_frame_counted_as_a_fourth_element(self):
+        # relabel the first inner frame disk inside each frame gap as an
+        # element: that gap then holds four
+        hi = build_instance(M2_INSTANCE)
+        cert = build_certificate(hi, M2_SOLUTION)
+        roles = [hi.roles[disk.id] for disk in cert.disks]
+        outer = [k for k, role in enumerate(roles) if role is DiskRole.OUTER_FRAME]
+        for g, (left, right) in enumerate(zip(outer, outer[1:])):
+            inner = next(
+                cert.disks[k] for k in range(left + 1, right)
+                if roles[k] is DiskRole.INNER_FRAME
+            )
+            relabelled = replace(
+                hi,
+                roles={**hi.roles, inner.id: DiskRole.PARTITION},
+                element_index={**hi.element_index, inner.id: 1},
+            )
+            with pytest.raises(
+                InconsistencyError, match=f"gap {g} holds 4 element disks instead of 3"
+            ):
                 decode_partition(relabelled, cert)
 
 

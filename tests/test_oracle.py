@@ -60,14 +60,7 @@ class TestAgainstEnumeration:
             disks = make_disks(sizes)
             best = brute_min_span(disks)
             _, report = exact_solve(disks)
-            if exact:
-                assert report.span == best
-            else:
-                # the greedy incumbent is the float span of the greedy's
-                # own placement; when it prunes every order, the greedy
-                # order is compacted, which may miss the smallest compacted
-                # span by float rounding
-                assert report.span == pytest.approx(best, rel=1e-12)
+            assert report.span == best
 
     def test_greedy_within_four_thirds_at_larger_n(self):
         rng = random.Random(61)
@@ -98,23 +91,17 @@ class TestOneCompaction:
 
         monkeypatch.setattr("shelfpack.oracle.compact", counting_compact)
         rng = random.Random(71)
-        instances = [make_disks([F(1), F(1)])]  # the greedy is optimal
+        instances = [make_disks([F(1), F(1)])]
         for _ in range(40):
             n = rng.randint(1, 7)
             sizes = [F(rng.randint(2, 40), rng.randint(1, 6)) for _ in range(n)]
             instances.append(make_disks(sizes))
-        greedy_exits = 0
         for disks in instances:
             calls.clear()
             placement, report = exact_solve(disks)
             assert calls == [len(disks)]
             assert report == span(placement)
-            greedy = greedy_solve(disks)
-            if report.span == greedy.certificate.span:
-                # no order beat the incumbent: the greedy's order is compacted
-                assert placement.disks == greedy.placement.disks
-                greedy_exits += 1
-        assert greedy_exits >= 1
+            assert report.span <= greedy_solve(disks).certificate.span
 
     @pytest.mark.parametrize("ratio", [1.9, 6, 50])
     def test_float_outputs_pass_verify_at_tolerance_zero(self, ratio):
