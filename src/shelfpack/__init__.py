@@ -37,11 +37,8 @@ from .greedy import Certificate, GreedyResult, greedy_solve
 from .hardness import (
     DiskRole,
     HardnessInstance,
-    IdentityCheck,
-    IdentityReport,
     PartitionSolution,
     ThreePartitionInstance,
-    reduction_identity_suite,
     build_certificate,
     build_instance,
     decode_partition,
@@ -62,8 +59,6 @@ __all__ = [
     "DomainError",
     "GreedyResult",
     "HardnessInstance",
-    "IdentityCheck",
-    "IdentityReport",
     "InconsistencyError",
     "OracleConfig",
     "ParseError",
@@ -76,7 +71,6 @@ __all__ = [
     "ThreePartitionInstance",
     "VerificationResult",
     "Violation",
-    "reduction_identity_suite",
     "best_support_lower_bound",
     "build_certificate",
     "build_instance",

@@ -21,11 +21,10 @@ Frame and filler sizes (with their defining exact-fit identities):
 from __future__ import annotations
 
 import enum
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DomainError, InconsistencyError, PreconditionError
 from .geometry import Disk, Placement, _disk_column, compact, verify
@@ -224,7 +223,8 @@ def decode_partition(hi: HardnessInstance, placement: Placement) -> PartitionSol
     """
     if placement.backend is not Backend.EXACT:
         raise PreconditionError("decoding requires the exact backend")
-    if {d.id for d in placement.disks} != {d.id for d in hi.disks}:
+    # sizes as well as ids: shrunk element disks fit a gap in any grouping
+    if {d.id: d.size for d in placement.disks} != {d.id: d.size for d in hi.disks}:
         raise PreconditionError("placement does not hold exactly the instance's disks")
     result = verify(placement, 0)
     if not result.ok:
@@ -267,176 +267,3 @@ def decode_partition(hi: HardnessInstance, placement: Placement) -> PartitionSol
             )
         groups.append(tuple(sorted(indices)))
     return PartitionSolution(tuple(groups))
-
-
-# --- machine checks for the impossibility tables -------------------------
-
-# Letters name disk roles: O outer frame, F inner frame, L large filler,
-# T small filler, P the minimum element/end size.
-_ROLE_SIZES = {
-    "O": SIZE_OUTER,
-    "F": SIZE_INNER,
-    "L": SIZE_LARGE_FILLER,
-    "T": SIZE_SMALL_FILLER,
-    "P": SIZE_MIN_ELEMENT,
-}
-
-# Candidate sequences that must overflow an end (capacity 1, measured from
-# the outer frame footpoint to the far edge of the last disk).
-_END_ROWS: list[tuple[str, Fraction]] = [
-    ("O F F F", Fraction("1.2045")),
-    ("O F L F", Fraction("1.0964")),
-    ("O F F L", Fraction("1.1031")),
-    ("O L L F F", Fraction("1.1098")),
-    ("O F T F", Fraction("1.0313")),
-    ("O F F T", Fraction("1.0485")),
-    ("O L T F F", Fraction("1.0528")),
-    ("O T T L F F", Fraction("1.0657")),
-    ("O F F P", Fraction("1.0201")),
-    ("O L P F F", Fraction("1.0209")),
-    ("O T P L F F", Fraction("1.0411")),
-    ("O F P P F", Fraction("1.0536")),
-    ("O P P T L F F", Fraction("1.0584")),
-    ("O P T L F P F", Fraction("1.0080")),
-]
-
-# Candidate sequences that must overflow a gap (capacity 2, measured
-# between the footpoints of the two flanking outer frame disks).
-_GAP_ROWS: list[tuple[str, Fraction]] = [
-    ("O F F F F F O", Fraction("2.1912")),
-    ("O F L F F F O", Fraction("2.0831")),
-    ("O L L F F F F O", Fraction("2.0965")),
-    ("O F T F F F O", Fraction("2.0180")),
-    ("O L T F F F F O", Fraction("2.0395")),
-    ("O T T L F F F F O", Fraction("2.0524")),
-    ("O L P F F F F O", Fraction("2.0076")),
-    ("O T P L F F F F O", Fraction("2.0278")),
-    ("O F P P F F F O", Fraction("2.0403")),
-    ("O P P T L F F F F O", Fraction("2.0451")),
-    ("O P T L F P F P F F O", Fraction("2.0030")),
-    ("O P T L F P F F F L T P O", Fraction("2.0078")),
-]
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    passed: bool
-    value: Optional[Fraction]
-    detail: str
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    checks: tuple[IdentityCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed(self) -> tuple[IdentityCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
-def _chain_distance(sizes: Sequence[Fraction]) -> Fraction:
-    return sum(2 * a * b for a, b in zip(sizes, sizes[1:]))
-
-
-def _sequence_sizes(spec: str) -> list[Fraction]:
-    return [_ROLE_SIZES[letter] for letter in spec.split()]
-
-
-def _truncate4(value: Fraction) -> Fraction:
-    return Fraction(math.floor(value * 10_000), 10_000)
-
-
-def _round4(value: Fraction) -> Fraction:
-    return Fraction(math.floor(value * 10_000 + Fraction(1, 2)), 10_000)
-
-
-def _capacity_check(
-    kind: str, spec: str, printed: Fraction, capacity: int
-) -> IdentityCheck:
-    sizes = _sequence_sizes(spec)
-    value = _chain_distance(sizes)
-    if kind == "end":
-        value += sizes[-1] * sizes[-1]
-    over_capacity = value > capacity
-    faithful_print = printed in (_truncate4(value), _round4(value))
-    if value > printed:
-        relation = "exceeds the 4-decimal bound"
-    elif value == printed:
-        relation = "equals the 4-decimal bound exactly"
-    else:
-        relation = "4-decimal bound is the rounded value (exact value is below it)"
-    passed = over_capacity and faithful_print
-    return IdentityCheck(
-        name=f"{kind} overflow {spec}",
-        passed=passed,
-        value=value,
-        detail=(
-            f"width {value} = {float(value):.10f}; needs > {capacity}: "
-            f"{over_capacity}; printed {printed}: {relation}"
-        ),
-    )
-
-
-def reduction_identity_suite() -> IdentityReport:
-    """Recompute every construction identity and impossibility bound exactly.
-
-    Each overflow row recomputes its sequence width as an exact rational,
-    asserts it exceeds the relevant capacity (1 for an end, 2 for a gap),
-    and asserts the 4-decimal bound it is published with is a faithful
-    truncation or rounding of the exact value.  Raises InconsistencyError
-    naming every failed check; returns the full report otherwise.
-    """
-    f, l, t, e = SIZE_INNER, SIZE_LARGE_FILLER, SIZE_SMALL_FILLER, SIZE_END
-    equalities = [
-        ("large filler fills the outer/inner corner", 1 / l, 1 + 1 / f),
-        ("small filler fills the outer/large-filler corner", 1 / t, 1 + 1 / l),
-        ("end disk fills the end slot with zero slack", 2 * f + 4 * f * e + f * f, Fraction(1)),
-        ("gap size budget for three element disks", GAP_SIZE_BUDGET, Fraction(17, 33)),
-        ("three average element disks exactly meet the budget",
-         3 * partition_disk_size(1, 3), Fraction(17, 33)),
-        ("minimum element size at a_i > B/4",
-         Fraction(17, 99) * Fraction(399, 400), Fraction(2261, 13200)),
-        ("five inner frames overflow a gap by 0.1912",
-         _chain_distance(_sequence_sizes("O F F F F F O")), Fraction("2.1912")),
-        ("three inner frames overflow an end by 0.2045",
-         _chain_distance(_sequence_sizes("O F F F")) + f * f, Fraction("1.2045")),
-    ]
-    checks: list[IdentityCheck] = [
-        IdentityCheck(name, value == expected, value, f"{value} == {expected}")
-        for name, value, expected in equalities
-    ]
-    checks += [
-        IdentityCheck(
-            "end disk is above the minimum element size",
-            SIZE_END > SIZE_MIN_ELEMENT,
-            SIZE_END - SIZE_MIN_ELEMENT,
-            f"{SIZE_END} > {SIZE_MIN_ELEMENT}",
-        ),
-        IdentityCheck(
-            "element disks overflow the space between touching inner frames",
-            SIZE_MIN_ELEMENT > f / 2,
-            SIZE_MIN_ELEMENT - f / 2,
-            f"{SIZE_MIN_ELEMENT} > {f / 2}",
-        ),
-        IdentityCheck(
-            "size ratio of the family is below six",
-            1 / SIZE_MIN_ELEMENT < 6,
-            1 / SIZE_MIN_ELEMENT,
-            f"largest/smallest = {1 / SIZE_MIN_ELEMENT} = "
-            f"{float(1 / SIZE_MIN_ELEMENT):.6f} < 6",
-        ),
-    ]
-    for spec, printed in _END_ROWS:
-        checks.append(_capacity_check("end", spec, printed, 1))
-    for spec, printed in _GAP_ROWS:
-        checks.append(_capacity_check("gap", spec, printed, 2))
-
-    report = IdentityReport(tuple(checks))
-    if not report.ok:
-        names = ", ".join(c.name for c in report.failed())
-        raise InconsistencyError(f"identity checks failed: {names}")
-    return report

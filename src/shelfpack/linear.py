@@ -20,11 +20,15 @@ _EMPTY = "the linear-case test needs at least one disk"
 
 
 def is_linear_case(disks: Iterable[Disk]) -> bool:
-    """Whether the smallest disk fits in no gap and no wall gap.
+    """Whether the smallest disk can hide in no gap and no wall gap.
 
     With a, b the two largest sizes and z the smallest, the instance is
-    linear iff 1/z < 1/a + 1/b and z > (sqrt(2) - 1) a, both strict.
-    The first comparison is evaluated as a*b < z*(a + b).  Both are
+    linear iff 1/z <= 1/a + 1/b and z > (sqrt(2) - 1) a.  The first
+    comparison, evaluated as a*b <= z*(a + b), admits equality, as the
+    paper's radius ratio of at most four does: a disk that fits the gap
+    of two touching disks exactly touches both, so it cannot hide there.
+    The second has the irrational boundary (sqrt(2) - 1) a, which no
+    rational or float size attains, so it stays strict.  Both are
     homogeneous of degree 2 in the sizes, so they are read from the sizes
     lifted once (see :func:`~shelfpack.geometry._lifted_sizes`): exact
     sizes as the integers S = size*D over their common denominator D,
@@ -40,7 +44,7 @@ def _linear(sizes: Sequence) -> bool:
         return True  # a lone disk has no gap to hide in
     a, b = heapq.nlargest(2, sizes)
     z = min(sizes)
-    return a * b < z * (a + b) and _wall_gap_overflows(z, a)
+    return a * b <= z * (a + b) and _wall_gap_overflows(z, a)
 
 
 def _interleave(desc: Sequence[int]) -> list[int]:
@@ -70,7 +74,9 @@ def solve_linear(disks: Iterable[Disk]) -> tuple[Placement, SpanReport]:
     goes to the end of the pattern that gives the smaller span.  In the
     linear case every compaction is a chain of touching disks whose walls
     are its end disks: otherwise some disk would sit in the gap of two
-    touching disks or in a wall gap.  So the span of an order is
+    touching disks or in a wall gap.  A disk that fits such a gap exactly
+    still reaches its predecessor: the two maxima in the compaction tie,
+    so it touches both disks.  So the span of an order is
     r_first + sum 2 s_i s_(i+1) + r_last, and with a, b the sizes at the
     pattern's ends, m first minus m last is
     (m**2 + 2 m a + b**2) - (a**2 + 2 b m + m**2) = (a - b)(2m - a - b).

@@ -78,7 +78,8 @@ def exact_solve(
     if len(items) > cfg.max_n:
         raise PreconditionError(
             f"instance has {len(items)} disks, above the oracle cap of "
-            f"{cfg.max_n}; raise OracleConfig.max_n to search anyway"
+            f"{cfg.max_n}; raise the cap with --max-n (OracleConfig.max_n) "
+            "to search anyway"
         )
     items, sizes, _ = by_size(items, "exact_solve requires at least one disk")
     n = len(items)

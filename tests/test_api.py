@@ -9,8 +9,6 @@ PUBLIC_API = {
     "DomainError",
     "GreedyResult",
     "HardnessInstance",
-    "IdentityCheck",
-    "IdentityReport",
     "InconsistencyError",
     "OracleConfig",
     "ParseError",
@@ -32,7 +30,6 @@ PUBLIC_API = {
     "greedy_solve",
     "is_linear_case",
     "partition_disk_size",
-    "reduction_identity_suite",
     "render_svg",
     "solve_linear",
     "span",

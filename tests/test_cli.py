@@ -66,6 +66,7 @@ class TestSolve:
             "shelfpack-instance v1\n" + "".join(f"d{i} 1.5\n" for i in range(12)),
         )
         assert main(["solve", inst, "--mode", "exact", "--out", str(tmp_path / "x")]) == 3
+        assert "raise the cap with --max-n" in capsys.readouterr().err
 
     def test_exact_mode_with_raised_cap(self, tmp_path, capsys):
         inst = write(
@@ -139,6 +140,17 @@ class TestSolve:
             ["solve", nonlinear_instance, "--mode", "linear", "--out", str(tmp_path / "x")]
         )
         assert rc == 3
+
+    def test_paper_boundary_is_linear(self, tmp_path, capsys):
+        # the size-1 disk fits the gap of the two size-2 disks exactly
+        path = write(tmp_path / "edge.instance", "shelfpack-instance v1\na 2/1\nb 2/1\nc 1/1\n")
+        assert main(["solve", path]) == 0
+        assert "method: exact (linear case)" in capsys.readouterr().err
+        out = tmp_path / "edge.placement"
+        assert main(["solve", path, "--mode", "linear", "--out", str(out)]) == 0
+        assert "span: 16 (exact)" in capsys.readouterr().out
+        assert main(["verify", str(out)]) == 0
+        assert "accepted" in capsys.readouterr().out
 
     def test_single_disk_is_linear(self, tmp_path, capsys):
         path = write(tmp_path / "one.instance", "shelfpack-instance v1\nd1 3/1\n")

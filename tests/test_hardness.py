@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import footpoint_distance, fresh_lift, unlifted, with_lift
+from identities import check_identities
 from shelfpack.errors import (
     DomainError,
     InconsistencyError,
@@ -26,7 +27,6 @@ from shelfpack.hardness import (
     PartitionSolution,
     ThreePartitionInstance,
     _build_family,
-    reduction_identity_suite,
     build_certificate,
     build_instance,
     decode_partition,
@@ -335,6 +335,23 @@ class TestDecodePreconditions:
         ):
             decode_partition(hi, short)
 
+    def test_rejects_a_placement_with_other_sizes(self):
+        # halved element disks under the instance's ids, two ids swapped
+        # across gaps: valid within budget, but grouped as no partition
+        hi = build_instance(M2_INSTANCE)
+        cert = build_certificate(hi, M2_SOLUTION)
+        swap = {"part-3": "part-6", "part-6": "part-3"}
+        shrunk = Placement(
+            [Disk(swap.get(d.id, d.id), d.size / 2) if hi.roles[d.id] is DiskRole.PARTITION else d
+             for d in cert.disks],
+            cert.footpoints,
+        )
+        assert verify(shrunk, 0).ok and span(shrunk).span == hi.budget
+        with pytest.raises(
+            PreconditionError, match="placement does not hold exactly the instance's disks"
+        ):
+            decode_partition(hi, shrunk)
+
     def test_rejects_an_overlapping_placement(self):
         # every certificate disk touches its left neighbour, so moving the
         # second one left by 1/1000 overlaps the first
@@ -420,15 +437,13 @@ class TestDecodeOnTheKeptLift:
 class TestIdentitySuite:
     def test_all_checks_pass_quickly(self):
         start = time.perf_counter()
-        report = reduction_identity_suite()
+        values, _ = check_identities()
         elapsed = time.perf_counter() - start
-        assert report.ok
         assert elapsed < 1.0
-        assert len(report.checks) == 37
+        assert len(values) == 37
 
     def test_specific_exact_values(self):
-        report = reduction_identity_suite()
-        values = {c.name: c.value for c in report.checks}
+        values, _ = check_identities()
         assert values["five inner frames overflow a gap by 0.1912"] == F(21912, 10000)
         assert values["three inner frames overflow an end by 0.2045"] == F(12045, 10000)
         assert values["end overflow O F L F"] > F(10964, 10000)
@@ -438,10 +453,8 @@ class TestIdentitySuite:
     def test_two_rows_are_rounded_prints(self):
         # these two published 4-decimal bounds are round-ups of the exact
         # values, so "exceeds" is replaced by "rounds to" for them
-        report = reduction_identity_suite()
-        rounded = {c.name for c in report.checks if "rounded" in c.detail}
+        values, rounded = check_identities()
         assert rounded == {"end overflow O L T F F", "gap overflow O L T F F F F O"}
-        values = {c.name: c.value for c in report.checks}
         assert values["end overflow O L T F F"] < F(10528, 10000)
         assert values["end overflow O L T F F"] > 1
         assert values["gap overflow O L T F F F F O"] < F(20395, 10000)

@@ -24,9 +24,12 @@ class TestIsLinearCase:
     def test_examples(self):
         assert is_linear_case(make_disks([F(10), F(9), F(8), F(7), F(6)])) is True
         assert is_linear_case(make_disks([F(5), F(4), F(3), F(2)])) is False
+        # at the paper's boundary 1/5 == 1/10 + 1/10 the size-5 disk fits
+        # the gap of the two size-10 disks exactly, which is still linear
+        assert is_linear_case(make_disks([F(6), F(10), F(5), F(10)])) is True
         # b is the second-largest size counted with multiplicity: with
-        # a = b = 10, 1/5 < 1/10 + 1/10 fails (with b = 6 it would hold)
-        assert is_linear_case(make_disks([F(6), F(10), F(5), F(10)])) is False
+        # a = b = 10, 1/4.9 <= 1/10 + 1/10 fails (with b = 6 it would hold)
+        assert is_linear_case(make_disks([F(6), F(10), F(49, 10), F(10)])) is False
 
     def test_ratio_below_two_suffices(self):
         rng = random.Random(5)
@@ -38,7 +41,7 @@ class TestIsLinearCase:
         """The two comparisons on the sizes themselves."""
         *_, b, a = sorted(sizes)
         z = min(sizes)
-        return a * b < z * (a + b) and (z + a) ** 2 > 2 * a * a
+        return a * b <= z * (a + b) and (z + a) ** 2 > 2 * a * a
 
     def test_lifted_sizes_against_fractions(self):
         rng = random.Random(29)
@@ -54,12 +57,13 @@ class TestIsLinearCase:
             assert is_linear_case(floats) is self.reference([d.size for d in floats])
 
     def test_boundary_of_the_gap_test(self):
-        # a*b == z*(a + b): the smallest disk fits the gap exactly, which
-        # is not linear; a hair larger is, over denominators of all kinds
+        # a*b == z*(a + b): the smallest disk fits the gap exactly and
+        # touches both, which is linear; a hair smaller is not, over
+        # denominators of all kinds
         for a, b in ((F(2), F(2)), (F(10, 7), F(13, 10)), (F(12, 5), F(11, 5)),
                      (F(10**12 + 3, 10**12), F(10**12 + 1, 10**12))):
             z = a * b / (a + b)
-            for bump, want in ((0, False), (F(1, 10**30), True)):
+            for bump, want in ((0, True), (-F(1, 10**30), False)):
                 sizes = [b, a, z + bump, b, (z + b) / 2]
                 assert self.reference(sizes) is want
                 assert is_linear_case(make_disks(sizes)) is want, (a, b, bump)
@@ -158,6 +162,23 @@ class TestSolveLinear:
     def test_two_unit_disks(self):
         _, report = solve_linear(make_disks([F(1), F(1)]))
         assert report.span == 4
+
+    def test_matches_oracle_at_the_gap_boundary(self):
+        # the smallest disk fits the gap of the two largest exactly:
+        # z = ab/(a + b), with b > a/sqrt(2) so no disk fits a wall gap
+        rng = random.Random(17)
+        for _ in range(60):
+            a = F(rng.randint(100, 400), 100)
+            b = a * F(rng.choice((100, rng.randint(75, 99))), 100)
+            z = a * b / (a + b)
+            rest = [z + (b - z) * F(rng.randint(1, 100), 100)
+                    for _ in range(rng.randint(0, 5))]
+            disks = make_disks([a, b, z, *rest])
+            rng.shuffle(disks)
+            assert is_linear_case(disks)
+            _, lin = solve_linear(disks)
+            _, orc = exact_solve(disks)
+            assert lin.span == orc.span
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(7)
