@@ -7,14 +7,21 @@ the greedy approximation and the exact oracle), ``verify``,
 Exit codes: 0 success, 1 verification rejected, 2 parse error or a file
 that cannot be read or written, 3 precondition or domain violation.  A
 reader that closes standard output early (``shelfpack solve big.instance
-| head -1``) ends the command quietly with status 0.  A command runs with
-the cyclic collector paused, and :func:`main` restores the caller's
-setting.
+| head -1``) ends the command quietly with status 0.
+
+In-process callers get the same statuses from :func:`main`, which returns
+the exit status instead of raising :class:`SystemExit`: 2 after a usage
+error (the usage goes to standard error), 0 after ``-h``.  ``main`` builds
+its argument parser at its first call and reuses it for the rest of the
+process, so further calls pay for their disks, not for argparse; a fresh
+``shelfpack`` process builds one parser either way.  A command runs with
+the cyclic collector paused, and ``main`` restores the caller's setting.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import os
 import sys
@@ -174,6 +181,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on each call; :func:`main` keeps the first one it gets."""
     parser = argparse.ArgumentParser(
         prog="shelfpack",
         description="Pack disks on a shelf: solve, verify, generate hardness "
@@ -234,9 +242,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built at the first call, not at import; parse_args leaves it as it was
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2) or -h (0)
+        return exc.code
     # a command builds columns of containers and frees them by reference
     # counts; the collections they would set off find next to nothing to free
     collecting = gc.isenabled()

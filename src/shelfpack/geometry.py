@@ -80,7 +80,8 @@ def _disk_column(ids: Sequence[str], sizes: Sequence[Scalar]) -> list[Disk]:
     that are normal floats, as ``Disk`` demands); then the disks are built
     without ``Disk.__post_init__``.  Any other columns go through ``Disk``
     one element at a time, which names the first offender."""
-    ids = list(ids)
+    if not isinstance(ids, list):  # the token check compares with a list
+        ids = list(ids)
     try:
         joined = " ".join(ids)
         # one character search settles the usual column with no '#' at all

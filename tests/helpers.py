@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import gc
 import heapq
+import os
 import re
 import statistics
 import time
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+import shelfpack
 from shelfpack.errors import DomainError, ParseError
 from shelfpack.geometry import (
     Disk,
@@ -27,6 +30,15 @@ from shelfpack.scalars import Backend, Lift, Scalar, coerce, lift, unified_backe
 
 def make_disks(sizes: Sequence, prefix: str = "d") -> list[Disk]:
     return [Disk(f"{prefix}{i}", s) for i, s in enumerate(sizes)]
+
+
+def module_env() -> dict[str, str]:
+    """``os.environ`` with the imported ``shelfpack``'s source directory
+    first on ``PYTHONPATH``, for a ``python -m shelfpack`` subprocess."""
+    env = dict(os.environ)
+    src = str(Path(shelfpack.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def doubling_ratio(fn, small, large, pairs: int = 5) -> float:

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import os
@@ -9,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-import shelfpack
-from shelfpack import files, geometry
+from helpers import module_env
+from shelfpack import cli, files, geometry
 from shelfpack.cli import main
 from shelfpack.files import read_placement
 from shelfpack.geometry import Disk, span, verify
@@ -432,17 +433,10 @@ class TestModuleEntry:
     # the ``shelfpack`` script runs shelfpack.cli:entry ([project.scripts])
     SCRIPT = ["-c", "from shelfpack.cli import entry; entry()"]
 
-    @staticmethod
-    def env():
-        env = dict(os.environ)
-        src = str(Path(shelfpack.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        return env
-
     def run(self, prefix, args):
         return subprocess.run(
             [sys.executable, *prefix, *args],
-            capture_output=True, text=True, env=self.env(), timeout=60,
+            capture_output=True, text=True, env=module_env(), timeout=60,
         )
 
     def test_exit_codes_match_the_script(self, tmp_path, linear_instance):
@@ -497,7 +491,7 @@ class TestModuleEntry:
         # is still writing when the reader goes away, as with ``| head -1``.
         # Standard output is buffered, as in a shell: unbuffered text output
         # drops what a partial write leaves over instead of raising.
-        env = self.env()
+        env = module_env()
         env.pop("PYTHONUNBUFFERED", None)
         big = write(
             tmp_path / "big.instance",
@@ -588,6 +582,61 @@ class TestCollector:
             assert len(os.listdir("/dev/fd")) == before
         finally:
             os.close(fd)
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, and a call's options
+    do not reach a later call."""
+
+    def test_later_calls_build_no_parser(self, tmp_path, linear_instance, monkeypatch, capsys):
+        out = str(tmp_path / "lin.placement")
+        assert main(["solve", linear_instance, "--out", out]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cases = [
+            (["solve", linear_instance, "--out", out], 0),
+            (["verify", out], 0),
+            (["render", out, "--out", str(tmp_path / "lin.svg")], 0),
+            (["solve", linear_instance, "--mode", "bogus"], 2),
+            (["--help"], 0),
+        ]
+        assert [main(args) for args, _ in cases] == [code for _, code in cases]
+        assert built == []
+        first = cli.build_parser()  # a factory still: a new parser per call
+        assert built and cli.build_parser() is not first
+
+    def test_no_option_carries_over(self, tmp_path, linear_instance, capsys):
+        placement, svg = tmp_path / "d.placement", tmp_path / "d.svg"
+        defaults = [
+            ["solve", linear_instance, "--out", str(placement)],
+            ["verify", str(placement)],
+            ["render", str(placement), "--out", str(svg)],
+        ]
+
+        def run_defaults():
+            statuses = [main(args) for args in defaults]
+            return statuses, capsys.readouterr(), placement.read_bytes(), svg.read_bytes()
+
+        cli._parser.cache_clear()  # the next call is a process's first
+        first = run_defaults()
+        assert first[0] == [0, 0, 0] and "span: 571 (exact)" in first[1].out
+        floats = str(tmp_path / "o.placement")
+        solve = ["--mode", "exact", "--backend", "float", "--max-n", "7", "--out", floats]
+        assert main(["solve", linear_instance, *solve]) == 0
+        assert main(["verify", floats, "--tolerance", "1e-3"]) == 0
+        assert main(["render", floats, "--out", str(tmp_path / "o.svg"), "--scale", "10"]) == 0
+        capsys.readouterr()
+        placement.unlink()
+        svg.unlink()
+        assert run_defaults() == first
+        fresh = vars(cli.build_parser().parse_args(["solve", "x"]))
+        assert vars(cli._parser().parse_args(["solve", "x"])) == fresh
 
 
 class TestExactPlacementsStayIntegers:

@@ -5,14 +5,19 @@ the writers' layout, edited by a seeded ``random.Random`` and run through
 A token swap keeps the writers' layout, so the whole-body split reads the
 file; an inserted, duplicated or dropped line or space sends it to the
 per-line walk.  The same seed edits the same files on every run.
+
+A command line that argparse refuses exits 2 with its usage on standard
+error, ``-h`` exits 0, both in-process and through ``python -m shelfpack``.
 """
 
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from helpers import make_disks
+from helpers import make_disks, module_env
 from shelfpack.cli import main
 from shelfpack.files import format_instance, format_placement
 from shelfpack.geometry import Placement, compact
@@ -111,3 +116,36 @@ def test_seed_files_exit_as_expected(tmp_path, capsys, kind, text, want):
     path = tmp_path / f"seed.{kind}"
     path.write_text(text, encoding="utf-8")
     assert [main(args) for args in _commands(kind, str(path), tmp_path)] == want
+
+
+INSTANCE = object()  # stands for a valid instance file's path
+ARGV = {
+    "unknown subcommand": (["bogus", INSTANCE], 2),
+    "unknown flag": (["solve", INSTANCE, "--bogus"], 2),
+    "bad mode": (["solve", INSTANCE, "--mode", "bogus"], 2),
+    "non-integer max-n": (["solve", INSTANCE, "--max-n", "7.5"], 2),
+    "missing input": (["verify"], 2),
+    "no subcommand": ([], 2),
+    "help": (["-h"], 0),
+    "subcommand help": (["solve", "-h"], 0),
+}
+
+
+@pytest.mark.parametrize("argv, want", ARGV.values(), ids=ARGV)
+def test_command_lines_keep_the_exit_code_contract(tmp_path, capsys, argv, want):
+    path = tmp_path / "seed.instance"
+    path.write_text(format_instance(make_disks([F(2), F(1)])), encoding="utf-8")
+    argv = [str(path) if arg is INSTANCE else arg for arg in argv]
+    status = main(argv)
+    out, err = capsys.readouterr()
+    module = subprocess.run(
+        [sys.executable, "-m", "shelfpack", *argv],
+        capture_output=True, text=True, env=module_env(), timeout=60,
+    )
+    for got, out, err in [(status, out, err), (module.returncode, module.stdout, module.stderr)]:
+        assert got == want, argv
+        assert "Traceback" not in err, err
+        if want == 2:
+            assert out == "" and err.startswith("usage: shelfpack"), err
+        else:
+            assert err == "" and out.startswith("usage: shelfpack"), out
