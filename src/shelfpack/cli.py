@@ -3,6 +3,11 @@
 Subcommands: ``solve`` (dispatching between the exact linear-case solver,
 the greedy approximation and the exact oracle), ``verify``,
 ``genhard`` (3-Partition reduction instances) and ``render`` (SVG).
+``solve --mode exact`` answers a linear-case instance with the paper's
+O(n log n) linear-case solver, like ``auto``, and any other with the
+subset DP, the only part that ``--max-n`` caps.  On floats the
+linear-case span can lie an ulp or two above the DP's smallest compacted
+span.
 
 Exit codes: 0 success, 1 verification rejected, 2 parse error or a file
 that cannot be read or written, 3 precondition or domain violation.  A
@@ -95,7 +100,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         backend = Backend.FLOAT
 
     mode = args.mode
-    if mode == "auto":
+    if mode == "exact":
+        config = OracleConfig(max_n=args.max_n)  # checked on every exact call
+        if is_linear_case(disks):
+            mode = "linear"  # the paper's O(n log n) solver is exact here
+    elif mode == "auto":
         mode = "linear" if is_linear_case(disks) else "greedy"
     if mode == "linear":
         placement, report = solve_linear(disks)
@@ -104,7 +113,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         # the certificate carries the placement's span; no second measurement
         placement, report = result.placement, result.certificate
     else:
-        placement, report = exact_solve(disks, OracleConfig(max_n=args.max_n))
+        placement, report = exact_solve(disks, config)
 
     lower = best_support_lower_bound(disks)
     ratio = report.span / lower
@@ -195,8 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=["auto", "linear", "greedy", "exact"],
         default="auto",
-        help="solver choice; auto picks the linear-case solver when its "
-        "condition holds and the greedy otherwise",
+        help="solver choice; auto and exact pick the linear-case solver when "
+        "its condition holds, and otherwise auto runs the greedy and exact "
+        "the subset DP",
     )
     p_solve.add_argument(
         "--backend",
@@ -205,7 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="numeric backend; defaults to the file's literal style",
     )
     p_solve.add_argument(
-        "--max-n", type=int, default=10, help="cap for --mode exact (default 10)"
+        "--max-n",
+        type=int,
+        default=10,
+        help="most disks the subset DP of --mode exact takes (default 10); "
+        "the linear case is not capped",
     )
     p_solve.add_argument("--out", default=None, help="placement output path")
     p_solve.set_defaults(func=cmd_solve)

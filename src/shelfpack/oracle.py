@@ -43,20 +43,6 @@ class OracleConfig:
             raise DomainError("max_n must be at least 1")
 
 
-def _keep(front: list, state: tuple) -> None:
-    """Add ``state`` to the non-dominated ``front`` of one placed set."""
-    new_span, new_env = state[0], state[1]
-    for old_span, old_env, _ in front:
-        if old_span <= new_span and all(map(le, old_env, new_env)):
-            return
-    front[:] = [
-        old
-        for old in front
-        if not (new_span <= old[0] and all(map(le, new_env, old[1])))
-    ]
-    front.append(state)
-
-
 def exact_solve(
     disks: Iterable[Disk], config: Optional[OracleConfig] = None
 ) -> tuple[Placement, SpanReport]:
@@ -93,30 +79,39 @@ def exact_solve(
     for _ in range(n):
         following: dict[int, list] = {}
         for mask, front in layer.items():
-            for i in range(n):
-                bit = 1 << i
-                if mask & bit:
-                    continue
-                if i and sizes[i - 1] == sizes[i] and not mask & (bit >> 1):
+            unplaced = [k for k in range(n) if not mask >> k & 1]
+            for i in unplaced:
+                if i and sizes[i - 1] == sizes[i] and not mask >> (i - 1) & 1:
                     continue  # equal-size disks enter in index order only
-                grown = mask | bit
-                rest = [k for k in range(n) if not grown >> k & 1]
+                # created before any state is tested: the sets of the next
+                # layer keep the order in which masks first reach them, and
+                # that order breaks ties there
+                child = following.setdefault(mask | 1 << i, [])
                 r = radii[i]
                 row = pair[i]
+                reach = [(k, row[k]) for k in unplaced if k != i]
                 for partial, env, order in front:
                     x = env[i] if env[i] > r else r
                     extent = x + r
                     new_span = partial if partial > extent else extent
                     new_env = list(env)
                     new_env[i] = zero
-                    for k in rest:
-                        c = x + row[k]
+                    for k, w in reach:
+                        c = x + w
                         if c > new_env[k]:
                             new_env[k] = c
-                    _keep(
-                        following.setdefault(grown, []),
-                        (new_span, tuple(new_env), order + (i,)),
-                    )
+                    # keep the new state unless a kept one dominates it;
+                    # drop the kept states it dominates
+                    for old_span, old_env, _ in child:
+                        if old_span <= new_span and all(map(le, old_env, new_env)):
+                            break
+                    else:
+                        child[:] = [
+                            old
+                            for old in child
+                            if not (new_span <= old[0] and all(map(le, new_env, old[1])))
+                        ]
+                        child.append((new_span, tuple(new_env), order + (i,)))
         layer = following
 
     (front,) = layer.values()

@@ -1,6 +1,7 @@
 import argparse
 import gc
 import io
+import math
 import os
 import random
 import subprocess
@@ -10,13 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from helpers import module_env
+from helpers import make_disks, module_env
 from shelfpack import cli, files, geometry
 from shelfpack.cli import main
 from shelfpack.files import read_placement
 from shelfpack.geometry import Disk, span, verify
 from shelfpack.greedy import greedy_solve
-from shelfpack.scalars import lift
+from shelfpack.linear import is_linear_case
+from shelfpack.oracle import exact_solve
+from shelfpack.scalars import display_scalar, lift
 
 
 def write(path, text):
@@ -30,6 +33,11 @@ def linear_instance(tmp_path):
         tmp_path / "lin.instance",
         "shelfpack-instance v1\nd1 10/1\nd2 9/1\nd3 8/1\nd4 7/1\n",
     )
+
+
+# eleven unit disks and a tenth, which hides: not the linear case, so
+# --mode exact runs the subset DP, and 12 disks pass its default cap of 10
+NONLINEAR_12 = "shelfpack-instance v1\n" + "".join(f"d{i} 1/1\n" for i in range(11)) + "s 1/10\n"
 
 
 @pytest.fixture
@@ -64,22 +72,38 @@ class TestSolve:
     def test_exact_mode_over_cap(self, tmp_path, capsys):
         inst = write(
             tmp_path / "big.instance",
-            "shelfpack-instance v1\n" + "".join(f"d{i} 1.5\n" for i in range(12)),
+            "shelfpack-instance v1\n" + "".join(f"d{i} 1.5\n" for i in range(11)) + "s 0.15\n",
         )
         assert main(["solve", inst, "--mode", "exact", "--out", str(tmp_path / "x")]) == 3
         assert "raise the cap with --max-n" in capsys.readouterr().err
 
     def test_exact_mode_with_raised_cap(self, tmp_path, capsys):
-        inst = write(
-            tmp_path / "big.instance",
-            "shelfpack-instance v1\n" + "".join(f"d{i} 1/1\n" for i in range(12)),
-        )
+        inst = write(tmp_path / "big.instance", NONLINEAR_12)
         out = tmp_path / "x.placement"
         rc = main(["solve", inst, "--mode", "exact", "--max-n", "12", "--out", str(out)])
         assert rc == 0
         captured = capsys.readouterr().out
         assert "method: exact (subset DP)" in captured
+        assert "span: 22 (exact)" in captured
+
+    def test_exact_mode_solves_the_linear_case_past_the_cap(self, tmp_path, capsys):
+        # the cap bounds the subset DP only; the linear-case solver is exact
+        inst = write(
+            tmp_path / "units.instance",
+            "shelfpack-instance v1\n" + "".join(f"d{i} 1/1\n" for i in range(12)),
+        )
+        assert main(["solve", inst, "--mode", "exact", "--out", str(tmp_path / "x")]) == 0
+        captured = capsys.readouterr().out
+        assert "method: exact (linear case)" in captured
         assert "span: 24 (exact)" in captured
+
+    def test_max_n_is_checked_on_every_exact_call(self, tmp_path, linear_instance, capsys):
+        nonlinear = write(tmp_path / "big.instance", NONLINEAR_12)
+        for inst in (linear_instance, nonlinear):
+            args = ["solve", inst, "--mode", "exact", "--max-n", "0", "--out", str(tmp_path / "x")]
+            assert main(args) == 3
+            assert capsys.readouterr().err == "error: max_n must be at least 1\n"
+        assert not (tmp_path / "x").exists()
 
     def test_exact_backend_on_decimal_file_fails_fast(self, nonlinear_instance, tmp_path):
         rc = main(
@@ -181,6 +205,63 @@ class TestSolve:
         main(["solve", linear_instance, "--out", str(out1)])
         main(["solve", linear_instance, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestExactModeDispatch:
+    """``solve --mode exact`` answers a linear-case instance with the
+    linear-case solver, whose span is exact; the subset DP is the
+    independent reference."""
+
+    @staticmethod
+    def linear_case_sizes(rng, n, boundary):
+        """n sizes k/100, 100 <= k < 200, about 30% repeated; with
+        ``boundary`` the smallest becomes z = ab/(a + b) of the two
+        largest, which exactly fits their gap."""
+        while True:
+            sizes = []
+            for _ in range(n):
+                if sizes and rng.random() < 0.3:
+                    sizes.append(rng.choice(sizes))
+                else:
+                    sizes.append(Fraction(rng.randint(100, 199), 100))
+            if boundary:
+                a, b = sorted(sizes)[-2:]
+                sizes[sizes.index(min(sizes))] = a * b / (a + b)
+            if is_linear_case(make_disks(sizes)):
+                return sizes
+
+    def test_spans_match_the_subset_dp(self, tmp_path, capsys):
+        rng = random.Random(83)
+        ulps = []
+        for k in range(96):
+            sizes = self.linear_case_sizes(rng, 3 + k % 6, boundary=k % 4 >= 2)
+            for floats in (False, True):
+                if floats:
+                    sizes = [float(v) for v in sizes]
+                    if not is_linear_case(make_disks(sizes)):
+                        continue  # a rounded boundary size may hide
+                    rows = "".join(f"d{i} {v!r}\n" for i, v in enumerate(sizes))
+                else:
+                    rows = "".join(f"d{i} {v.numerator}/{v.denominator}\n"
+                                   for i, v in enumerate(sizes))
+                inst = write(tmp_path / "lin.instance", "shelfpack-instance v1\n" + rows)
+                assert main(["solve", inst, "--mode", "exact", "--out", str(tmp_path / "x")]) == 0
+                lines = capsys.readouterr().out.splitlines()
+                assert lines[0] == "method: exact (linear case)"
+                printed = lines[2].removeprefix("span: ")
+                _, reference = exact_solve(make_disks(sizes))
+                if not floats:
+                    assert printed == f"{display_scalar(reference.span)} (exact)"
+                    continue
+                value = float(printed.removesuffix(" (float)"))
+                # the DP returns the smallest compacted span, so the one
+                # order the linear-case solver compacts is never below it
+                assert value >= reference.span
+                ulps.append(round((value - reference.span) / math.ulp(reference.span)))
+        # at seed 83, 9 of the 48 boundary instances leave the linear case
+        # once rounded to floats; of the 87 float spans left, 70 match the
+        # DP's bit for bit, 14 lie 1 ulp above it and 3 lie 2 ulps above
+        assert len(ulps) == 87 and max(ulps) <= 2
 
 
 class TestGoldenSolve:
@@ -444,10 +525,7 @@ class TestModuleEntry:
             tmp_path / "bad.placement",
             "shelfpack-placement v1\na 1/1 1/1\nb 1/1 2/1\n",
         )
-        big = write(
-            tmp_path / "big.instance",
-            "shelfpack-instance v1\n" + "".join(f"d{i} 1/1\n" for i in range(12)),
-        )
+        big = write(tmp_path / "big.instance", NONLINEAR_12)
         huge = write(
             tmp_path / "huge.instance",
             f"shelfpack-instance v1\na 1/1\nb {10**400}/1\n",
@@ -536,10 +614,7 @@ class TestCollector:
         overlap = write(
             tmp_path / "bad.placement", "shelfpack-placement v1\na 1/1 1/1\nb 1/1 2/1\n"
         )
-        big = write(
-            tmp_path / "big.instance",
-            "shelfpack-instance v1\n" + "".join(f"d{i} 1/1\n" for i in range(12)),
-        )
+        big = write(tmp_path / "big.instance", NONLINEAR_12)
         during = []  # the collector's state as each command reads its file
 
         def spy(read):
