@@ -31,7 +31,6 @@ from .geometry import (
     compact,
     span,
     verify,
-    wall_fit_exceeds,
 )
 from .greedy import Certificate, GreedyResult, greedy_solve
 from .hardness import (
@@ -85,5 +84,4 @@ __all__ = [
     "span",
     "validate_3partition",
     "verify",
-    "wall_fit_exceeds",
 ]

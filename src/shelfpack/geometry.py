@@ -227,23 +227,11 @@ class VerificationResult:
     violation: Optional[Violation]
 
 
-def wall_fit_exceeds(z: Scalar, a: Scalar) -> bool:
-    """Whether a size-``z`` disk overflows the gap between a size-``a`` disk
-    and the vertical wall through its extreme point.
-
-    The threshold is (sqrt(2) - 1) * a; the comparison is carried out as
-    (z + a)**2 > 2 * a**2 so that no irrational value is ever formed.
-    """
-    z, a = coerce(z), coerce(a)
-    unified_backend((z, a))
-    if z <= 0 or a <= 0:
-        raise DomainError("sizes must be positive")
-    return _wall_gap_overflows(z, a)
-
-
 def _wall_gap_overflows(z, a) -> bool:
-    """:func:`wall_fit_exceeds` on positive sizes of one backend, such as
-    lifted ones."""
+    """Whether a size-``z`` disk overflows the gap between a size-``a`` disk
+    and the vertical wall through its extreme point: z > (sqrt(2) - 1) * a,
+    compared as (z + a)**2 > 2 * a**2 so that no irrational value is ever
+    formed.  The sizes are positive and of one backend, lifted or not."""
     return (z + a) * (z + a) > 2 * a * a
 
 

@@ -8,22 +8,24 @@ size keeps the whole run in O(n log n).
 The input is checked, lifted and sorted once by the solvers' shared front
 end, :func:`~shelfpack.geometry.by_size`.  The loop then runs on plain
 lists.  Float sizes are used as they are, in the closed forms 2ab
-(tangency) and g / (2(a + b)) (gap fit), so every footpoint is
-bit-identical to the scalar reference greedy in the tests.  Exact sizes
+(tangency) and g / (2(a + b)) (gap fit).  A disk placed against its right
+neighbour at f takes x = f - 2ab, stepped down an ulp at a time while the
+rounded x + 2ab, as :func:`~shelfpack.geometry.verify` forms it, exceeds
+f; in a gap, never below where it touches its left neighbour.  Exact sizes
 arrive as integers over their common denominator, so no ``Fraction`` is
-reduced inside the loop.  The output goes to :class:`Placement` in
-footpoint order, by the neighbour links, as a
+reduced inside the loop and no footpoint moves.  The output goes to
+:class:`Placement` in footpoint order, by the neighbour links, as a
 :class:`~shelfpack.scalars.Lift` of the loop's sizes and footpoints, and
-it rejects duplicate ids, coinciding footpoints and float footpoints
-that overflowed.  The certificate comes from the loop as
-well: the span from the walls it tracks, the lower bound from one prefix
-pass over the sorted sizes.
+it rejects duplicate ids, coinciding footpoints and float footpoints that
+overflowed.  The certificate comes from the loop as well: the span from
+the walls it tracks, the lower bound from one prefix pass over the sizes.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import inf, nextafter
 from operator import floordiv, truediv
 from typing import Iterable
 
@@ -101,10 +103,13 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
             # the widest gap fits: its entry becomes its left half, and the
             # right half is pushed
             _, _, li, ri = heap[0]
-            if sizes[li] <= sizes[ri]:
-                x = foot[li] + 2 * sizes[li] * d
-            else:
-                x = foot[ri] - 2 * sizes[ri] * d
+            x = foot[li] + 2 * sizes[li] * d
+            if sizes[li] > sizes[ri]:
+                w = 2 * sizes[ri] * d
+                y = foot[ri] - w
+                while y + w > foot[ri]:
+                    y = nextafter(y, -inf)
+                x = max(x, y)
             foot[k] = x
             right_nb[k] = ri
             right_nb[li] = k
@@ -117,7 +122,10 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
             # their footpoints, so it stays inside the walls: only end
             # placements move them.
             continue
-        x_left = foot[head] - 2 * sizes[head] * d
+        w = 2 * sizes[head] * d
+        x_left = foot[head] - w
+        while x_left + w > foot[head]:
+            x_left = nextafter(x_left, -inf)
         x_right = foot[tail] + 2 * sizes[tail] * d
         fits_left = x_left - d * d >= left_wall
         fits_right = x_right + d * d <= right_wall
@@ -138,8 +146,6 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
         gap, width = foot[ri] - foot[li], 2 * (sizes[li] + sizes[ri])
         push(heap, (-div(gap * unit, width), ids[li], li, ri))
 
-    # The walls are the extents span() finds, and the bound is
-    # best_support_lower_bound's prefix pass over the sorted sizes.
     extent = back(right_wall - left_wall)
     lower_bound = back(prefix_support_bound(sizes))
     certificate = Certificate(extent, lower_bound, extent / lower_bound)

@@ -35,11 +35,6 @@ SIZE_INNER = Fraction(33, 100)
 SIZE_LARGE_FILLER = SIZE_INNER / (1 + SIZE_INNER)          # 33/133
 SIZE_SMALL_FILLER = SIZE_LARGE_FILLER / (1 + SIZE_LARGE_FILLER)  # 33/166
 SIZE_END = (1 - SIZE_INNER ** 2 - 2 * SIZE_INNER) / (4 * SIZE_INNER)  # 2311/13200
-SIZE_MIN_ELEMENT = Fraction(2261, 13200)
-
-# Three element disks fit between the inner frames of one gap iff their
-# sizes sum to at most this.
-GAP_SIZE_BUDGET = 2 / (4 * SIZE_INNER) - 1  # 17/33
 
 
 class DiskRole(enum.Enum):

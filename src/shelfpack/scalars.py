@@ -200,8 +200,6 @@ def _read_column(literals: Sequence[str]) -> tuple[list[float] | None, Backend]:
             raise ParseError("file mixes rational and decimal literals")
         bad = next(text for text in literals if not grammar.fullmatch(text))
         raise ParseError(f"not a rational or decimal literal: {bad!r}")
-    if not exact:
-        return list(map(float, literals)), Backend.FLOAT
     bad = next((text for text in literals if int(text.split("/")[1]) == 0), None)
     if bad is not None:
         raise ParseError(f"zero denominator in rational literal {bad!r}")

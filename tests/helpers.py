@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+import math
 import os
 import re
 import statistics
@@ -162,7 +163,8 @@ def naive_greedy(disks: Iterable[Disk]) -> GreedyResult:
     """Reference greedy on scalars: every gap fit is the closed form
     gap_fit_size(), the final placement goes through the checked
     constructor, and the certificate is measured with span() and
-    best_support_lower_bound().  Same rules and tie-breaks as greedy_solve."""
+    best_support_lower_bound().  Same rules, tie-breaks and float rounding
+    of a footpoint placed left of its neighbour as greedy_solve."""
     order = sorted(disks, key=lambda d: (-d.size, d.id))
     ids = [d.id for d in order]
     sizes = [d.size for d in order]
@@ -173,6 +175,13 @@ def naive_greedy(disks: Iterable[Disk]) -> GreedyResult:
     right_wall = foot[0] + sizes[0] * sizes[0]
     heap = []  # (-fit, left disk id, left index, right index)
     ops = 0
+
+    def left_of(f, w):
+        # f - w, or below it while the rounded float x + w passes f
+        x = f - w
+        while x + w > f:
+            x = math.nextafter(x, -math.inf)
+        return x
 
     def push_gap(li, ri):
         nonlocal ops
@@ -192,10 +201,9 @@ def naive_greedy(disks: Iterable[Disk]) -> GreedyResult:
                 break
             heapq.heappop(heap)
             ops += 1
-            if sizes[li] <= sizes[ri]:
-                x = foot[li] + 2 * sizes[li] * d
-            else:
-                x = foot[ri] - 2 * sizes[ri] * d
+            x = foot[li] + 2 * sizes[li] * d
+            if sizes[li] > sizes[ri]:
+                x = max(x, left_of(foot[ri], 2 * sizes[ri] * d))
             foot.append(x)
             right_nb.append(ri)
             right_nb[li] = k
@@ -204,7 +212,7 @@ def naive_greedy(disks: Iterable[Disk]) -> GreedyResult:
             placed_in_gap = True
             break
         if not placed_in_gap:
-            x_left = foot[head] - 2 * sizes[head] * d
+            x_left = left_of(foot[head], 2 * sizes[head] * d)
             x_right = foot[tail] + 2 * sizes[tail] * d
             fits_left = x_left - d * d >= left_wall
             fits_right = x_right + d * d <= right_wall

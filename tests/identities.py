@@ -11,6 +11,14 @@ from operator import eq, gt, lt
 
 from shelfpack import hardness as h
 
+# The smallest element disk, at a_i = B/4, just below every size the
+# reduction allows (it needs a_i > B/4).
+SIZE_MIN_ELEMENT = h.partition_disk_size(1, 4)
+
+# Three element disks fit between the inner frames of one gap iff their
+# sizes sum to at most this.
+GAP_SIZE_BUDGET = 2 / (4 * h.SIZE_INNER) - 1
+
 # Letters name disk roles: O outer frame, F inner frame, L large filler,
 # T small filler, P the minimum element/end size.
 ROLE_SIZES = {
@@ -18,7 +26,7 @@ ROLE_SIZES = {
     "F": h.SIZE_INNER,
     "L": h.SIZE_LARGE_FILLER,
     "T": h.SIZE_SMALL_FILLER,
-    "P": h.SIZE_MIN_ELEMENT,
+    "P": SIZE_MIN_ELEMENT,
 }
 
 
@@ -39,7 +47,7 @@ IDENTITIES = [
     ("large filler fills the outer/inner corner", 1 / l, eq, 1 + 1 / f),
     ("small filler fills the outer/large-filler corner", 1 / t, eq, 1 + 1 / l),
     ("end disk fills the end slot with zero slack", 2 * f + 4 * f * e + f * f, eq, 1),
-    ("gap size budget for three element disks", h.GAP_SIZE_BUDGET, eq, F(17, 33)),
+    ("gap size budget for three element disks", GAP_SIZE_BUDGET, eq, F(17, 33)),
     ("three average element disks exactly meet the budget",
      3 * h.partition_disk_size(1, 3), eq, F(17, 33)),
     ("minimum element size at a_i > B/4", F(17, 99) * F(399, 400), eq, F(2261, 13200)),

@@ -14,10 +14,10 @@ from helpers import brute_min_span, make_disks, touching_chain_total
 from identities import check_identities
 from shelfpack.geometry import (
     Disk,
+    _wall_gap_overflows,
     compact,
     span,
     verify,
-    wall_fit_exceeds,
 )
 from shelfpack.greedy import greedy_solve
 from shelfpack.hardness import (
@@ -228,14 +228,14 @@ def test_criterion_6_tangency_identities():
             z = rng.uniform(0.001, 20.0)
             threshold = (math.sqrt(2.0) - 1.0) * x
             if abs(z - threshold) > 1e-12 * x:
-                assert wall_fit_exceeds(z, x) == (z > threshold)
+                assert _wall_gap_overflows(z, x) == (z > threshold)
 
 
 def test_criterion_7_hiding_thresholds():
     with criterion(7, "hiding straddles the wall-gap threshold; unit disk fits"):
         # (sqrt(2) - 1) * 2 is about 0.8284: 0.82 hides, 0.83 does not
-        assert wall_fit_exceeds(F(82, 100), F(2)) is False
-        assert wall_fit_exceeds(F(83, 100), F(2)) is True
+        assert _wall_gap_overflows(F(82, 100), F(2)) is False
+        assert _wall_gap_overflows(F(83, 100), F(2)) is True
 
         hides = greedy_solve([Disk("a", F(2)), Disk("b", F(82, 100))])
         assert hides.certificate.span == 8

@@ -35,7 +35,6 @@ PUBLIC_API = {
     "span",
     "validate_3partition",
     "verify",
-    "wall_fit_exceeds",
 }
 
 

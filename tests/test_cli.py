@@ -317,11 +317,27 @@ class TestVerify:
     def test_float_solve_output_accepted_at_default_tolerance(self, tmp_path):
         sizes = "".join(f"d{i} {k}/100\n" for i, k in enumerate(range(101, 150, 9)))
         inst = write(tmp_path / "f.instance", "shelfpack-instance v1\n" + sizes)
-        for mode in ("linear", "exact"):
+        # c hides left of a at 0 - 2 * 37.62 * 11.05, which rounds up past
+        # c's tangency with a unless the greedy steps it down
+        hiding = write(tmp_path / "h.instance", "shelfpack-instance v1\na 37.62\nb 10.93\nc 11.05\n")
+        for mode, path in (("linear", inst), ("exact", inst), ("greedy", hiding)):
             out = str(tmp_path / f"{mode}.placement")
-            args = ["solve", inst, "--backend", "float", "--mode", mode, "--out", out]
+            args = ["solve", path, "--backend", "float", "--mode", mode, "--out", out]
             assert main(args) == 0
             assert main(["verify", out]) == 0
+
+    def test_seeded_float_round_trips_at_tolerance_zero(self, tmp_path, capsys):
+        # decimal sizes log-uniform on [1, 50], solved and verified at the
+        # CLI defaults
+        rng = random.Random(2017)
+        for n, count in ((10, 30), (100, 10), (1000, 3), (10_000, 1)):
+            for _ in range(count):
+                rows = "".join(f"d{i} {50 ** rng.random():.6f}\n" for i in range(n))
+                inst = write(tmp_path / "r.instance", "shelfpack-instance v1\n" + rows)
+                out = str(tmp_path / "r.placement")
+                assert main(["solve", inst, "--out", out]) == 0
+                assert main(["verify", out]) == 0, (n, rows)
+                assert capsys.readouterr().out.endswith("accepted\n")
 
     def test_tolerance_uses_the_file_grammar(self, tmp_path):
         # spaces and underscores are no literal of a file, so no tolerance

@@ -25,12 +25,12 @@ from shelfpack.geometry import (
     Disk,
     Placement,
     _disk_column,
+    _wall_gap_overflows,
     best_support_lower_bound,
     by_size,
     compact,
     span,
     verify,
-    wall_fit_exceeds,
 )
 from shelfpack.hardness import (
     SIZE_END,
@@ -86,6 +86,12 @@ class TestPlacementConstructor:
         assert [type(x) for x in p.footpoints] == [F, F, F]  # ints become exact
         assert len(p) == 3 and p.backend is Backend.EXACT
         assert p == Placement(p.disks, p.footpoints)
+
+    def test_unknown_attribute(self):
+        # __getattr__ builds the footpoints and nothing else
+        p = Placement(make_disks([F(1), F(1)]), [F(1), F(3)])
+        with pytest.raises(AttributeError, match="'Placement' object has no attribute 'feet'"):
+            p.feet
 
     def test_keeps_placement_promises(self):
         disks = make_disks([1.0, 1.0])
@@ -413,13 +419,13 @@ class TestGapFitSize:
 
 class TestWallFit:
     def test_equal_sizes_exceed(self):
-        assert wall_fit_exceeds(F(5), F(5)) is True
+        assert _wall_gap_overflows(F(5), F(5)) is True
 
     def test_straddles_threshold(self):
-        assert wall_fit_exceeds(0.41, 1.0) is False  # 1.41**2 = 1.9881 < 2
-        assert wall_fit_exceeds(0.42, 1.0) is True  # 1.42**2 = 2.0164 > 2
-        assert wall_fit_exceeds(F(41, 100), F(1)) is False
-        assert wall_fit_exceeds(F(42, 100), F(1)) is True
+        assert _wall_gap_overflows(0.41, 1.0) is False  # 1.41**2 = 1.9881 < 2
+        assert _wall_gap_overflows(0.42, 1.0) is True  # 1.42**2 = 2.0164 > 2
+        assert _wall_gap_overflows(F(41, 100), F(1)) is False
+        assert _wall_gap_overflows(F(42, 100), F(1)) is True
 
     def test_agrees_with_float_threshold(self):
         rng = random.Random(4)
@@ -429,7 +435,7 @@ class TestWallFit:
             expected = z - (2 ** 0.5 - 1) * a
             if abs(expected) < 1e-9 * a:
                 continue  # too close to the threshold for float comparison
-            assert wall_fit_exceeds(z, a) == (expected > 0)
+            assert _wall_gap_overflows(z, a) == (expected > 0)
 
 
 class TestCompact:
@@ -521,6 +527,10 @@ class TestSpan:
         r = span(p)
         assert r.span == 2 * a * a
         assert r.left_disk_id == r.right_disk_id == "a"
+
+    def test_requires_a_placement(self):
+        with pytest.raises(DomainError, match="span requires a non-empty placement"):
+            span(None)
 
     def test_unit_chain(self):
         n = 6

@@ -216,6 +216,45 @@ class TestAgainstNaiveGreedy:
         self.assert_same(disks, exact=True)
 
 
+class TestFloatOutputVerifies:
+    """A float footpoint placed left of a neighbour is rounded so that
+    verify, which forms x + 2ab as the greedy does, accepts at tolerance 0."""
+
+    def test_seeded_instances_at_tolerance_zero(self):
+        rng = random.Random(24)
+        for _ in range(300):
+            sizes = [50 ** rng.random() for _ in range(rng.randint(2, 60))]
+            if rng.random() < 0.5:  # runs of equal sizes
+                sizes = [rng.choice(sizes[:3]) if rng.random() < 0.5 else s for s in sizes]
+            assert verify(greedy_solve(make_disks(sizes)).placement, 0.0).ok, sizes
+
+    @staticmethod
+    def exact_gap(r):
+        # a + b = 2, so z = ab/2 is exactly their gap fit ab/(a+b)
+        a, b = 1 + r, 1 - r
+        z = a * b / 2
+        assert F(z) * (F(a) + F(b)) == F(a) * F(b)
+        return a, b, z
+
+    def test_exactly_fitting_gap_with_a_smaller_right_neighbour(self):
+        # z touches b, the smaller neighbour, at 2ab - 2bz, which rounds
+        # below 2az, where z touches a; z takes 2az, which clears b too
+        a, b, z = self.exact_gap(341278 / 2**20)
+        assert 2 * a * b - 2 * b * z < 2 * a * z
+        result = greedy_solve([Disk("a", a), Disk("b", b), Disk("z", z)])
+        feet = {disk.id: x for disk, x in result.placement}
+        assert feet == {"a": 0.0, "z": 2 * a * z, "b": 2 * a * b}
+        assert verify(result.placement, 0.0).ok
+
+    def test_exactly_fitting_gaps_at_tolerance_zero(self):
+        rng = random.Random(25)
+        for _ in range(500):
+            a, b, z = self.exact_gap(rng.randrange(1, 400_000) / 2**20)
+            placement = greedy_solve([Disk("a", a), Disk("b", b), Disk("z", z)]).placement
+            assert [d.id for d in placement.disks] == ["a", "z", "b"]
+            assert verify(placement, 0.0).ok, (a, b, z)
+
+
 class TestInputBoundary:
     """Checks made once on entry still reject what they rejected before."""
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import footpoint_distance, fresh_lift, unlifted, with_lift
-from identities import check_identities
+from identities import GAP_SIZE_BUDGET, SIZE_MIN_ELEMENT, check_identities
 from shelfpack.errors import (
     DomainError,
     InconsistencyError,
@@ -15,11 +15,9 @@ from shelfpack.errors import (
 )
 from shelfpack.geometry import Disk, Placement, span, verify
 from shelfpack.hardness import (
-    GAP_SIZE_BUDGET,
     SIZE_END,
     SIZE_INNER,
     SIZE_LARGE_FILLER,
-    SIZE_MIN_ELEMENT,
     SIZE_OUTER,
     SIZE_SMALL_FILLER,
     DiskRole,

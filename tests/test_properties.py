@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import make_disks
 from shelfpack.files import format_placement, parse_placement
-from shelfpack.geometry import Placement, compact, span, verify, wall_fit_exceeds
+from shelfpack.geometry import Placement, _wall_gap_overflows, compact, span, verify
 from shelfpack.scalars import format_scalar, parse_scalar
 
 import suites
@@ -38,7 +38,7 @@ def test_touching_gap_fit_is_harmonic(a, b):
 @settings(max_examples=200, derandomize=True)
 @given(z=sizes, a=sizes, k=sizes)
 def test_wall_fit_is_scale_invariant(z, a, k):
-    assert wall_fit_exceeds(z, a) == wall_fit_exceeds(k * z, k * a)
+    assert _wall_gap_overflows(z, a) == _wall_gap_overflows(k * z, k * a)
 
 
 @settings(max_examples=200, derandomize=True)

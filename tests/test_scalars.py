@@ -161,6 +161,11 @@ def test_coerce_and_backends():
         unified_backend([])
 
 
+def test_backend_of_refuses_other_types():
+    with pytest.raises(DomainError, match="unsupported scalar type str"):
+        backend_of("x")
+
+
 def test_unified_backend_of_one_type_and_of_others():
     assert unified_backend(iter([0.5, 2.0])) is Backend.FLOAT
 

@@ -31,6 +31,13 @@ def test_output_is_a_pure_function_of_inputs():
     assert render_svg(placement, 17.5) != render_svg(placement, 18.0)
 
 
+@pytest.mark.parametrize("scale", ["40", True])
+def test_non_number_scale_rejected(scale):
+    placement = compact(make_disks([F(1)]))
+    with pytest.raises(DomainError, match="^scale must be a number$"):
+        render_svg(placement, scale)
+
+
 @pytest.mark.parametrize("scale", [0, 0.0, -1.0])
 def test_non_positive_scale_rejected(scale):
     placement = compact(make_disks([F(1)]))
