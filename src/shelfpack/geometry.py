@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import attrgetter, lt
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DomainError
 from .scalars import Backend, Lift, Scalar, backend_of, coerce, lift, unified_backend
@@ -27,37 +26,66 @@ from .scalars import Backend, Lift, Scalar, backend_of, coerce, lift, unified_ba
 _RADIUS_MIN, _RADIUS_MAX = sys.float_info.min, sys.float_info.max
 
 
-@dataclass(frozen=True, slots=True)
-class Disk:
+class _Frozen:
+    """Immutability for the slotted records below: assigning or deleting
+    any attribute raises :class:`AttributeError`.  Their own constructors
+    and lazy fields set slots through the slot descriptors instead."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Disk(_Frozen):
     """A disk identified by ``id`` with positive size (radius = size**2).
 
-    A float size must have a radius that is a normal float."""
+    A float size must have a radius that is a normal float.  Disks are
+    immutable and compare and hash by ``(id, size)``."""
 
-    id: str
-    size: Scalar
+    __slots__ = ("id", "size")
+    __match_args__ = ("id", "size")
 
-    def __post_init__(self) -> None:
-        disk_id = self.id
+    def __init__(self, id: str, size: Scalar) -> None:
         # "".split() is [], so the empty id fails the token test too
-        if not isinstance(disk_id, str) or disk_id.split() != [disk_id]:
-            raise DomainError(f"disk id must be a non-empty token, got {disk_id!r}")
-        if disk_id[0] == "#":  # files read such a line as a comment
-            raise DomainError(f"disk id must not start with '#', got {disk_id!r}")
-        size = coerce(self.size)
+        if not isinstance(id, str) or id.split() != [id]:
+            raise DomainError(f"disk id must be a non-empty token, got {id!r}")
+        if id[0] == "#":  # files read such a line as a comment
+            raise DomainError(f"disk id must not start with '#', got {id!r}")
+        size = coerce(size)
         if size <= 0:
-            raise DomainError(f"disk {disk_id!r} has non-positive size {size}")
+            raise DomainError(f"disk {id!r} has non-positive size {size}")
         if isinstance(size, float) and not _RADIUS_MIN <= size * size <= _RADIUS_MAX:
             raise DomainError(
-                f"disk {disk_id!r} has size {size!r}, whose radius leaves the float range"
+                f"disk {id!r} has size {size!r}, whose radius leaves the float range"
             )
-        object.__setattr__(self, "size", size)
+        _SET_ID(self, id)
+        _SET_SIZE(self, size)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.id, self.size) == (other.id, other.size)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.size))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(id={self.id!r}, size={self.size!r})"
+
+    def __reduce__(self):
+        return type(self), (self.id, self.size)
 
     @property
     def radius(self) -> Scalar:
         return self.size * self.size
 
 
-# the slot setters of the frozen Disk, for building disks from proven columns
+# the slot setters of the frozen Disk, for its constructor and for building
+# disks from proven columns
 _SET_ID, _SET_SIZE = Disk.id.__set__, Disk.size.__set__
 
 
@@ -78,7 +106,7 @@ def _disk_column(ids: Sequence[str], sizes: Sequence[Scalar]) -> list[Disk]:
     back unchanged) none of which starts with ``#``, and the sizes must
     pass :func:`_proven` with a positive minimum (float sizes: and radii
     that are normal floats, as ``Disk`` demands); then the disks are built
-    without ``Disk.__post_init__``.  Any other columns go through ``Disk``
+    without ``Disk.__init__``.  Any other columns go through ``Disk``
     one element at a time, which names the first offender."""
     if not isinstance(ids, list):  # the token check compares with a list
         ids = list(ids)
@@ -104,8 +132,7 @@ def _disk_column(ids: Sequence[str], sizes: Sequence[Scalar]) -> list[Disk]:
     return list(map(Disk, ids, sizes))
 
 
-@dataclass(frozen=True, slots=True)
-class Placement:
+class Placement(_Frozen):
     """``disks[i]`` at ``footpoints[i]``, sorted by strictly increasing
     footpoint.
 
@@ -127,12 +154,11 @@ class Placement:
     footpoints (see :func:`_lift_footpoints`), which name the disk.
     """
 
-    disks: tuple[Disk, ...]
-    footpoints: tuple[Scalar, ...]
-    _lift: Lift = field(init=False, repr=False, compare=False)
+    __slots__ = ("disks", "footpoints", "_lift")
+    __match_args__ = ("disks", "footpoints")
 
-    def __post_init__(self) -> None:
-        disks, kept = tuple(self.disks), self.footpoints
+    def __init__(self, disks: Sequence[Disk], footpoints: Sequence[Scalar] | Lift) -> None:
+        disks, kept = tuple(disks), footpoints
         feet = kept.feet if type(kept) is Lift else tuple(kept)
         if not disks:
             raise DomainError("a placement must contain at least one disk")
@@ -164,9 +190,8 @@ class Placement:
                     raise DomainError(
                         f"footpoints of {ids[k - 1]!r} and {ids[k]!r} coincide"
                     )
-        object.__setattr__(self, "disks", disks)
-        object.__setattr__(self, "_lift", kept)
-        object.__delattr__(self, "footpoints")  # built when first read
+        _SET_DISKS(self, disks)
+        _SET_LIFT(self, kept)  # the footpoints slot stays unset until read
 
     def __getattr__(self, name: str):
         # called only for an unset slot: the footpoints, built from the lift
@@ -174,8 +199,26 @@ class Placement:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         _, lifted, _, back = self._lift
         feet = tuple(map(back, lifted))
-        object.__setattr__(self, "footpoints", feet)
+        _SET_FEET(self, feet)
         return feet
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.disks, self.footpoints) == (other.disks, other.footpoints)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.disks, self.footpoints))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(disks={self.disks!r}, "
+            f"footpoints={self.footpoints!r})"
+        )
+
+    def __reduce__(self):
+        # the kept lift goes through the constructor, which trusts a Lift
+        return type(self), (self.disks, self._lift)
 
     @property
     def backend(self) -> Backend:
@@ -186,6 +229,11 @@ class Placement:
 
     def __iter__(self) -> Iterator[tuple[Disk, Scalar]]:
         return zip(self.disks, self.footpoints)
+
+
+_SET_DISKS, _SET_FEET, _SET_LIFT = (
+    Placement.disks.__set__, Placement.footpoints.__set__, Placement._lift.__set__
+)
 
 
 def _lift_footpoints(disks: Sequence[Disk], feet: Sequence) -> Lift:
@@ -204,8 +252,7 @@ def _lift_footpoints(disks: Sequence[Disk], feet: Sequence) -> Lift:
     return lift(sizes, coerced)
 
 
-@dataclass(frozen=True)
-class SpanReport:
+class SpanReport(NamedTuple):
     left_wall: Scalar
     right_wall: Scalar
     span: Scalar
@@ -213,15 +260,13 @@ class SpanReport:
     right_disk_id: str
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     left_disk_id: str
     right_disk_id: str
     deficit: Scalar
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     ok: bool
     report: SpanReport
     violation: Optional[Violation]

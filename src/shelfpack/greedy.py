@@ -24,17 +24,15 @@ the walls it tracks, the lower bound from one prefix pass over the sizes.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from math import inf, nextafter
 from operator import floordiv, truediv
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .geometry import Disk, Placement, by_size, prefix_support_bound
 from .scalars import Lift, Scalar
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Span, a support-interval lower bound, and their ratio.
 
     The bound is the strongest support bound over size-decreasing
@@ -47,8 +45,7 @@ class Certificate:
     ratio: Scalar
 
 
-@dataclass(frozen=True)
-class GreedyResult:
+class GreedyResult(NamedTuple):
     placement: Placement
     certificate: Certificate
     queue_ops: int  # heap pushes plus pops: 3 per gap placement, 1 per end placement

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, InconsistencyError, PreconditionError
 from .geometry import Disk, Placement, _disk_column, compact, verify
@@ -46,8 +45,7 @@ class DiskRole(enum.Enum):
     PARTITION = "partition"
 
 
-@dataclass(frozen=True)
-class ThreePartitionInstance:
+class ThreePartitionInstance(NamedTuple):
     elements: tuple[int, ...]
     bound: int
 
@@ -56,24 +54,26 @@ class ThreePartitionInstance:
         return len(self.elements) // 3
 
 
-@dataclass(frozen=True)
-class PartitionSolution:
+class PartitionSolution(NamedTuple):
     """m triples of 1-based element indices, each triple summing to the bound."""
 
     groups: tuple[tuple[int, int, int], ...]
 
 
-@dataclass(frozen=True)
-class HardnessInstance:
+class HardnessInstance(NamedTuple):
     source: ThreePartitionInstance
     disks: tuple[Disk, ...]
     budget: Fraction
-    roles: Mapping[str, DiskRole] = field(hash=False)
-    element_index: Mapping[str, int] = field(hash=False)  # partition disk id -> 1-based
+    roles: Mapping[str, DiskRole]
+    element_index: Mapping[str, int]  # partition disk id -> 1-based
 
     @property
     def m(self) -> int:
         return self.source.m
+
+    def __hash__(self) -> int:
+        # the two maps are compared but not hashed
+        return hash(self[:3])
 
 
 def partition_disk_size(element: int, bound: int) -> Fraction:
@@ -181,10 +181,10 @@ def build_certificate(hi: HardnessInstance, sol: PartitionSolution) -> Placement
     pushes every later disk right, so the last footpoint shows it.
     """
     _check_solution_shape(hi, sol)
-    queues = {
-        role: iter([d for d in hi.disks if hi.roles[d.id] is role]) for role in DiskRole
-    }
-    disk_by_id = {d.id: d for d in hi.disks}
+    # fields read once: a named tuple's field read costs more than a local's
+    disks, role_of = hi.disks, hi.roles
+    queues = {role: iter([d for d in disks if role_of[d.id] is role]) for role in DiskRole}
+    disk_by_id = {d.id: d for d in disks}
     element_disk = {idx: disk_by_id[i] for i, idx in hi.element_index.items()}
     O, F, L, T, E = (
         DiskRole.OUTER_FRAME, DiskRole.INNER_FRAME, DiskRole.LARGE_FILLER,
@@ -218,8 +218,11 @@ def decode_partition(hi: HardnessInstance, placement: Placement) -> PartitionSol
     """
     if placement.backend is not Backend.EXACT:
         raise PreconditionError("decoding requires the exact backend")
+    # fields read once: a named tuple's field read costs more than a local's
+    disks, role_of, element_index = hi.disks, hi.roles, hi.element_index
+    m, elements, bound = hi.m, hi.source.elements, hi.source.bound
     # sizes as well as ids: shrunk element disks fit a gap in any grouping
-    if {d.id: d.size for d in placement.disks} != {d.id: d.size for d in hi.disks}:
+    if {d.id: d.size for d in placement.disks} != {d.id: d.size for d in disks}:
         raise PreconditionError("placement does not hold exactly the instance's disks")
     result = verify(placement, 0)
     if not result.ok:
@@ -235,30 +238,30 @@ def decode_partition(hi: HardnessInstance, placement: Placement) -> PartitionSol
     # bisect on the placement's kept lift: integers, in footpoint order
     footpoints = dict(zip((d.id for d in placement.disks), placement._lift.feet))
     outer = sorted(
-        footpoints[d.id] for d in hi.disks if hi.roles[d.id] is DiskRole.OUTER_FRAME
+        footpoints[d.id] for d in disks if role_of[d.id] is DiskRole.OUTER_FRAME
     )
-    bins: list[list[int]] = [[] for _ in range(hi.m)]
-    for disk in hi.disks:
-        if hi.roles[disk.id] is not DiskRole.PARTITION:
+    bins: list[list[int]] = [[] for _ in range(m)]
+    for disk in disks:
+        if role_of[disk.id] is not DiskRole.PARTITION:
             continue
         x = footpoints[disk.id]
         g = bisect_left(outer, x) - 1  # outer[g] < x <= outer[g + 1]
-        if not 0 <= g < hi.m or x == outer[g + 1]:
+        if not 0 <= g < m or x == outer[g + 1]:
             raise InconsistencyError(
                 f"element disk {disk.id!r} lies in no frame gap"
             )
-        bins[g].append(hi.element_index[disk.id])
+        bins[g].append(element_index[disk.id])
     groups = []
     for g, indices in enumerate(bins):
         if len(indices) != 3:
             raise InconsistencyError(
                 f"gap {g} holds {len(indices)} element disks instead of 3"
             )
-        total = sum(hi.source.elements[idx - 1] for idx in indices)
-        if total != hi.source.bound:
+        total = sum(elements[idx - 1] for idx in indices)
+        if total != bound:
             raise InconsistencyError(
                 f"gap {g} group {tuple(sorted(indices))} sums to {total}, "
-                f"expected {hi.source.bound}"
+                f"expected {bound}"
             )
         groups.append(tuple(sorted(indices)))
     return PartitionSolution(tuple(groups))

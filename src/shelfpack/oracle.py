@@ -24,7 +24,7 @@ smallest compacted span, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import le
 from typing import Iterable, Optional
 
@@ -32,15 +32,20 @@ from .errors import DomainError, PreconditionError
 from .geometry import Disk, Placement, SpanReport, by_size, compact, span
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(namedtuple("OracleConfig", "max_n")):
     """``max_n`` caps the instance size."""
 
-    max_n: int = 10
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.max_n < 1:
+    def __new__(cls, max_n: int = 10) -> OracleConfig:
+        if max_n < 1:
             raise DomainError("max_n must be at least 1")
+        return super().__new__(cls, max_n)
+
+    @classmethod
+    def _make(cls, iterable) -> OracleConfig:
+        # _replace builds through _make, which would skip the check
+        return cls(*iterable)
 
 
 def exact_solve(

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import sys
@@ -354,13 +353,14 @@ class TestKeptLift:
 
     def test_replace_checks_and_lifts_again(self):
         p = compact(make_disks([F(1), F(2), F(1, 2)]))
-        moved = dataclasses.replace(p, footpoints=[x + F(1, 7) for x in p.footpoints])
+        moved = Placement(p.disks, footpoints=[x + F(1, 7) for x in p.footpoints])
         assert _typed(moved._lift) == _typed(fresh_lift(moved))
         assert span(moved).left_wall == span(p).left_wall + F(1, 7)
         with pytest.raises(DomainError, match="footpoints of 'd0' and 'd1' coincide"):
-            dataclasses.replace(p, footpoints=[F(0)] * 3)
-        with pytest.raises(ValueError):
-            dataclasses.replace(p, _lift=p._lift)
+            Placement(p.disks, footpoints=[F(0)] * 3)
+        # the kept lift is not a constructor argument
+        with pytest.raises(TypeError):
+            Placement(p.disks, p.footpoints, _lift=p._lift)
 
 
 def footpoint_gaps(placement):

@@ -1,6 +1,5 @@
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -255,8 +254,7 @@ class TestCertificate:
         # an element disk enlarged behind the source's back: the group sums
         # still pass the shape check, but its disks overflow their gap
         hi = build_instance(M2_INSTANCE)
-        enlarged = replace(
-            hi,
+        enlarged = hi._replace(
             disks=tuple(
                 Disk(d.id, F(1, 3)) if d.id == "part-1" else d for d in hi.disks
             ),
@@ -315,8 +313,7 @@ class TestDecodePreconditions:
         # disks come sorted by footpoint
         ends = [disk for disk in cert.disks if hi.roles[disk.id] is DiskRole.END]
         for end in (ends[0], ends[-1]):
-            relabelled = replace(
-                hi,
+            relabelled = hi._replace(
                 roles={**hi.roles, end.id: DiskRole.PARTITION},
                 element_index={**hi.element_index, end.id: 1},
             )
@@ -376,8 +373,7 @@ class TestDecodePreconditions:
                 cert.disks[k] for k in range(left + 1, right)
                 if roles[k] is DiskRole.INNER_FRAME
             )
-            relabelled = replace(
-                hi,
+            relabelled = hi._replace(
                 roles={**hi.roles, inner.id: DiskRole.PARTITION},
                 element_index={**hi.element_index, inner.id: 1},
             )
@@ -421,8 +417,8 @@ class TestDecodeOnTheKeptLift:
             # over budget, and an end disk relabelled into no frame gap
             cases.append((hi, Placement(cert.disks, [x + 1 if x >= 5 else x for x in cert.footpoints])))
             end = next(d for d in cert.disks if hi.roles[d.id] is DiskRole.END)
-            cases.append((replace(hi, roles={**hi.roles, end.id: DiskRole.PARTITION},
-                                  element_index={**hi.element_index, end.id: 1}), cert))
+            cases.append((hi._replace(roles={**hi.roles, end.id: DiskRole.PARTITION},
+                                      element_index={**hi.element_index, end.id: 1}), cert))
             # groups decoded from a certificate whose gaps are in another order
             cases.append((hi, build_certificate(hi, PartitionSolution(sol.groups[::-1]))))
         for hi, placement in cases:
