@@ -4,10 +4,14 @@ Subcommands: ``solve`` (dispatching between the exact linear-case solver,
 the greedy approximation and the exact oracle), ``verify``,
 ``genhard`` (3-Partition reduction instances) and ``render`` (SVG).
 ``solve --mode exact`` answers a linear-case instance with the paper's
-O(n log n) linear-case solver, like ``auto``, and any other with the
-subset DP, the only part that ``--max-n`` caps.  On floats the
-linear-case span can lie an ulp or two above the DP's smallest compacted
-span.
+O(n log n) linear-case solver, like ``auto``.  On exact sizes it then
+tries to prove an optimum without a search: the chain of the longest
+linear-case prefix bounds every span from below, and an instance whose
+other disks all hide in that chain meets the bound
+(:func:`~shelfpack.oracle.hidden_in_linear_prefix`).  Any other instance
+goes to the subset DP, the only part that ``--max-n`` caps.  On floats
+the linear-case span can lie an ulp or two above the DP's smallest
+compacted span.
 
 Exit codes: 0 success, 1 verification rejected, 2 parse error or a file
 that cannot be read or written, 3 precondition or domain violation.  A
@@ -43,7 +47,7 @@ from .geometry import Disk, best_support_lower_bound, verify
 from .greedy import greedy_solve
 from .hardness import build_certificate, build_instance
 from .linear import is_linear_case, solve_linear
-from .oracle import OracleConfig, exact_solve
+from .oracle import OracleConfig, exact_solve, hidden_in_linear_prefix
 from .scalars import Backend, Scalar, display_scalar, parse_scalar
 from .svg import render_svg
 
@@ -52,6 +56,7 @@ _METHODS = {
     "linear": "exact (linear case)",
     "greedy": "greedy (4/3 approximation)",
     "exact": "exact (subset DP)",
+    "hidden": "exact (hidden in linear prefix)",
 }
 
 
@@ -104,6 +109,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         config = OracleConfig(max_n=args.max_n)  # checked on every exact call
         if is_linear_case(disks):
             mode = "linear"  # the paper's O(n log n) solver is exact here
+        else:
+            hidden = hidden_in_linear_prefix(disks)  # proved without the DP
+            if hidden:
+                mode = "hidden"
+                placement, report = hidden
     elif mode == "auto":
         mode = "linear" if is_linear_case(disks) else "greedy"
     if mode == "linear":
@@ -112,7 +122,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         result = greedy_solve(disks)
         # the certificate carries the placement's span; no second measurement
         placement, report = result.placement, result.certificate
-    else:
+    elif mode == "exact":
         placement, report = exact_solve(disks, config)
 
     lower = best_support_lower_bound(disks)
@@ -205,8 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "linear", "greedy", "exact"],
         default="auto",
         help="solver choice; auto and exact pick the linear-case solver when "
-        "its condition holds, and otherwise auto runs the greedy and exact "
-        "the subset DP",
+        "its condition holds; otherwise auto runs the greedy, and exact "
+        "proves an optimum by the longest linear-case prefix or runs the "
+        "subset DP",
     )
     p_solve.add_argument(
         "--backend",
@@ -219,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=10,
         help="most disks the subset DP of --mode exact takes (default 10); "
-        "the linear case is not capped",
+        "the linear case and an optimum proved by its prefix are not capped",
     )
     p_solve.add_argument("--out", default=None, help="placement output path")
     p_solve.set_defaults(func=cmd_solve)

@@ -30,7 +30,6 @@ footpoints, coinciding footpoints; named as
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -183,6 +182,8 @@ def parse_groups(text: str) -> PartitionSolution:
 
 
 def format_sidecar(hi: HardnessInstance) -> str:
+    import json  # only genhard writes JSON; solve and verify never load it
+
     payload = {
         "format": SIDECAR_FORMAT,
         "m": hi.m,

@@ -353,12 +353,16 @@ def compact(order: Sequence[Disk]) -> Placement:
     overflow.
     """
     lifted = _lifted_sizes(order, "cannot compact an empty order")
-    sizes = lifted.sizes
+    return Placement(order, lifted._replace(feet=_compacted(lifted.sizes)))
+
+
+def _compacted(sizes: Sequence) -> list:
+    """:func:`compact`'s footpoints for sizes already lifted, in order."""
     feet: list = []
     stack: list = []
     for k, s in enumerate(sizes):
         feet.append(_reach(sizes, feet, stack, k, s * s, 2)[0])
-    return Placement(order, lifted._replace(feet=feet))
+    return feet
 
 
 def span(placement: Placement) -> SpanReport:

@@ -7,7 +7,8 @@ size keeps the whole run in O(n log n).
 
 The input is checked, lifted and sorted once by the solvers' shared front
 end, :func:`~shelfpack.geometry.by_size`.  The loop then runs on plain
-lists.  Float sizes are used as they are, in the closed forms 2ab
+lists, from the largest disk alone or, for the exact oracle's bound of a
+linear-case prefix, from that prefix's chain.  Float sizes are used as they are, in the closed forms 2ab
 (tangency) and g / (2(a + b)) (gap fit).  A disk placed against its right
 neighbour at f takes x = f - 2ab, stepped down an ulp at a time while the
 rounded x + 2ab, as :func:`~shelfpack.geometry.verify` forms it, exceeds
@@ -69,6 +70,25 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
     gap between sizes a and b with footpoints g apart has fit g / (2(a+b)).
     """
     order, sizes, back = by_size(disks, "greedy_solve requires at least one disk")
+    placement, extent, in_gaps = _greedy(order, sizes, back, [0], [sizes[0] * 0])
+    extent = back(extent)
+    lower_bound = back(prefix_support_bound(sizes))
+    certificate = Certificate(extent, lower_bound, extent / lower_bound)
+    # a gap placement pops one entry and pushes two, an end placement pushes one
+    ops = len(sizes) - 1 + 2 * in_gaps
+    return GreedyResult(placement, certificate, ops)
+
+
+def _greedy(order: list, sizes: list, back, chain: list, feet: list) -> tuple:
+    """The greedy's loop on :func:`~shelfpack.geometry.by_size`'s columns,
+    started from a placed chain instead of the largest disk alone.
+
+    ``chain`` holds indices 0 to m - 1 of the columns in footpoint order,
+    at the increasing footpoints ``feet`` (lifted, as the loop's own), and
+    every neighbour pair in it a gap; disks m to n - 1 are then placed by
+    the rules of :func:`greedy_solve`.  Returns the placement, its extent
+    (lifted) and the number of gap placements.
+    """
     exact = not isinstance(sizes[0], float)
     # Exact sizes are integers over their common denominator D, so
     # footpoints and walls are integers over D**2.  An exact fit g/w is
@@ -78,23 +98,30 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
     # too: they order fits exactly as the fits themselves, and
     # floor(g * unit / w) >= d * unit exactly when g/w >= d.
     unit = 1 << 2 * (4 * max(sizes)).bit_length() if exact else 1
+    div = floordiv if exact else truediv
     ids = [d.id for d in order]
     n = len(sizes)
-    foot: list = [sizes[0] * 0] * n
+    foot: list = [feet[0]] * n
     right_nb = [-1] * n  # the right neighbour of each placed disk, or -1
-    head = tail = 0
-    left_wall = foot[0] - sizes[0] * sizes[0]
-    right_wall = foot[0] + sizes[0] * sizes[0]
+    for k, x in zip(chain, feet):
+        foot[k] = x
+    head, tail = chain[0], chain[-1]
+    left_wall = min(foot[k] - sizes[k] * sizes[k] for k in chain)
+    right_wall = max(foot[k] + sizes[k] * sizes[k] for k in chain)
     # Heap entries: (-fit, left id, left index, right index); -fit is the
     # float itself or the negated exact key.  Only the top gap is ever
     # split, and it is split when it is taken, so every entry is a pair of
     # neighbours: there are no stale entries to skip.
     heap: list[tuple] = []
+    for li, ri in zip(chain, chain[1:]):
+        right_nb[li] = ri
+        gap, width = foot[ri] - foot[li], 2 * (sizes[li] + sizes[ri])
+        heap.append((-div(gap * unit, width), ids[li], li, ri))
+    heapq.heapify(heap)
     push, replace = heapq.heappush, heapq.heapreplace
-    div = floordiv if exact else truediv
     in_gaps = 0
 
-    for k in range(1, n):
+    for k in range(len(chain), n):
         d = sizes[k]
         if heap and -heap[0][0] >= d * unit:
             # the widest gap fits: its entry becomes its left half, and the
@@ -143,19 +170,13 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
         gap, width = foot[ri] - foot[li], 2 * (sizes[li] + sizes[ri])
         push(heap, (-div(gap * unit, width), ids[li], li, ri))
 
-    extent = back(right_wall - left_wall)
-    lower_bound = back(prefix_support_bound(sizes))
-    certificate = Certificate(extent, lower_bound, extent / lower_bound)
     # the links run left to right, so the columns go out in footpoint order
     # and the Placement need not sort them
-    chain = []
+    walk = []
     k = head
     while k >= 0:
-        chain.append(k)
+        walk.append(k)
         k = right_nb[k]
-    disks, sizes, foot = [list(map(column.__getitem__, chain)) for column in (order, sizes, foot)]
-    placement = Placement(disks, Lift(sizes, foot, 1, back))
-    # a gap placement pops one entry and pushes two, an end placement pushes one
-    ops = n - 1 + 2 * in_gaps
-    return GreedyResult(placement, certificate, ops)
+    disks, sizes, foot = [list(map(column.__getitem__, walk)) for column in (order, sizes, foot)]
+    return Placement(disks, Lift(sizes, foot, 1, back)), right_wall - left_wall, in_gaps
 

@@ -47,6 +47,21 @@ def _linear(sizes: Sequence) -> bool:
     return a * b <= z * (a + b) and _wall_gap_overflows(z, a)
 
 
+def _linear_prefix(sizes: Sequence) -> int:
+    """The length K of the longest linear-case prefix of lifted ``sizes``
+    in decreasing order.  The prefixes of lengths 1 to K are exactly the
+    linear ones: a and b stay the first two sizes, and both comparisons
+    of :func:`_linear` only get harder as z shrinks."""
+    a = sizes[0]
+    b = sizes[1] if len(sizes) > 1 else a
+    k = 1
+    for z in sizes[1:]:
+        if not (a * b <= z * (a + b) and _wall_gap_overflows(z, a)):
+            break
+        k += 1
+    return k
+
+
 def _interleave(desc: Sequence[int]) -> list[int]:
     """Even-count pattern over the size ranks ``desc``: largest and
     smallest meet in the middle, the remaining ranks alternate outward by
@@ -85,11 +100,17 @@ def solve_linear(disks: Iterable[Disk]) -> tuple[Placement, SpanReport]:
     desc, sizes, _ = by_size(disks, _EMPTY)
     if not _linear(sizes):  # tested on the sizes by_size lifted
         raise PreconditionError("not a linear-case instance")
-    n = len(desc)
+    placement = compact([desc[k] for k in _linear_order(sizes)])
+    return placement, span(placement)
+
+
+def _linear_order(sizes: Sequence) -> list[int]:
+    """:func:`solve_linear`'s order of sizes sorted in decreasing order,
+    as indices into them: the interleave, and the median by its rule."""
+    n = len(sizes)
     ranks = _interleave(range(n))
     if n % 2:
         m = n // 2
         a, b = (sizes[ranks[0]], sizes[ranks[-1]]) if ranks else (sizes[m],) * 2
         ranks = [m] + ranks if (a - b) * (a + b - 2 * sizes[m]) > 0 else ranks + [m]
-    placement = compact([desc[k] for k in ranks])
-    return placement, span(placement)
+    return ranks

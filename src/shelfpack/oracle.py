@@ -20,6 +20,10 @@ The disks and their lifted sizes come from the solvers' shared front end,
 an integer over D**2.  On floats each footpoint is rounded as
 :func:`~shelfpack.geometry.compact` rounds it, so the span found is the
 smallest compacted span, bit for bit.
+
+Before the search, :func:`hidden_in_linear_prefix` tries to prove an
+optimum from the paper's linear case alone: exact sizes only, and
+uncapped, since it never searches.
 """
 
 from __future__ import annotations
@@ -29,7 +33,32 @@ from operator import le
 from typing import Iterable, Optional
 
 from .errors import DomainError, PreconditionError
-from .geometry import Disk, Placement, SpanReport, by_size, compact, span
+from .geometry import Disk, Placement, SpanReport, _compacted, by_size, compact, span
+from .greedy import _greedy
+from .linear import _linear_order, _linear_prefix
+
+
+def hidden_in_linear_prefix(disks: Iterable[Disk]) -> Optional[tuple[Placement, SpanReport]]:
+    """An optimal placement proved without the search, or None.
+
+    Let P be the longest size-decreasing prefix that is a linear-case
+    instance.  By the paper's theorem :func:`~shelfpack.linear.solve_linear`
+    places P with the smallest span, and removing disks never grows a
+    span, so no placement of all the disks is shorter than that chain.
+    The chain, in ``solve_linear``'s order and compacted, seeds the
+    greedy's loop, which places the other disks.  If every one of them
+    goes into a gap or keeps the walls, the placement meets the bound and
+    is optimal.  On floats that equality would need an exact decision, so
+    float sizes give None.
+    """
+    order, sizes, back = by_size(disks, "hidden_in_linear_prefix requires at least one disk")
+    if isinstance(sizes[0], float):
+        return None
+    chain = _linear_order(sizes[: _linear_prefix(sizes)])
+    feet = _compacted([sizes[k] for k in chain])
+    bound = max(x + sizes[k] * sizes[k] for k, x in zip(chain, feet))  # the left wall is 0
+    placement, extent, _ = _greedy(order, sizes, back, chain, feet)
+    return (placement, span(placement)) if extent == bound else None
 
 
 class OracleConfig(namedtuple("OracleConfig", "max_n")):

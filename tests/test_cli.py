@@ -35,9 +35,17 @@ def linear_instance(tmp_path):
     )
 
 
-# eleven unit disks and a tenth, which hides: not the linear case, so
+# two disks of size 2, nine of 19/10 and one of 49/50, which fits the gap
+# of two touching 2s: not the linear case.  The eleven large disks are the
+# longest linear-case prefix, and 49/50 fits none of their chain's gaps, so
 # --mode exact runs the subset DP, and 12 disks pass its default cap of 10
-NONLINEAR_12 = "shelfpack-instance v1\n" + "".join(f"d{i} 1/1\n" for i in range(11)) + "s 1/10\n"
+NONLINEAR_12 = (
+    "shelfpack-instance v1\na 2/1\nb 2/1\n"
+    + "".join(f"d{i} 19/10\n" for i in range(9))
+    + "s 49/50\n"
+)
+# eleven unit disks and a tenth, which hides in a gap of their chain
+HIDDEN_12 = "shelfpack-instance v1\n" + "".join(f"d{i} 1/1\n" for i in range(11)) + "s 1/10\n"
 
 
 @pytest.fixture
@@ -84,7 +92,18 @@ class TestSolve:
         assert rc == 0
         captured = capsys.readouterr().out
         assert "method: exact (subset DP)" in captured
+        assert "span: 2024/25 (exact)" in captured
+        assert verify(read_placement(out), 0).ok
+
+    def test_exact_mode_proves_a_hidden_disk_past_the_cap(self, tmp_path, capsys):
+        # the bound of the linear prefix needs no search, so no cap applies
+        inst = write(tmp_path / "hidden.instance", HIDDEN_12)
+        out = tmp_path / "x.placement"
+        assert main(["solve", inst, "--mode", "exact", "--out", str(out)]) == 0
+        captured = capsys.readouterr().out
+        assert "method: exact (hidden in linear prefix)" in captured
         assert "span: 22 (exact)" in captured
+        assert verify(read_placement(out), 0).ok
 
     def test_exact_mode_solves_the_linear_case_past_the_cap(self, tmp_path, capsys):
         # the cap bounds the subset DP only; the linear-case solver is exact

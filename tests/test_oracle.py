@@ -8,10 +8,10 @@ import pytest
 from helpers import brute_min_span, make_disks, random_linear_disks
 from shelfpack.errors import DomainError, PreconditionError
 from shelfpack.files import format_placement
-from shelfpack.geometry import compact, span, verify
+from shelfpack.geometry import by_size, compact, span, verify
 from shelfpack.greedy import greedy_solve
-from shelfpack.linear import solve_linear
-from shelfpack.oracle import OracleConfig, exact_solve
+from shelfpack.linear import _linear_prefix, is_linear_case, solve_linear
+from shelfpack.oracle import OracleConfig, exact_solve, hidden_in_linear_prefix
 
 
 class TestFixedInstances:
@@ -186,6 +186,8 @@ class TestLimits:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             exact_solve([])
+        with pytest.raises(DomainError, match="hidden_in_linear_prefix"):
+            hidden_in_linear_prefix([])
 
     def test_cap_is_checked_before_the_backend(self):
         disks = make_disks([F(1)] * 6) + make_disks([1.0] * 6, prefix="f")
@@ -218,3 +220,72 @@ class TestLinearAgreement:
             _, lin = solve_linear(disks)
             _, orc = exact_solve(disks)
             assert lin.span == orc.span
+
+
+class TestHiddenInLinearPrefix:
+    """The bound of the longest linear-case prefix against the subset DP:
+    exact sizes k/1000 log-uniform on [1, ratio], n = 2-9, about 30% tied
+    sizes, and in about a third of the instances one disk at the gap
+    boundary z = ab/(a + b) of two others."""
+
+    RATIOS = (1.5, 3, 6, 20, 50, 1000)
+
+    @staticmethod
+    def sizes(rng, n, ratio):
+        sizes = []
+        for _ in range(n):
+            if sizes and rng.random() < 0.3:
+                sizes.append(rng.choice(sizes))
+            else:
+                sizes.append(F(round(1000 * ratio ** rng.random()), 1000))
+        if n > 2 and rng.random() < 0.35:
+            a, b = rng.sample(sizes[1:], 2)
+            sizes[0] = a * b / (a + b)
+        return sizes
+
+    def instances(self, seed, per_cell):
+        rng = random.Random(seed)
+        for ratio in self.RATIOS:
+            for n in range(2, 10):
+                for _ in range(per_cell):
+                    yield make_disks(self.sizes(rng, n, ratio))
+
+    @staticmethod
+    def longest_linear_prefix(disks):
+        desc = sorted(disks, key=lambda d: d.size, reverse=True)
+        k = max(k for k in range(1, len(desc) + 1) if is_linear_case(desc[:k]))
+        return desc[:k]
+
+    def test_certified_spans_are_optimal(self):
+        certified = 0  # instances that are not the linear case
+        for disks in self.instances(101, 8):
+            hidden = hidden_in_linear_prefix(disks)
+            if hidden is None:
+                continue
+            certified += not is_linear_case(disks)
+            placement, report = hidden
+            assert sorted(placement.disks, key=lambda d: d.id) == sorted(disks, key=lambda d: d.id)
+            assert verify(placement, 0).ok
+            assert report == span(placement)
+            _, prefix = solve_linear(self.longest_linear_prefix(disks))
+            assert report.span == prefix.span
+            _, optimum = exact_solve(disks)
+            assert report.span == optimum.span
+        assert certified >= 150  # 216 of the 254 that are not the linear case
+
+    def test_one_scan_finds_the_longest_linear_prefix(self):
+        for disks in self.instances(103, 3):
+            for column in (disks, make_disks([float(d.size) for d in disks])):
+                _, sizes, _ = by_size(column, "empty")
+                assert _linear_prefix(sizes) == len(self.longest_linear_prefix(column))
+
+    def test_floats_never_certify(self):
+        for disks in self.instances(107, 2):
+            floats = make_disks([float(d.size) for d in disks])
+            assert hidden_in_linear_prefix(floats) is None
+
+    def test_the_linear_case_is_its_own_prefix(self):
+        for disks in (random_linear_disks(random.Random(109), n) for n in range(1, 9)):
+            placement, report = hidden_in_linear_prefix(disks)
+            assert report == solve_linear(disks)[1]
+            assert verify(placement, 0).ok
