@@ -13,6 +13,13 @@ goes to the subset DP, the only part that ``--max-n`` caps.  On floats
 the linear-case span can lie an ulp or two above the DP's smallest
 compacted span.
 
+``solve`` sorts and lifts the sizes once
+(:func:`~shelfpack.geometry.by_size`), tests the linear case on that
+column and runs the solver it picks on it: the private kernel that the
+public solver wraps, which returns the placement with its span.  The
+printed lower bound is one :func:`~shelfpack.geometry.best_support_lower_bound`
+call on the sorted disks, which lifts them a second time.
+
 Exit codes: 0 success, 1 verification rejected, 2 parse error or a file
 that cannot be read or written, 3 precondition or domain violation.  A
 reader that closes standard output early (``shelfpack solve big.instance
@@ -43,11 +50,16 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .geometry import Disk, best_support_lower_bound, verify
-from .greedy import greedy_solve
+from .geometry import Disk, best_support_lower_bound, by_size, verify
+from .greedy import _greedy
 from .hardness import build_certificate, build_instance
-from .linear import is_linear_case, solve_linear
-from .oracle import OracleConfig, exact_solve, hidden_in_linear_prefix
+from .linear import _linear, _linear_placement
+from .oracle import OracleConfig, _check_cap, _hidden, _subset_dp
+# solve runs the kernels above; the public solvers stay bound here because
+# bench/spans.py times them through these names
+from .greedy import greedy_solve  # noqa: F401
+from .linear import is_linear_case, solve_linear  # noqa: F401
+from .oracle import exact_solve  # noqa: F401
 from .scalars import Backend, Scalar, display_scalar, parse_scalar
 from .svg import render_svg
 
@@ -106,31 +118,37 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     mode = args.mode
     if mode == "exact":
-        config = OracleConfig(max_n=args.max_n)  # checked on every exact call
-        if is_linear_case(disks):
-            mode = "linear"  # the paper's O(n log n) solver is exact here
-        else:
-            hidden = hidden_in_linear_prefix(disks)  # proved without the DP
-            if hidden:
-                mode = "hidden"
-                placement, report = hidden
-    elif mode == "auto":
-        mode = "linear" if is_linear_case(disks) else "greedy"
+        max_n = OracleConfig(max_n=args.max_n).max_n  # checked on every exact call
+    # one sort and one lift for the dispatch and every solver
+    order, sizes, back = by_size(disks, "solve requires at least one disk")
+    linear = mode != "greedy" and _linear(sizes)
+    if mode == "linear" and not linear:
+        raise PreconditionError("not a linear-case instance")
+    if linear:
+        mode = "linear"  # the paper's O(n log n) solver is exact here
     if mode == "linear":
-        placement, report = solve_linear(disks)
-    elif mode == "greedy":
-        result = greedy_solve(disks)
-        # the certificate carries the placement's span; no second measurement
-        placement, report = result.placement, result.certificate
+        placement, extent = _linear_placement(order, sizes, back)
     elif mode == "exact":
-        placement, report = exact_solve(disks, config)
+        hidden = _hidden(order, sizes, back)  # proved without the DP
+        if hidden:
+            mode = "hidden"
+            placement, extent = hidden
+        else:
+            _check_cap(len(order), max_n)
+            placement, extent = _subset_dp(order, sizes, back)
+    else:  # greedy, forced or as auto's fallback
+        mode = "greedy"
+        placement, extent, _ = _greedy(order, sizes, back)
 
-    lower = best_support_lower_bound(disks)
-    ratio = report.span / lower
+    span = back(extent)
+    # lifts the sizes again, sorted already; bench/spans.py times the
+    # bound through this call
+    lower = best_support_lower_bound(order)
+    ratio = span / lower
     summary = [
         f"method: {_METHODS[mode]}",
         f"disks: {len(disks)}",
-        f"span: {_display(report.span, backend)}",
+        f"span: {_display(span, backend)}",
         f"lower bound: {_display(lower, backend)}",
         f"ratio: {_display(ratio, backend)}",
     ]

@@ -141,11 +141,8 @@ def parse_placement(text: str) -> Placement:
 
 
 def format_placement(placement: Placement) -> str:
-    disks = placement.disks
-    sizes = _format_column([d.size for d in disks])
-    lifted = placement._lift
-    feet = _format_lifted(lifted.feet, lifted.back)
-    rows = map(" ".join, zip([d.id for d in disks], sizes, feet))
+    sizes, feet = _format_lifted(placement._lift)
+    rows = map(" ".join, zip([d.id for d in placement.disks], sizes, feet))
     return "\n".join([PLACEMENT_HEADER, *rows, ""])
 
 
@@ -193,7 +190,24 @@ def format_sidecar(hi: HardnessInstance) -> str:
         "roles": {disk_id: role.value for disk_id, role in sorted(hi.roles.items())},
         "element_index": dict(sorted(hi.element_index.items())),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # the bytes of json.dumps(payload, indent=2, sort_keys=True) + "\n", from
+    # the C encoder, which json uses only without ``indent``: each value is
+    # a scalar, or a list or dict of scalars, so the separators carry the
+    # newline and the indent of the one nested level.  The pieces are
+    # joined once, since every copy of the text raises peak memory.
+    encode = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).encode
+    parts = []
+    for key in sorted(payload):
+        value = payload[key]
+        text = encode(value)
+        parts += [",\n  ", json.dumps(key), ": "]
+        if isinstance(value, (dict, list)) and value:
+            parts += [text[0], "\n    ", text[1:-1], "\n  ", text[-1]]
+        else:
+            parts.append(text)
+    parts[0] = "{\n  "
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def read_instance(path: str | Path) -> tuple[list[Disk], Backend]:

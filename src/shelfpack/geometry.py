@@ -13,7 +13,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import repeat
-from operator import attrgetter, lt
+from operator import add, attrgetter, lt, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DomainError
@@ -363,6 +363,16 @@ def _compacted(sizes: Sequence) -> list:
     for k, s in enumerate(sizes):
         feet.append(_reach(sizes, feet, stack, k, s * s, 2)[0])
     return feet
+
+
+def _compact_columns(order: Sequence[Disk], sizes: Sequence, back, chain: Sequence[int]) -> tuple:
+    """:func:`compact` of the disks ``order[k]`` for k in ``chain``, on the
+    columns of :func:`by_size`, which are not lifted again, and its span,
+    lifted: the largest x + r, since the first wall is 0."""
+    sizes = [sizes[k] for k in chain]
+    feet = _compacted(sizes)
+    extent = max(map(add, feet, map(mul, sizes, sizes)))
+    return Placement([order[k] for k in chain], Lift(sizes, feet, 1, back)), extent
 
 
 def span(placement: Placement) -> SpanReport:

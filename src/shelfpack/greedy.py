@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 from math import inf, nextafter
 from operator import floordiv, truediv
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import Disk, Placement, by_size, prefix_support_bound
 from .scalars import Lift, Scalar
@@ -70,7 +70,7 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
     gap between sizes a and b with footpoints g apart has fit g / (2(a+b)).
     """
     order, sizes, back = by_size(disks, "greedy_solve requires at least one disk")
-    placement, extent, in_gaps = _greedy(order, sizes, back, [0], [sizes[0] * 0])
+    placement, extent, in_gaps = _greedy(order, sizes, back)
     extent = back(extent)
     lower_bound = back(prefix_support_bound(sizes))
     certificate = Certificate(extent, lower_bound, extent / lower_bound)
@@ -79,9 +79,9 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
     return GreedyResult(placement, certificate, ops)
 
 
-def _greedy(order: list, sizes: list, back, chain: list, feet: list) -> tuple:
+def _greedy(order: list, sizes: list, back, chain: Sequence[int] = (0,), feet=None) -> tuple:
     """The greedy's loop on :func:`~shelfpack.geometry.by_size`'s columns,
-    started from a placed chain instead of the largest disk alone.
+    started from the largest disk alone at 0 or from a placed chain.
 
     ``chain`` holds indices 0 to m - 1 of the columns in footpoint order,
     at the increasing footpoints ``feet`` (lifted, as the loop's own), and
@@ -89,6 +89,8 @@ def _greedy(order: list, sizes: list, back, chain: list, feet: list) -> tuple:
     the rules of :func:`greedy_solve`.  Returns the placement, its extent
     (lifted) and the number of gap placements.
     """
+    if feet is None:
+        feet = [sizes[0] * 0]
     exact = not isinstance(sizes[0], float)
     # Exact sizes are integers over their common denominator D, so
     # footpoints and walls are integers over D**2.  An exact fit g/w is

@@ -13,8 +13,9 @@ import heapq
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .geometry import Disk, Placement, SpanReport, by_size, compact, span
-from .geometry import _lifted_sizes, _wall_gap_overflows
+from .geometry import Disk, Placement, SpanReport, by_size, span
+from .geometry import _compact_columns, _lifted_sizes, _wall_gap_overflows
+from .geometry import compact  # unused here; bench/spans.py times compact through this name
 
 _EMPTY = "the linear-case test needs at least one disk"
 
@@ -97,11 +98,18 @@ def solve_linear(disks: Iterable[Disk]) -> tuple[Placement, SpanReport]:
     (m**2 + 2 m a + b**2) - (a**2 + 2 b m + m**2) = (a - b)(2m - a - b).
     m goes first iff that is negative; ties keep it on the right.
     """
-    desc, sizes, _ = by_size(disks, _EMPTY)
+    order, sizes, back = by_size(disks, _EMPTY)
     if not _linear(sizes):  # tested on the sizes by_size lifted
         raise PreconditionError("not a linear-case instance")
-    placement = compact([desc[k] for k in _linear_order(sizes)])
+    placement, _ = _linear_placement(order, sizes, back)
     return placement, span(placement)
+
+
+def _linear_placement(order: list, sizes: list, back) -> tuple:
+    """:func:`solve_linear` on the columns of
+    :func:`~shelfpack.geometry.by_size`, which must be the linear case:
+    the placement and its span, lifted."""
+    return _compact_columns(order, sizes, back, _linear_order(sizes))
 
 
 def _linear_order(sizes: Sequence) -> list[int]:

@@ -33,7 +33,8 @@ from operator import le
 from typing import Iterable, Optional
 
 from .errors import DomainError, PreconditionError
-from .geometry import Disk, Placement, SpanReport, _compacted, by_size, compact, span
+from .geometry import Disk, Placement, SpanReport, by_size, span
+from .geometry import _compact_columns, _compacted
 from .greedy import _greedy
 from .linear import _linear_order, _linear_prefix
 
@@ -51,14 +52,23 @@ def hidden_in_linear_prefix(disks: Iterable[Disk]) -> Optional[tuple[Placement, 
     is optimal.  On floats that equality would need an exact decision, so
     float sizes give None.
     """
-    order, sizes, back = by_size(disks, "hidden_in_linear_prefix requires at least one disk")
+    found = _hidden(*by_size(disks, "hidden_in_linear_prefix requires at least one disk"))
+    if found is None:
+        return None
+    return found[0], span(found[0])
+
+
+def _hidden(order: list, sizes: list, back) -> Optional[tuple]:
+    """:func:`hidden_in_linear_prefix` on the columns of
+    :func:`~shelfpack.geometry.by_size`: the placement and its span,
+    lifted, or None."""
     if isinstance(sizes[0], float):
         return None
     chain = _linear_order(sizes[: _linear_prefix(sizes)])
     feet = _compacted([sizes[k] for k in chain])
     bound = max(x + sizes[k] * sizes[k] for k, x in zip(chain, feet))  # the left wall is 0
     placement, extent, _ = _greedy(order, sizes, back, chain, feet)
-    return (placement, span(placement)) if extent == bound else None
+    return (placement, extent) if extent == bound else None
 
 
 class OracleConfig(namedtuple("OracleConfig", "max_n")):
@@ -95,13 +105,24 @@ def exact_solve(
     """
     cfg = config or OracleConfig()
     items = list(disks)
-    if len(items) > cfg.max_n:
+    _check_cap(len(items), cfg.max_n)
+    placement, _ = _subset_dp(*by_size(items, "exact_solve requires at least one disk"))
+    return placement, span(placement)
+
+
+def _check_cap(n: int, max_n: int) -> None:
+    if n > max_n:
         raise PreconditionError(
-            f"instance has {len(items)} disks, above the oracle cap of "
-            f"{cfg.max_n}; raise the cap with --max-n (OracleConfig.max_n) "
+            f"instance has {n} disks, above the oracle cap of "
+            f"{max_n}; raise the cap with --max-n (OracleConfig.max_n) "
             "to search anyway"
         )
-    items, sizes, _ = by_size(items, "exact_solve requires at least one disk")
+
+
+def _subset_dp(items: list, sizes: list, back) -> tuple:
+    """:func:`exact_solve` on the columns of
+    :func:`~shelfpack.geometry.by_size`, past the cap check: the placement
+    and its span, lifted."""
     n = len(items)
     radii = [s * s for s in sizes]
     pair = [[2 * a * b for b in sizes] for a in sizes]
@@ -150,5 +171,4 @@ def exact_solve(
 
     (front,) = layer.values()
     best_order = min(front, key=lambda state: state[0])[2]
-    placement = compact([items[i] for i in best_order])
-    return placement, span(placement)
+    return _compact_columns(items, sizes, back, best_order)

@@ -267,16 +267,26 @@ def _format_column(values: Sequence[Scalar]) -> list[str]:
     return list(map(repr, values))
 
 
-def _format_lifted(values: Sequence, back) -> list[str]:
-    """The file form of each value of a lift's column (see :func:`lift`):
-    an integer X over Q as ``X/Q`` in lowest terms, with one gcd per value,
-    as ``Fraction`` would write it; floats and ``Fraction``s as
+def _format_lifted(lifted: Lift) -> tuple[list[str], list[str]]:
+    """The file forms of the size and footpoint columns of ``lifted`` (see
+    :func:`lift`).  Integers S over D and X over Q = c*D**2 are written
+    ``p/q`` in lowest terms, as ``Fraction`` would write them: one literal
+    per distinct size, and one denominator per distinct gcd of a
+    footpoint with Q.  Floats and ``Fraction``s are written as
     :func:`_format_column` writes them."""
+    sizes, feet, c, back = lifted
     q = _over(back)
     if q is None:
-        return _format_column(values)
-    gcds = list(map(math.gcd, values, repeat(q)))
-    return [f"{x // g}/{q // g}" for x, g in zip(values, gcds)]
+        return _format_column(sizes), _format_column(feet)
+    d = math.isqrt(q // c)
+    distinct = set(sizes)
+    literal = {s: f"{s // g}/{d // g}" for s, g in zip(distinct, map(math.gcd, distinct, repeat(d)))}
+    gcds = list(map(math.gcd, feet, repeat(q)))
+    dens = {g: f"/{q // g}" for g in set(gcds)}
+    return (
+        list(map(literal.__getitem__, sizes)),
+        [f"{x // g}{dens[g]}" for x, g in zip(feet, gcds)],
+    )
 
 
 def format_scalar(value: Scalar) -> str:

@@ -16,9 +16,10 @@ from shelfpack import cli, files, geometry
 from shelfpack.cli import main
 from shelfpack.files import read_placement
 from shelfpack.geometry import Disk, span, verify
+from shelfpack.errors import PreconditionError
 from shelfpack.greedy import greedy_solve
-from shelfpack.linear import is_linear_case
-from shelfpack.oracle import exact_solve
+from shelfpack.linear import is_linear_case, solve_linear
+from shelfpack.oracle import exact_solve, hidden_in_linear_prefix
 from shelfpack.scalars import display_scalar, lift
 
 
@@ -179,11 +180,16 @@ class TestSolve:
             "error: disk 'd1' has size 1e-200, whose radius leaves the float range\n"
         )
 
-    def test_linear_mode_rejects_nonlinear(self, nonlinear_instance, tmp_path):
-        rc = main(
-            ["solve", nonlinear_instance, "--mode", "linear", "--out", str(tmp_path / "x")]
+    def test_linear_mode_rejects_nonlinear(self, nonlinear_instance, tmp_path, capsys):
+        exact = write(
+            tmp_path / "nonlin-exact.instance",
+            "shelfpack-instance v1\nd1 5/1\nd2 4/1\nd3 3/1\nd4 2/1\n",
         )
-        assert rc == 3
+        out = tmp_path / "x"
+        for inst in (nonlinear_instance, exact):
+            assert main(["solve", inst, "--mode", "linear", "--out", str(out)]) == 3
+            assert capsys.readouterr().err == "error: not a linear-case instance\n"
+        assert not out.exists()
 
     def test_paper_boundary_is_linear(self, tmp_path, capsys):
         # the size-1 disk fits the gap of the two size-2 disks exactly
@@ -281,6 +287,109 @@ class TestExactModeDispatch:
         # once rounded to floats; of the 87 float spans left, 70 match the
         # DP's bit for bit, 14 lie 1 ulp above it and 3 lie 2 ulps above
         assert len(ulps) == 87 and max(ulps) <= 2
+
+
+class TestOneLiftPerSolve:
+    """A ``solve`` sorts and lifts its sizes once for the dispatch and the
+    solver it picks; the printed lower bound lifts them once more."""
+
+    CASES = {
+        "linear": ("shelfpack-instance v1\nd1 10/1\nd2 9/1\nd3 8/1\nd4 7/1\n", []),
+        "greedy": ("shelfpack-instance v1\na 5/1\nb 4/1\nc 3/1\nd 2/1\n", []),
+        "hidden": (HIDDEN_12, ["--mode", "exact", "--max-n", "12"]),
+        "subset DP": (NONLINEAR_12, ["--mode", "exact", "--max-n", "12"]),
+    }
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    @pytest.mark.parametrize("path", list(CASES))
+    def test_two_lifts_per_solve(self, tmp_path, monkeypatch, capsys, path, backend):
+        text, args = self.CASES[path]
+        inst = write(tmp_path / "x.instance", text)
+        lifts = []
+
+        def counted_lift(*args):
+            lifts.append(len(args[0]))
+            return lift(*args)
+
+        monkeypatch.setattr(geometry, "lift", counted_lift)
+        out = tmp_path / "x.placement"
+        assert main(["solve", inst, *args, "--backend", backend, "--out", str(out)]) == 0
+        method = capsys.readouterr().out.splitlines()[0]
+        # on floats no optimum is proved by the prefix: the subset DP runs
+        expected = "subset DP" if path == "hidden" and backend == "float" else path
+        assert expected in method
+        n = len(text.splitlines()) - 1
+        assert lifts == [n, n]
+
+
+class TestSolveMatchesLibrary:
+    """``solve`` writes the placement of the public solver its mode picks,
+    byte for byte as ``format_placement`` writes it, and prints that
+    solver's span, ``best_support_lower_bound`` and their ratio."""
+
+    @staticmethod
+    def library(disks, mode):
+        """The method, placement and span the public solvers give; raises
+        where the command must exit 3."""
+        linear = is_linear_case(disks)
+        if mode == "linear" and not linear:
+            raise PreconditionError("not a linear-case instance")
+        if mode != "greedy" and linear:
+            placement, report = solve_linear(disks)
+            return "exact (linear case)", placement, report.span
+        if mode == "exact":
+            hidden = hidden_in_linear_prefix(disks)
+            if hidden:
+                return "exact (hidden in linear prefix)", hidden[0], hidden[1].span
+            placement, report = exact_solve(disks)
+            return "exact (subset DP)", placement, report.span
+        result = greedy_solve(disks)
+        return "greedy (4/3 approximation)", result.placement, result.certificate.span
+
+    def test_seeded_instances_under_every_mode(self, tmp_path, capsys):
+        rng = random.Random(2701)
+        paths = {}
+        for _ in range(80):
+            n = rng.choice([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 20, 40, 60])
+            ratio = rng.choice([1.5, 1.9, 3, 6, 20, 50])
+            units = []
+            for _ in range(n):  # sizes k/1000 log-uniform on [1, ratio], some tied
+                if units and rng.random() < 0.25:
+                    units.append(rng.choice(units))
+                else:
+                    units.append(max(1000, round(1000 * ratio ** rng.random())))
+            for floats in (False, True):
+                if floats:
+                    rows = "".join(f"d{i} {u / 1000!r}\n" for i, u in enumerate(units))
+                else:
+                    rows = "".join(f"d{i} {u}/1000\n" for i, u in enumerate(units))
+                text = "shelfpack-instance v1\n" + rows
+                disks, backend = files.parse_instance(text)
+                inst = write(tmp_path / "x.instance", text)
+                for mode in ("auto", "linear", "greedy", "exact"):
+                    rc = main(["solve", inst, "--mode", mode])
+                    captured = capsys.readouterr()
+                    try:
+                        method, placement, span_ = self.library(disks, mode)
+                    except PreconditionError as exc:
+                        assert rc == 3
+                        assert captured.err == f"error: {exc}\n"
+                        paths["refused"] = paths.get("refused", 0) + 1
+                        continue
+                    assert rc == 0
+                    assert captured.out == files.format_placement(placement)
+                    lower = geometry.best_support_lower_bound(disks)
+                    suffix = backend.value
+                    assert captured.err.splitlines() == [
+                        f"method: {method}",
+                        f"disks: {n}",
+                        f"span: {display_scalar(span_)} ({suffix})",
+                        f"lower bound: {display_scalar(lower)} ({suffix})",
+                        f"ratio: {display_scalar(span_ / lower)} ({suffix})",
+                    ]
+                    paths[method] = paths.get(method, 0) + 1
+        # every path ran, and every refusal too
+        assert len(paths) == 5, paths
 
 
 class TestGoldenSolve:

@@ -233,6 +233,24 @@ class TestAuxiliaryFormats:
         assert payload["element_index"]["part-1"] == 1
 
 
+    @pytest.mark.parametrize("m", [1, 4, 40, 320])
+    def test_sidecar_is_indented_json(self, m):
+        import json
+
+        rng = random.Random(m)
+        elements = []
+        for _ in range(m):  # triples summing to B, each element in (B/4, B/2)
+            a = rng.randint(2501, 3749)
+            b = rng.randint(2501, 3749)
+            elements += [a, b, 10000 - a - b]
+        hi = build_instance(ThreePartitionInstance(tuple(elements), 10000))
+        text = format_sidecar(hi)
+        payload = json.loads(text)
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert payload["elements"] == elements
+        assert len(payload["roles"]) == len(hi.disks)
+
+
 # Differential tests against the per-row reference readers in helpers.py.
 # Files are written with the forms a hand-written file may use: comments,
 # blank lines, tabs, signs, exponents, leading zeros, `.5` and `5.`.

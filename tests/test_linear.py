@@ -134,9 +134,8 @@ class TestOptimalOrder:
         with pytest.raises(BackendMismatchError):
             solve_linear([Disk("a", F(1)), Disk("b", 1.0)])
 
-    def test_lifts_the_sizes_twice(self, monkeypatch):
-        # the sort lifts them, and the condition is read from that lift;
-        # the compaction lifts them again in footpoint order
+    def test_lifts_the_sizes_once(self, monkeypatch):
+        # the sort lifts them; the condition and the compaction read that lift
         calls = []
 
         def counted(*args):
@@ -145,7 +144,7 @@ class TestOptimalOrder:
 
         monkeypatch.setattr(geometry, "lift", counted)
         solve_linear(make_disks([F(10), F(9), F(8), F(7), F(6)]))
-        assert calls == [5, 5]
+        assert calls == [5]
 
 
 class TestSolveLinear:
@@ -191,11 +190,14 @@ class TestSolveLinear:
     def test_compacts_one_order(self, monkeypatch):
         calls = []
 
-        def counting_compact(order):
-            calls.append(len(order))
-            return compact(order)
+        compacted = geometry._compacted
 
-        monkeypatch.setattr("shelfpack.linear.compact", counting_compact)
+        def counting_compacted(sizes):
+            calls.append(len(sizes))
+            return compacted(sizes)
+
+        # every compaction runs this kernel, on columns lifted once
+        monkeypatch.setattr(geometry, "_compacted", counting_compacted)
         rng = random.Random(11)
         for n in (1, 2, 3, 4, 7, 10, 13, 41, 100):
             disks = random_linear_disks(rng, n)

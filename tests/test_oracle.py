@@ -6,12 +6,14 @@ from itertools import permutations
 import pytest
 
 from helpers import brute_min_span, make_disks, random_linear_disks
+from shelfpack import geometry
 from shelfpack.errors import DomainError, PreconditionError
 from shelfpack.files import format_placement
 from shelfpack.geometry import by_size, compact, span, verify
 from shelfpack.greedy import greedy_solve
 from shelfpack.linear import _linear_prefix, is_linear_case, solve_linear
 from shelfpack.oracle import OracleConfig, exact_solve, hidden_in_linear_prefix
+from shelfpack.scalars import lift
 
 
 class TestFixedInstances:
@@ -84,14 +86,34 @@ class TestAgainstEnumeration:
 
 
 class TestOneCompaction:
+    def test_lifts_the_sizes_once(self, monkeypatch):
+        # the sort lifts them; the certifier, the search and the compaction
+        # of its best order read that lift
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return lift(*args)
+
+        monkeypatch.setattr(geometry, "lift", counted)
+        hidden = make_disks([F(1)] * 5 + [F(1, 10)])
+        assert hidden_in_linear_prefix(hidden) is not None
+        searched = make_disks([F(2), F(2), F(19, 10), F(49, 50)])
+        assert hidden_in_linear_prefix(searched) is None
+        exact_solve(searched)
+        assert calls == [6, 4, 4]
+
     def test_compacts_one_order(self, monkeypatch):
         calls = []
 
-        def counting_compact(order):
-            calls.append(len(order))
-            return compact(order)
+        compacted = geometry._compacted
 
-        monkeypatch.setattr("shelfpack.oracle.compact", counting_compact)
+        def counting_compacted(sizes):
+            calls.append(len(sizes))
+            return compacted(sizes)
+
+        # every compaction runs this kernel, on columns lifted once
+        monkeypatch.setattr(geometry, "_compacted", counting_compacted)
         rng = random.Random(71)
         instances = [make_disks([F(1), F(1)])]
         for _ in range(40):
@@ -102,6 +124,7 @@ class TestOneCompaction:
             calls.clear()
             placement, report = exact_solve(disks)
             assert calls == [len(disks)]
+            assert placement == compact(placement.disks)
             assert report == span(placement)
             assert report.span <= greedy_solve(disks).certificate.span
 
