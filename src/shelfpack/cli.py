@@ -20,6 +20,10 @@ public solver wraps, which returns the placement with its span.  The
 printed lower bound is one :func:`~shelfpack.geometry.best_support_lower_bound`
 call on the sorted disks, which lifts them a second time.
 
+Every output file (placement, instance, sidecar, certificate, SVG) is
+rewritten in place and cut to its new length (``files._write_text``), so a
+failed write exits 2 and leaves the file empty.
+
 Exit codes: 0 success, 1 verification rejected, 2 parse error or a file
 that cannot be read or written, 3 precondition or domain violation.  A
 reader that closes standard output early (``shelfpack solve big.instance
@@ -197,7 +201,7 @@ def cmd_genhard(args: argparse.Namespace) -> int:
         placement = build_certificate(hi, groups)
     files.write_instance(args.out, list(hi.disks))
     sidecar = Path(str(args.out) + ".json")
-    sidecar.write_text(files.format_sidecar(hi), encoding="utf-8", newline="\n")
+    files._write_text(sidecar, files.format_sidecar(hi))
     print(f"disks: {len(hi.disks)}")
     print(f"budget: {display_scalar(hi.budget)}")
     print(f"instance written to {args.out}")
@@ -212,7 +216,7 @@ def cmd_genhard(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     placement = files.read_placement(args.input)
     svg = render_svg(placement, args.scale)
-    Path(args.out).write_text(svg, encoding="utf-8", newline="\n")
+    files._write_text(args.out, svg)
     print(f"svg written to {args.out}")
     return 0
 

@@ -30,6 +30,8 @@ footpoints, coinciding footpoints; named as
 
 from __future__ import annotations
 
+import os
+import stat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -210,12 +212,41 @@ def format_sidecar(hi: HardnessInstance) -> str:
     return "".join(parts)
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with ``\n`` line ends.
+
+    The file is opened without ``O_TRUNC``, overwritten from its start and
+    then cut to the new length: cutting an existing file to zero first makes
+    ext4 (``auto_da_alloc``) start writeback at ``close``.  Only a regular
+    file is cut, so ``/dev/null`` and pipes take output too.  A write that
+    fails part-way leaves a regular file empty, never new rows followed by
+    the old file's tail.  There is no fsync, so a power loss mid-write can
+    still leave old bytes.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            rest = data
+            while rest:
+                rest = rest[os.write(fd, rest):]
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+        if regular:
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def read_instance(path: str | Path) -> tuple[list[Disk], Backend]:
     return parse_instance(Path(path).read_text(encoding="utf-8"))
 
 
 def write_instance(path: str | Path, disks: Sequence[Disk]) -> None:
-    Path(path).write_text(format_instance(disks), encoding="utf-8", newline="\n")
+    _write_text(path, format_instance(disks))
 
 
 def read_placement(path: str | Path) -> Placement:
@@ -223,5 +254,5 @@ def read_placement(path: str | Path) -> Placement:
 
 
 def write_placement(path: str | Path, placement: Placement) -> None:
-    Path(path).write_text(format_placement(placement), encoding="utf-8", newline="\n")
+    _write_text(path, format_placement(placement))
 

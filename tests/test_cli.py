@@ -1,9 +1,11 @@
 import argparse
+import errno
 import gc
 import io
 import math
 import os
 import random
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -652,6 +654,96 @@ class TestRender:
         main(["render", str(tmp_path / "h.instance.certificate"), "--out", str(out)])
         golden = pathlib.Path(__file__).parent / "data" / "certificate_m2.svg"
         assert out.read_text(encoding="utf-8") == golden.read_text(encoding="utf-8")
+
+
+class TestOutputFiles:
+    """Outputs are rewritten in place and cut to length: no old tail after
+    a shorter output, no cut on a device, an empty file after a failed
+    write."""
+
+    OUTPUTS = ("s.placement", "h.instance", "h.instance.json", "h.instance.certificate", "s.svg")
+
+    @staticmethod
+    def run_all(folder, inputs):
+        instance, source, groups = inputs
+        assert main(["solve", instance, "--out", str(folder / "s.placement")]) == 0
+        out = str(folder / "h.instance")
+        assert main(["genhard", source, "--out", out, "--certificate", groups]) == 0
+        assert main(["render", str(folder / "s.placement"), "--out", str(folder / "s.svg")]) == 0
+
+    @pytest.fixture
+    def inputs(self, tmp_path, linear_instance):
+        source = write(tmp_path / "3p.txt", "2 100\n30 33 37 26 35 39\n")
+        return linear_instance, source, write(tmp_path / "groups.txt", "1 2 3\n4 5 6\n")
+
+    def test_longer_old_file_is_cut_to_a_fresh_write(self, tmp_path, inputs, capsys):
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        fresh.mkdir()
+        stale.mkdir()
+        self.run_all(fresh, inputs)
+        for name in self.OUTPUTS:
+            size = len((fresh / name).read_bytes())
+            (stale / name).write_bytes((b"# old row 0/1 0/1\n" * size)[: 10 * size])
+        self.run_all(stale, inputs)
+        for name in self.OUTPUTS:
+            assert (stale / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    @pytest.mark.skipif(
+        not (os.path.exists("/dev/null") and stat.S_ISCHR(os.stat("/dev/null").st_mode)),
+        reason="/dev/null is not a character device",
+    )
+    def test_device_target_is_not_cut(self, tmp_path, linear_instance, capsys):
+        assert main(["solve", linear_instance, "--out", "/dev/null"]) == 0
+        placement = str(tmp_path / "p.placement")
+        assert main(["solve", linear_instance, "--out", placement]) == 0
+        assert main(["render", placement, "--out", "/dev/null"]) == 0
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "genhard", "render"])
+    def test_failed_write_leaves_the_target_empty(
+        self, tmp_path, inputs, monkeypatch, capsys, command
+    ):
+        instance, source, groups = inputs
+        placement = str(tmp_path / "in.placement")
+        assert main(["solve", instance, "--out", placement]) == 0
+        target = tmp_path / "target"
+        args = {
+            "solve": ["solve", instance],
+            "genhard": ["genhard", source, "--certificate", groups],
+            "render": ["render", placement],
+        }[command] + ["--out", str(target)]
+        target.write_bytes(b"old\n" * 10_000)
+        capsys.readouterr()
+        fds = "/proc/self/fd"
+        before = len(os.listdir(fds)) if os.path.isdir(fds) else None
+        real_write, calls = os.write, []
+
+        def short_then_full(fd, data):
+            # the first call writes part of its data, the next finds no space
+            calls.append(fd)
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, data[: len(data) // 2])
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "write", short_then_full)
+            assert main(args) == 2
+        assert len(calls) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert target.read_bytes() == b""
+        if before is not None:
+            assert len(os.listdir(fds)) == before
+
+    def test_new_file_mode_matches_write_text(self, tmp_path, linear_instance, capsys):
+        old = os.umask(0o027)
+        try:
+            out = tmp_path / "new.placement"
+            assert main(["solve", linear_instance, "--out", str(out)]) == 0
+            (tmp_path / "text.placement").write_text("x", encoding="utf-8")
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE(out.stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "text.placement").stat().st_mode)
 
 
 class TestModuleEntry:
