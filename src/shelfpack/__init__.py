@@ -11,77 +11,66 @@ plumbing.
 Every solver returns a :class:`Placement`: a column of disks and a column
 of footpoints, sorted by footpoint.  ``Placement(disks, footpoints)`` is
 its only constructor and checks every placement once, whoever builds it.
+
+``import shelfpack`` loads no submodule.  Each public name is imported
+from its home module at its first access (``shelfpack.greedy_solve``,
+``from shelfpack import greedy_solve`` or ``from shelfpack import *``) and
+then stays bound here, so a CLI process loads only the modules its
+command runs.
 """
 
-from .errors import (
-    BackendMismatchError,
-    DomainError,
-    InconsistencyError,
-    ParseError,
-    PreconditionError,
-    ShelfPackError,
-)
-from .geometry import (
-    Disk,
-    Placement,
-    SpanReport,
-    VerificationResult,
-    Violation,
-    best_support_lower_bound,
-    compact,
-    span,
-    verify,
-)
-from .greedy import Certificate, GreedyResult, greedy_solve
-from .hardness import (
-    DiskRole,
-    HardnessInstance,
-    PartitionSolution,
-    ThreePartitionInstance,
-    build_certificate,
-    build_instance,
-    decode_partition,
-    partition_disk_size,
-    validate_3partition,
-)
-from .linear import is_linear_case, solve_linear
-from .oracle import OracleConfig, exact_solve
-from .scalars import Backend, Scalar
-from .svg import render_svg
+# home module -> the public names it defines
+_HOMES = {
+    "errors": (
+        "BackendMismatchError",
+        "DomainError",
+        "InconsistencyError",
+        "ParseError",
+        "PreconditionError",
+        "ShelfPackError",
+    ),
+    "geometry": (
+        "Disk",
+        "Placement",
+        "SpanReport",
+        "VerificationResult",
+        "Violation",
+        "best_support_lower_bound",
+        "compact",
+        "span",
+        "verify",
+    ),
+    "greedy": ("Certificate", "GreedyResult", "greedy_solve"),
+    "hardness": (
+        "DiskRole",
+        "HardnessInstance",
+        "PartitionSolution",
+        "ThreePartitionInstance",
+        "build_certificate",
+        "build_instance",
+        "decode_partition",
+        "partition_disk_size",
+        "validate_3partition",
+    ),
+    "linear": ("is_linear_case", "solve_linear"),
+    "oracle": ("OracleConfig", "exact_solve"),
+    "scalars": ("Backend", "Scalar"),
+    "svg": ("render_svg",),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "Backend",
-    "BackendMismatchError",
-    "Certificate",
-    "Disk",
-    "DiskRole",
-    "DomainError",
-    "GreedyResult",
-    "HardnessInstance",
-    "InconsistencyError",
-    "OracleConfig",
-    "ParseError",
-    "PartitionSolution",
-    "Placement",
-    "PreconditionError",
-    "Scalar",
-    "ShelfPackError",
-    "SpanReport",
-    "ThreePartitionInstance",
-    "VerificationResult",
-    "Violation",
-    "best_support_lower_bound",
-    "build_certificate",
-    "build_instance",
-    "compact",
-    "decode_partition",
-    "exact_solve",
-    "greedy_solve",
-    "is_linear_case",
-    "partition_disk_size",
-    "render_svg",
-    "solve_linear",
-    "span",
-    "validate_3partition",
-    "verify",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module  # kept out of the namespace
+
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _HOME.keys())

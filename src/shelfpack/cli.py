@@ -20,14 +20,25 @@ public solver wraps, which returns the placement with its span.  The
 printed lower bound is one :func:`~shelfpack.geometry.best_support_lower_bound`
 call on the sorted disks, which lifts them a second time.
 
+Each command imports what it runs, at its first call.  Importing this
+module loads ``errors``, ``scalars``, ``geometry`` and ``files``, all that
+``verify`` needs; ``solve`` adds ``linear`` (its dispatch test and
+solver) and ``greedy`` for an instance outside the linear case, and only
+``--mode exact`` loads ``oracle``; ``render`` loads ``svg`` and
+``genhard`` ``hardness``.  Every command is a fresh process and pays for
+the modules it loads.
+
 Every output file (placement, instance, sidecar, certificate, SVG) is
 rewritten in place and cut to its new length (``files._write_text``), so a
 failed write exits 2 and leaves the file empty.
 
 Exit codes: 0 success, 1 verification rejected, 2 parse error or a file
 that cannot be read or written, 3 precondition or domain violation.  A
-reader that closes standard output early (``shelfpack solve big.instance
-| head -1``) ends the command quietly with status 0.
+literal with more digits than Python converts to an int
+(``sys.get_int_max_str_digits()``) is a parse error; a value to write or
+print with more is a domain violation.  A reader that closes standard
+output early (``shelfpack solve big.instance | head -1``) ends the
+command quietly with status 0.
 
 In-process callers get the same statuses from :func:`main`, which returns
 the exit status instead of raising :class:`SystemExit`: 2 after a usage
@@ -45,6 +56,7 @@ import functools
 import gc
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
 
 from . import files
@@ -55,17 +67,32 @@ from .errors import (
     PreconditionError,
 )
 from .geometry import Disk, best_support_lower_bound, by_size, verify
-from .greedy import _greedy
-from .hardness import build_certificate, build_instance
-from .linear import _linear, _linear_placement
-from .oracle import OracleConfig, _check_cap, _hidden, _subset_dp
-# solve runs the kernels above; the public solvers stay bound here because
-# bench/spans.py times them through these names
-from .greedy import greedy_solve  # noqa: F401
-from .linear import is_linear_case, solve_linear  # noqa: F401
-from .oracle import exact_solve  # noqa: F401
 from .scalars import Backend, Scalar, display_scalar, parse_scalar
-from .svg import render_svg
+
+# What the commands load at their first use, by module.  Each name
+# resolves through __getattr__ below and then stays bound here; the
+# commands call through the module (``_cli.name``), which after the first
+# call is one dict lookup, where an import statement costs about 40 us
+# with cold caches.  The public solvers are bound here only because
+# bench/spans.py wraps them on this module; they go when ROADMAP item 5
+# deletes spans.py.
+_LAZY = {
+    "greedy": ("_greedy", "greedy_solve"),
+    "hardness": ("build_certificate", "build_instance"),
+    "linear": ("_linear", "_linear_placement", "is_linear_case", "solve_linear"),
+    "oracle": ("OracleConfig", "_check_cap", "_hidden", "_subset_dp", "exact_solve"),
+    "svg": ("render_svg",),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__package__}.{module}"), name)
+    return value
 
 
 _METHODS = {
@@ -100,12 +127,11 @@ def _parse_tolerance(text: str, backend: Backend) -> Scalar:
     or rational literal, never a decimal one."""
     value = parse_scalar(text)
     if backend is Backend.EXACT and isinstance(value, float):
-        try:
-            return parse_scalar(text + "/1")  # an integer literal is exact
-        except ParseError:
+        if set(text) & set(".eE"):  # a decimal literal, not an integer one
             raise PreconditionError(
                 "exact placements need a rational (or integer) tolerance"
-            ) from None
+            )
+        return parse_scalar(text + "/1")  # an integer literal is exact
     return value
 
 
@@ -121,28 +147,28 @@ def cmd_solve(args: argparse.Namespace) -> int:
         backend = Backend.FLOAT
 
     mode = args.mode
-    if mode == "exact":
-        max_n = OracleConfig(max_n=args.max_n).max_n  # checked on every exact call
+    if mode == "exact":  # only --mode exact loads the oracle
+        max_n = _cli.OracleConfig(max_n=args.max_n).max_n  # checked on every exact call
     # one sort and one lift for the dispatch and every solver
     order, sizes, back = by_size(disks, "solve requires at least one disk")
-    linear = mode != "greedy" and _linear(sizes)
+    linear = mode != "greedy" and _cli._linear(sizes)
     if mode == "linear" and not linear:
         raise PreconditionError("not a linear-case instance")
     if linear:
         mode = "linear"  # the paper's O(n log n) solver is exact here
     if mode == "linear":
-        placement, extent = _linear_placement(order, sizes, back)
+        placement, extent = _cli._linear_placement(order, sizes, back)
     elif mode == "exact":
-        hidden = _hidden(order, sizes, back)  # proved without the DP
+        hidden = _cli._hidden(order, sizes, back)  # proved without the DP
         if hidden:
             mode = "hidden"
             placement, extent = hidden
         else:
-            _check_cap(len(order), max_n)
-            placement, extent = _subset_dp(order, sizes, back)
+            _cli._check_cap(len(order), max_n)
+            placement, extent = _cli._subset_dp(order, sizes, back)
     else:  # greedy, forced or as auto's fallback
         mode = "greedy"
-        placement, extent, _ = _greedy(order, sizes, back)
+        placement, extent, _ = _cli._greedy(order, sizes, back)
 
     span = back(extent)
     # lifts the sizes again, sorted already; bench/spans.py times the
@@ -193,12 +219,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_genhard(args: argparse.Namespace) -> int:
     inst = files.parse_3partition(Path(args.input).read_text(encoding="utf-8"))
-    hi = build_instance(inst)  # PreconditionError names a violated constraint
+    hi = _cli.build_instance(inst)  # PreconditionError names a violated constraint
     if args.certificate:  # built before anything is written
         groups = files.parse_groups(
             Path(args.certificate).read_text(encoding="utf-8")
         )
-        placement = build_certificate(hi, groups)
+        placement = _cli.build_certificate(hi, groups)
     files.write_instance(args.out, list(hi.disks))
     sidecar = Path(str(args.out) + ".json")
     files._write_text(sidecar, files.format_sidecar(hi))
@@ -215,7 +241,7 @@ def cmd_genhard(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     placement = files.read_placement(args.input)
-    svg = render_svg(placement, args.scale)
+    svg = _cli.render_svg(placement, args.scale)
     files._write_text(args.out, svg)
     print(f"svg written to {args.out}")
     return 0

@@ -33,11 +33,10 @@ from __future__ import annotations
 import os
 import stat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DomainError, ParseError
 from .geometry import Disk, Placement, _disk_column
-from .hardness import HardnessInstance, PartitionSolution, ThreePartitionInstance
 from .scalars import (
     Backend,
     Scalar,
@@ -46,10 +45,14 @@ from .scalars import (
     _fractions,
     _ints,
     _read_column,
+    _too_many_digits,
     format_scalar,
     lift,
     scalars,
 )
+
+if TYPE_CHECKING:  # only genhard reads and writes 3-Partition records
+    from .hardness import HardnessInstance, PartitionSolution, ThreePartitionInstance
 
 INSTANCE_HEADER = "shelfpack-instance v1"
 PLACEMENT_HEADER = "shelfpack-placement v1"
@@ -150,13 +153,17 @@ def format_placement(placement: Placement) -> str:
 
 def parse_3partition(text: str) -> ThreePartitionInstance:
     """First two integers are m and B, followed by the 3m elements."""
+    from .hardness import ThreePartitionInstance
+
     tokens = _tokens(text)
     if len(tokens) < 2:
         raise ParseError("expected 'm B' followed by 3m integers")
     try:
         values = [int(tok) for tok in tokens]
     except ValueError as exc:
-        raise ParseError(f"non-integer token in 3-Partition input: {exc}") from exc
+        raise _too_many_digits(tokens) or ParseError(
+            f"non-integer token in 3-Partition input: {exc}"
+        ) from exc
     m, bound = values[0], values[1]
     elements = values[2:]
     if m < 1:
@@ -168,10 +175,15 @@ def parse_3partition(text: str) -> ThreePartitionInstance:
 
 def parse_groups(text: str) -> PartitionSolution:
     """Whitespace-separated 1-based element indices, three per group."""
+    from .hardness import PartitionSolution
+
+    tokens = _tokens(text)
     try:
-        indices = [int(tok) for tok in _tokens(text)]
+        indices = [int(tok) for tok in tokens]
     except ValueError as exc:
-        raise ParseError(f"non-integer token in groups input: {exc}") from exc
+        raise _too_many_digits(tokens) or ParseError(
+            f"non-integer token in groups input: {exc}"
+        ) from exc
     if not indices or len(indices) % 3 != 0:
         raise ParseError("groups input must hold a positive multiple of 3 indices")
     groups = tuple(

@@ -13,12 +13,13 @@ from __future__ import annotations
 import enum
 import math
 import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from operator import attrgetter, floordiv, mul, truediv
-from typing import Iterable, Sequence, Union
+from typing import Collection, Iterable, Sequence, Union
 
 from .errors import BackendMismatchError, DomainError, ParseError
 
@@ -200,7 +201,7 @@ def _read_column(literals: Sequence[str]) -> tuple[list[float] | None, Backend]:
             raise ParseError("file mixes rational and decimal literals")
         bad = next(text for text in literals if not grammar.fullmatch(text))
         raise ParseError(f"not a rational or decimal literal: {bad!r}")
-    bad = next((text for text in literals if int(text.split("/")[1]) == 0), None)
+    bad = next((text for text in literals if not text.split("/")[1].strip("0")), None)
     if bad is not None:
         raise ParseError(f"zero denominator in rational literal {bad!r}")
     return None, Backend.EXACT  # some denominator has a leading zero
@@ -228,10 +229,41 @@ def _plain_rationals(literals: Sequence[str]) -> bool:
     )
 
 
-def _ints(literals: Iterable[str]) -> list[int]:
+def _digit_limit() -> int:
+    """The most decimal digits ``int`` and ``str`` convert, 0 for no limit
+    (Python 3.10 before 3.10.7 has none)."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def _too_many_digits(texts: Iterable[str]) -> ParseError | None:
+    """A ParseError naming the first of ``texts`` that spells a number of
+    more digits than ``int`` reads (``sys.get_int_max_str_digits()``), or
+    None."""
+    limit = _digit_limit()
+    for text in texts:
+        if limit and any(sum(map(str.isdecimal, part)) > limit for part in text.split("/")):
+            return ParseError(
+                f"literal {text[:20]}... ({len(text)} characters) has a number of "
+                f"more than {limit} digits, the most that int() reads "
+                "(sys.set_int_max_str_digits)"
+            )
+    return None
+
+
+def _too_many_digits_to_write() -> DomainError:
+    return DomainError(
+        f"a value has a numerator or denominator of more than {_digit_limit()} digits, "
+        "the most that str() writes (sys.set_int_max_str_digits)"
+    )
+
+
+def _ints(literals: Collection[str]) -> list[int]:
     """``[p0, q0, p1, q1, ...]`` of checked ``p/q`` literals, by one ``int``
     map over the joined column split at its spaces and slashes."""
-    return list(map(int, " ".join(literals).replace("/", " ").split(" ")))
+    try:
+        return list(map(int, " ".join(literals).replace("/", " ").split(" ")))
+    except ValueError:  # a checked literal fails only past the digit limit
+        raise _too_many_digits(literals) from None
 
 
 def _fractions(literals: Sequence[str]) -> list[Fraction]:
@@ -263,7 +295,10 @@ def _format_column(values: Sequence[Scalar]) -> list[str]:
     keep the slash, and ``repr`` for any other.  The first value decides
     which."""
     if values and not isinstance(values[0], float) and isinstance(values[0], Fraction):
-        return [f"{v.numerator}/{v.denominator}" for v in values]
+        try:
+            return [f"{v.numerator}/{v.denominator}" for v in values]
+        except ValueError:  # an int past the digit limit
+            raise _too_many_digits_to_write() from None
     return list(map(repr, values))
 
 
@@ -280,13 +315,16 @@ def _format_lifted(lifted: Lift) -> tuple[list[str], list[str]]:
         return _format_column(sizes), _format_column(feet)
     d = math.isqrt(q // c)
     distinct = set(sizes)
-    literal = {s: f"{s // g}/{d // g}" for s, g in zip(distinct, map(math.gcd, distinct, repeat(d)))}
     gcds = list(map(math.gcd, feet, repeat(q)))
-    dens = {g: f"/{q // g}" for g in set(gcds)}
-    return (
-        list(map(literal.__getitem__, sizes)),
-        [f"{x // g}{dens[g]}" for x, g in zip(feet, gcds)],
-    )
+    try:
+        literal = {s: f"{s // g}/{d // g}" for s, g in zip(distinct, map(math.gcd, distinct, repeat(d)))}
+        dens = {g: f"/{q // g}" for g in set(gcds)}
+        return (
+            list(map(literal.__getitem__, sizes)),
+            [f"{x // g}{dens[g]}" for x, g in zip(feet, gcds)],
+        )
+    except ValueError:  # an int past the digit limit
+        raise _too_many_digits_to_write() from None
 
 
 def format_scalar(value: Scalar) -> str:

@@ -148,3 +148,63 @@ def test_command_lines_keep_the_exit_code_contract(tmp_path, capsys, argv, want)
             assert out == "" and err.startswith("usage: shelfpack"), err
         else:
             assert err == "" and out.startswith("usage: shelfpack"), out
+
+
+@pytest.fixture
+def digit_limit():
+    """Sets the interpreter's limit on int/str conversion digits for one
+    test (``sys.set_int_max_str_digits``) and restores it after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on int/str conversion digits")
+    old = sys.get_int_max_str_digits()
+    try:
+        yield sys.set_int_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+LONG = "7" * 641  # one digit past the smallest limit, 640
+PAST_LIMIT = {
+    "size numerator": (["solve", "{instance}"], f"shelfpack-instance v1\na {LONG}/1\nb 1/1\n"),
+    "size denominator": (["solve", "{instance}"], f"shelfpack-instance v1\na 1/0{LONG}\nb 1/1\n"),
+    "footpoint": (["verify", "{placement}"], f"shelfpack-placement v1\na 1/1 0/1\nb 1/1 {LONG}/1\n"),
+    "rational tolerance": (["verify", "{placement}", "--tolerance", f"1/{LONG}"], None),
+    "integer tolerance": (["verify", "{placement}", "--tolerance", LONG], None),
+    "3-Partition element": (["genhard", "{text}", "--out", "{out}"], f"1 12\n4 4 {LONG}\n"),
+    "group index": (
+        ["genhard", "{source}", "--out", "{out}", "--certificate", "{text}"], f"1 2 {LONG}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, text", PAST_LIMIT.values(), ids=PAST_LIMIT)
+def test_input_past_the_digit_limit_exits_2_naming_the_literal(
+    tmp_path, capsys, digit_limit, argv, text
+):
+    paths = {name: tmp_path / name for name in ("instance", "placement", "text", "source", "out")}
+    paths["placement"].write_text("shelfpack-placement v1\na 1/1 0/1\nb 1/1 2/1\n")
+    paths["source"].write_text("1 12\n4 4 4\n")
+    if text is not None:
+        paths[argv[1].strip("{}")].write_text(text)
+    digit_limit(640)
+    status = main([arg.format(**paths) for arg in argv])
+    out, err = capsys.readouterr()
+    assert status == 2
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: literal ") and "7777" in err
+    assert "more than 640 digits" in err
+    assert not paths["out"].exists()
+
+
+def test_output_past_the_digit_limit_exits_3_and_writes_nothing(tmp_path, capsys, digit_limit):
+    # sizes with 2,201-digit denominators read; the placement's footpoints
+    # lie over their product squared and have more than 4,300 digits
+    digit_limit(4300)
+    p = 10**2200
+    instance, out = tmp_path / "three.instance", tmp_path / "three.placement"
+    instance.write_text(f"shelfpack-instance v1\na 1/1\nb 1/{p + 1}\nc 1/{p + 3}\n")
+    assert main(["solve", str(instance), "--out", str(out)]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "Traceback" not in err
+    assert err.startswith("error: ") and "more than 4300 digits" in err
+    assert not out.exists()
