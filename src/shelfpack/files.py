@@ -15,7 +15,9 @@ every row.  Any other file (comments, blank lines, tabs, runs of
 spaces, CRLF line ends, a missing final newline, a row with too many
 tokens) is split line by line, which skips blanks and comments and
 numbers the lines its messages name.  The CLI reads with the cyclic
-collector paused (see :func:`shelfpack.cli.main`).
+collector paused (see :func:`shelfpack.cli.main`).  A placement file
+builds no ``Disk``: its exact sizes are read as int pairs, once per
+distinct literal, and the placement keeps its id column and one lift.
 
 A file with several faults reports the first failing check in this
 order: the header, an empty body, the number of tokens on a line (first
@@ -32,18 +34,20 @@ from __future__ import annotations
 
 import os
 import stat
+from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DomainError, ParseError
-from .geometry import Disk, Placement, _disk_column
+from .geometry import Disk, Placement, _disk_column, _placed, _valid_column
 from .scalars import (
     Backend,
     Scalar,
+    _distinct,
     _format_column,
     _format_lifted,
-    _fractions,
     _ints,
+    _lowest,
     _read_column,
     _too_many_digits,
     format_scalar,
@@ -91,7 +95,7 @@ def _columns(text: str, header: str, kind: str, usage: str) -> tuple[Sequence[in
     if set(map(len, tokens)) != {arity}:
         number = next(n for n, row in zip(numbers, tokens) if len(row) != arity)
         raise ParseError(f"line {number}: expected {usage!r}")
-    return numbers, list(zip(*tokens))
+    return numbers, list(map(list, zip(*tokens)))
 
 
 def _tokens(text: str) -> list[str]:
@@ -129,26 +133,45 @@ def format_instance(disks: Sequence[Disk]) -> str:
 
 
 def parse_placement(text: str) -> Placement:
+    """The placement of the file's id column and one lift of its columns;
+    its disks are built when first read."""
     numbers, (ids, sizes, feet) = _columns(
         text, PLACEMENT_HEADER, "placement", "<id> <size> <footpoint>"
     )
     values, _ = _read_column(sizes + feet)
-    if values is None:  # exact: the footpoints stay ints
-        sizes, parts = _fractions(sizes), _ints(feet)
-        feet, dens = parts[0::2], parts[1::2]
+    if values is None:  # exact: both columns stay ints
+        parts = _ints(feet)
+        sizes, size_dens = zip(*_distinct(sizes, _lowest))
+        feet, dens = parts[0::2], (size_dens, parts[1::2])
     else:
         sizes, feet, dens = values[: len(ids)], values[len(ids) :], None
-    disks = _disks(numbers, ids, sizes)
+    if not _valid_column(ids, sizes, int):  # floats or int numerators; raises
+        _disks(numbers, ids, sizes if dens is None else list(map(Fraction, sizes, size_dens)))
+    placement = object.__new__(Placement)
     try:
-        return Placement(disks, lift(sizes, feet, dens))
+        _placed(placement, ids, lift(sizes, feet, dens))
     except DomainError as exc:
         raise ParseError(f"not a valid placement: {exc}") from exc
+    return placement
 
 
 def format_placement(placement: Placement) -> str:
     sizes, feet = _format_lifted(placement._lift)
-    rows = map(" ".join, zip([d.id for d in placement.disks], sizes, feet))
+    rows = map(" ".join, zip(placement._ids, sizes, feet))
     return "\n".join([PLACEMENT_HEADER, *rows, ""])
+
+
+def _integers(tokens: list[str], kind: str) -> list[int]:
+    """The values of tokens ``[+-]?[0-9]+``, in ASCII digits as in instance
+    files: ``int`` alone would take underscores and other scripts' digits."""
+    for tok in tokens:
+        digits = tok[1:] if tok[0] in "+-" else tok
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"non-integer token in {kind} input: {tok!r}")
+    try:
+        return list(map(int, tokens))
+    except ValueError:  # past the digit limit
+        raise _too_many_digits(tokens) from None
 
 
 def parse_3partition(text: str) -> ThreePartitionInstance:
@@ -158,12 +181,7 @@ def parse_3partition(text: str) -> ThreePartitionInstance:
     tokens = _tokens(text)
     if len(tokens) < 2:
         raise ParseError("expected 'm B' followed by 3m integers")
-    try:
-        values = [int(tok) for tok in tokens]
-    except ValueError as exc:
-        raise _too_many_digits(tokens) or ParseError(
-            f"non-integer token in 3-Partition input: {exc}"
-        ) from exc
+    values = _integers(tokens, "3-Partition")
     m, bound = values[0], values[1]
     elements = values[2:]
     if m < 1:
@@ -177,13 +195,7 @@ def parse_groups(text: str) -> PartitionSolution:
     """Whitespace-separated 1-based element indices, three per group."""
     from .hardness import PartitionSolution
 
-    tokens = _tokens(text)
-    try:
-        indices = [int(tok) for tok in tokens]
-    except ValueError as exc:
-        raise _too_many_digits(tokens) or ParseError(
-            f"non-integer token in groups input: {exc}"
-        ) from exc
+    indices = _integers(_tokens(text), "groups")
     if not indices or len(indices) % 3 != 0:
         raise ParseError("groups input must hold a positive multiple of 3 indices")
     groups = tuple(

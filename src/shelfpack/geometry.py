@@ -17,7 +17,7 @@ from operator import add, attrgetter, lt, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DomainError
-from .scalars import Backend, Lift, Scalar, backend_of, coerce, lift, unified_backend
+from .scalars import Backend, Lift, Scalar, _over, coerce, lift, unified_backend
 
 
 # A float size must have a radius size*size that is a normal float: an
@@ -89,46 +89,44 @@ class Disk(_Frozen):
 _SET_ID, _SET_SIZE = Disk.id.__set__, Disk.size.__set__
 
 
-def _proven(values: Sequence) -> bool:
-    """Whether ``coerce`` would return every value as it is: all exact
-    ``float`` and finite, or all exact ``Fraction``.  Checked per column,
-    so a float subclass, an int or a bool leaves the caller to ``coerce``."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return all(map(math.isfinite, values))
-    return kinds == {Fraction}
-
-
-def _disk_column(ids: Sequence[str], sizes: Sequence[Scalar]) -> list[Disk]:
-    """``list(map(Disk, ids, sizes))``, with the checks run once per column.
-
-    The ids must all be ``str`` tokens (joined and split again they come
-    back unchanged) none of which starts with ``#``, and the sizes must
-    pass :func:`_proven` with a positive minimum (float sizes: and radii
-    that are normal floats, as ``Disk`` demands); then the disks are built
-    without ``Disk.__init__``.  Any other columns go through ``Disk``
-    one element at a time, which names the first offender."""
-    if not isinstance(ids, list):  # the token check compares with a list
-        ids = list(ids)
+def _valid_column(ids: list, sizes: Sequence, exact: type = Fraction) -> bool:
+    """Whether ``Disk`` takes each id with its size as it is, checked once
+    per column: ``str`` tokens (joined and split again they come back
+    unchanged) none of which starts with ``#``, and positive sizes, all of
+    type ``exact`` (the file reader's int numerators have positive
+    denominators) or all finite floats with radii that are normal floats."""
     try:
         joined = " ".join(ids)
         # one character search settles the usual column with no '#' at all
-        tokens = joined.split() == ids and not (
-            "#" in joined and (joined[0] == "#" or " #" in joined)
-        )
+        if joined.split() != ids or ("#" in joined and (joined[0] == "#" or " #" in joined)):
+            return False
     except TypeError:  # an id that is not a str
-        tokens = False
-    if tokens and len(sizes) == len(ids) and _proven(sizes):
-        if type(sizes[0]) is Fraction:
-            valid = min(map(attrgetter("numerator"), sizes)) > 0
-        else:  # x*x is monotone for x > 0, so the extremes bound every radius
-            low, high = min(sizes), max(sizes)
-            valid = low > 0 and _RADIUS_MIN <= low * low and high * high <= _RADIUS_MAX
-        if valid:
-            disks = list(map(object.__new__, repeat(Disk, len(ids))))
-            list(map(_SET_ID, disks, ids))
-            list(map(_SET_SIZE, disks, sizes))
-            return disks
+        return False
+    kinds = set(map(type, sizes))
+    if len(sizes) != len(ids) or kinds not in ({exact}, {float}):
+        return False
+    if kinds == {exact}:
+        return min(map(attrgetter("numerator"), sizes)) > 0
+    # x*x is monotone for x > 0, so the extremes bound every radius
+    low, high = min(sizes), max(sizes)
+    return (
+        all(map(math.isfinite, sizes))
+        and low > 0 and _RADIUS_MIN <= low * low and high * high <= _RADIUS_MAX
+    )
+
+
+def _disk_column(ids: Sequence[str], sizes: Sequence[Scalar]) -> list[Disk]:
+    """``list(map(Disk, ids, sizes))``, with the checks run once per column
+    when it passes :func:`_valid_column`, and no ``Disk.__init__``.  Any
+    other columns go through ``Disk`` one element at a time, which names
+    the first offender."""
+    if not isinstance(ids, list):  # the token check compares with a list
+        ids = list(ids)
+    if _valid_column(ids, sizes):
+        disks = list(map(object.__new__, repeat(Disk, len(ids))))
+        list(map(_SET_ID, disks, ids))
+        list(map(_SET_SIZE, disks, sizes))
+        return disks
     return list(map(Disk, ids, sizes))
 
 
@@ -136,25 +134,27 @@ class Placement(_Frozen):
     """``disks[i]`` at ``footpoints[i]``, sorted by strictly increasing
     footpoint.
 
-    ``Placement(disks, footpoints)`` is the one way to build a placement,
-    and it checks everything a placement promises: at least one disk, one
-    footpoint per disk, every footpoint a scalar (ints become exact, float
-    footpoints must be finite), one backend over sizes and footpoints,
-    unique ids and strictly increasing footpoints.  The columns are sorted
-    by footpoint first; an offender is named in footpoint order.
+    ``Placement(disks, footpoints)`` is the one public way to build a
+    placement, and it checks everything a placement promises: at least one
+    disk, one footpoint per disk, every footpoint a scalar (ints become
+    exact, float footpoints must be finite), one backend over sizes and
+    footpoints, unique ids and strictly increasing footpoints.  The
+    columns are sorted by footpoint first; an offender is named in
+    footpoint order.
 
-    A placement is its disks and one :class:`Lift` of its columns (see
+    A placement is its id column and one :class:`Lift` of its columns (see
     :func:`~shelfpack.scalars.lift`), kept outside equality, hash and repr:
-    the order checks run on it, as integers for exact data, and
-    :func:`span`, :func:`verify`, the file writer and the SVG read it
-    instead of lifting again.  The footpoints are built from the lift when
-    first read.  The solvers and the file reader pass a ``Lift`` of the
-    disks' sizes as the footpoints.  Its types and backend are trusted,
-    but float footpoints that overflowed take the checks of plain
-    footpoints (see :func:`_lift_footpoints`), which name the disk.
+    the order checks run on the lift, as integers for exact data, and
+    :func:`span`, :func:`verify`, the file writer, the SVG and
+    ``decode_partition`` read the ids and the lift, never the disks.  The
+    solvers and the file reader pass a ``Lift`` as the footpoints; its
+    types and backend are trusted.  The reader builds no disks: it runs
+    the same checks (:func:`_placed`) on its own checked id column, and
+    the disks are built from the lift when first read, as the footpoints
+    of every placement are.
     """
 
-    __slots__ = ("disks", "footpoints", "_lift")
+    __slots__ = ("disks", "footpoints", "_lift", "_ids")
     __match_args__ = ("disks", "footpoints")
 
     def __init__(self, disks: Sequence[Disk], footpoints: Sequence[Scalar] | Lift) -> None:
@@ -167,40 +167,36 @@ class Placement(_Frozen):
                 f"a placement needs one footpoint per disk, got {len(disks)} "
                 f"disks and {len(feet)} footpoints"
             )
-        if type(kept) is not Lift or (kept.back is float and not all(map(math.isfinite, feet))):
-            kept = _lift_footpoints(disks, feet)
-        points = kept.feet
-        # compaction and parsed files deliver footpoints in order already
-        in_order = all(map(lt, points, points[1:]))
-        if not in_order:
-            order = sorted(range(len(points)), key=points.__getitem__)
-            disks = tuple(map(disks.__getitem__, order))
-            points = list(map(points.__getitem__, order))
-            kept = kept._replace(sizes=list(map(kept.sizes.__getitem__, order)), feet=points)
-        ids = [d.id for d in disks]
-        if len(set(ids)) < len(ids):
-            seen: set[str] = set()
-            for disk_id in ids:
-                if disk_id in seen:
-                    raise DomainError(f"duplicate disk id {disk_id!r} in placement")
-                seen.add(disk_id)
-        if not in_order:
-            for k in range(1, len(points)):
-                if points[k - 1] == points[k]:
-                    raise DomainError(
-                        f"footpoints of {ids[k - 1]!r} and {ids[k]!r} coincide"
-                    )
-        _SET_DISKS(self, disks)
-        _SET_LIFT(self, kept)  # the footpoints slot stays unset until read
+        if type(kept) is not Lift:  # plain footpoints: coerced, named on failure, lifted
+            coerced = []
+            for disk, x in zip(disks, feet):
+                try:
+                    coerced.append(coerce(x))
+                except DomainError as exc:
+                    raise DomainError(f"disk {disk.id!r} has footpoint {x!r}") from exc
+            sizes = [d.size for d in disks]
+            unified_backend(sizes + coerced)
+            kept = lift(sizes, coerced)
+        order = _placed(self, [d.id for d in disks], kept)
+        _SET_DISKS(self, disks if order is None else tuple(map(disks.__getitem__, order)))
 
     def __getattr__(self, name: str):
-        # called only for an unset slot: the footpoints, built from the lift
-        if name != "footpoints":
+        # called only for an unset slot: the disks or the footpoints, built
+        # from the id column and the lift
+        if name == "disks":
+            sizes, _, c, back = self._lift
+            q = _over(back)
+            if q is not None:  # one Fraction S/D per distinct integer S over D
+                d = math.isqrt(q // c)
+                size_of = {s: Fraction(s, d) for s in set(sizes)}
+                sizes = list(map(size_of.__getitem__, sizes))
+            value = tuple(_disk_column(self._ids, sizes))
+        elif name == "footpoints":
+            value = tuple(map(self._lift.back, self._lift.feet))
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        _, lifted, _, back = self._lift
-        feet = tuple(map(back, lifted))
-        _SET_FEET(self, feet)
-        return feet
+        object.__setattr__(self, name, value)
+        return value
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -222,34 +218,51 @@ class Placement(_Frozen):
 
     @property
     def backend(self) -> Backend:
-        return backend_of(self.disks[0].size)
+        return Backend.FLOAT if self._lift.back is float else Backend.EXACT
 
     def __len__(self) -> int:
-        return len(self.disks)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[tuple[Disk, Scalar]]:
         return zip(self.disks, self.footpoints)
 
 
-_SET_DISKS, _SET_FEET, _SET_LIFT = (
-    Placement.disks.__set__, Placement.footpoints.__set__, Placement._lift.__set__
+_SET_DISKS, _SET_LIFT, _SET_IDS = (
+    Placement.disks.__set__, Placement._lift.__set__, Placement._ids.__set__
 )
 
 
-def _lift_footpoints(disks: Sequence[Disk], feet: Sequence) -> Lift:
-    """The checks of plain footpoints, then their lift with the disks'
-    sizes: each footpoint a scalar as :func:`~shelfpack.scalars.coerce`
-    makes it, its disk named on failure, and one backend over sizes and
-    footpoints."""
-    coerced = []
-    for disk, x in zip(disks, feet):
-        try:
-            coerced.append(coerce(x))
-        except DomainError as exc:
-            raise DomainError(f"disk {disk.id!r} has footpoint {x!r}") from exc
-    sizes = [d.size for d in disks]
-    unified_backend(sizes + coerced)
-    return lift(sizes, coerced)
+def _placed(placement: Placement, ids: list[str], kept: Lift) -> list[int] | None:
+    """Set ``ids`` and ``kept`` on ``placement``, sorted by footpoint, after
+    the checks of :class:`Placement` that a file also needs: finite float
+    footpoints, unique ids, no coinciding footpoints.  The sorting order,
+    or None if the footpoints were in order."""
+    sizes, points, _, back = kept
+    if back is float and not all(map(math.isfinite, points)):
+        x, disk_id = next((x, i) for x, i in zip(points, ids) if not math.isfinite(x))
+        raise DomainError(f"disk {disk_id!r} has footpoint {x!r}")
+    # compaction and parsed files deliver footpoints in order already
+    order = None
+    if not all(map(lt, points, points[1:])):
+        order = sorted(range(len(points)), key=points.__getitem__)
+        ids = list(map(ids.__getitem__, order))
+        points = list(map(points.__getitem__, order))
+        kept = kept._replace(sizes=list(map(sizes.__getitem__, order)), feet=points)
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for disk_id in ids:
+            if disk_id in seen:
+                raise DomainError(f"duplicate disk id {disk_id!r} in placement")
+            seen.add(disk_id)
+    if order is not None:
+        for k in range(1, len(points)):
+            if points[k - 1] == points[k]:
+                raise DomainError(
+                    f"footpoints of {ids[k - 1]!r} and {ids[k]!r} coincide"
+                )
+    _SET_IDS(placement, ids)
+    _SET_LIFT(placement, kept)  # the footpoints slot stays unset until read
+    return order
 
 
 class SpanReport(NamedTuple):
@@ -380,21 +393,21 @@ def span(placement: Placement) -> SpanReport:
     data (see :class:`Placement`); ties at a wall go to the smallest id."""
     if not isinstance(placement, Placement):
         raise DomainError("span requires a non-empty placement")
-    return _span(placement.disks, *placement._lift)
+    return _span(placement._ids, *placement._lift)
 
 
-def _span(disks: Sequence[Disk], sizes, feet, c, back) -> SpanReport:
+def _span(ids: Sequence[str], sizes, feet, c, back) -> SpanReport:
     r = c * sizes[0] * sizes[0]
-    left, left_id = feet[0] - r, disks[0].id
+    left, left_id = feet[0] - r, ids[0]
     right, right_id = feet[0] + r, left_id
     for k in range(1, len(feet)):
         x = feet[k]
         r = c * sizes[k] * sizes[k]
         le, re = x - r, x + r
-        if le < left or (le == left and disks[k].id < left_id):
-            left, left_id = le, disks[k].id
-        if re > right or (re == right and disks[k].id < right_id):
-            right, right_id = re, disks[k].id
+        if le < left or (le == left and ids[k] < left_id):
+            left, left_id = le, ids[k]
+        if re > right or (re == right and ids[k] < right_id):
+            right, right_id = re, ids[k]
     return SpanReport(back(left), back(right), back(right - left), left_id, right_id)
 
 
@@ -422,15 +435,15 @@ def verify(placement: Placement, tolerance: Scalar) -> VerificationResult:
         tolerance = 0 if exact else float(tolerance)
     except OverflowError:
         raise DomainError("tolerance is beyond the float range") from None
-    disks = placement.disks
+    ids = placement._ids
     sizes, feet, c, back = placement._lift
-    report = _span(disks, sizes, feet, c, back)
+    report = _span(ids, sizes, feet, c, back)
     pair = 2 * c
     stack = [0]
     for k in range(1, len(feet)):
         x, j = _reach(sizes, feet, stack, k, feet[k] + tolerance, pair)
         if j >= 0:
-            overlap = Violation(disks[j].id, disks[k].id, back(x - feet[k]))
+            overlap = Violation(ids[j], ids[k], back(x - feet[k]))
             return VerificationResult(False, report, overlap)
     return VerificationResult(True, report, None)
 

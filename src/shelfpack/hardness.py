@@ -27,7 +27,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, InconsistencyError, PreconditionError
 from .geometry import Disk, Placement, _disk_column, compact, verify
-from .scalars import Backend
+from .scalars import Backend, _over, lift
 
 SIZE_OUTER = Fraction(1)
 SIZE_INNER = Fraction(33, 100)
@@ -221,8 +221,17 @@ def decode_partition(hi: HardnessInstance, placement: Placement) -> PartitionSol
     # fields read once: a named tuple's field read costs more than a local's
     disks, role_of, element_index = hi.disks, hi.roles, hi.element_index
     m, elements, bound = hi.m, hi.source.elements, hi.source.bound
-    # sizes as well as ids: shrunk element disks fit a gap in any grouping
-    if {d.id: d.size for d in placement.disks} != {d.id: d.size for d in disks}:
+    # sizes as well as ids: shrunk element disks fit a gap in any grouping.
+    # Read on the id column and the lift: integers over D, which equal
+    # sizes share, or the scalars of an unlifted placement.
+    ids, (sizes, _, c, back) = placement._ids, placement._lift
+    q = _over(back)
+    if q is None:
+        want, same_d = [d.size for d in disks], True
+    else:
+        want, _, _, over = lift([d.size for d in disks])
+        same_d = q // c == _over(over)
+    if not same_d or dict(zip(ids, sizes)) != dict(zip([d.id for d in disks], want)):
         raise PreconditionError("placement does not hold exactly the instance's disks")
     result = verify(placement, 0)
     if not result.ok:
@@ -236,7 +245,7 @@ def decode_partition(hi: HardnessInstance, placement: Placement) -> PartitionSol
             f"span {result.report.span} exceeds the budget {hi.budget}"
         )
     # bisect on the placement's kept lift: integers, in footpoint order
-    footpoints = dict(zip((d.id for d in placement.disks), placement._lift.feet))
+    footpoints = dict(zip(ids, placement._lift.feet))
     outer = sorted(
         footpoints[d.id] for d in disks if role_of[d.id] is DiskRole.OUTER_FRAME
     )

@@ -99,7 +99,7 @@ def unified_backend(values: Iterable[Scalar]) -> Backend:
 Lift = namedtuple("Lift", "sizes feet c back")
 
 
-def lift(sizes: Sequence[Scalar], feet: Sequence = (), dens: Sequence[int] | None = None) -> Lift:
+def lift(sizes: Sequence, feet: Sequence = (), dens: tuple | None = None) -> Lift:
     """Sizes and footpoints of one backend as ``Lift(sizes, feet, c, back)``.
 
     Floats pass through as they are, with ``c = 1`` and ``back = float``.
@@ -109,10 +109,11 @@ def lift(sizes: Sequence[Scalar], feet: Sequence = (), dens: Sequence[int] | Non
     integers X over Q = lcm(D**2, footpoint denominators), with
     c = Q / D**2.  A radius is then c*S**2 over Q and a tangency distance
     2*c*S_j*S_k, so geometry runs on integers; ``back(v) = Fraction(v, Q)``
-    maps a result back.  Exact footpoints come as ``Fraction``s or, with
-    ``dens``, as int numerators ``feet`` over the int denominators ``dens``
-    that a file spells; those are brought to lowest terms first, so Q is
-    the one their ``Fraction``s give.
+    maps a result back.  Exact columns come as ``Fraction``s or, with
+    ``dens = (size denominators, footpoint denominators)``, as the int
+    numerators ``sizes`` and ``feet`` over the int denominators that a
+    file spells: the sizes in lowest terms, and the footpoints brought to
+    lowest terms here, so D and Q are the ones their ``Fraction``s give.
 
     Footpoints with many unrelated denominators would make Q, and with it
     every lifted footpoint, grow with each one.  So Q may have at most the
@@ -122,34 +123,36 @@ def lift(sizes: Sequence[Scalar], feet: Sequence = (), dens: Sequence[int] | Non
     that bound the columns come back unlifted, as ``Fraction``s, with
     ``c = 1`` and ``back = Fraction``.
 
-    A :class:`~shelfpack.geometry.Placement` takes a ``Lift`` as its
-    footpoints and keeps one for its lifetime: the solvers lift sizes
-    alone (Q = D**2, c = 1) and hand over their footpoints over D**2, and
-    the file reader lifts the columns it reads.  Numerators and
-    denominators are read one column at a time.
+    A :class:`~shelfpack.geometry.Placement` keeps one ``Lift`` for its
+    lifetime: the solvers lift sizes alone (Q = D**2, c = 1) and hand over
+    their footpoints over D**2, and the file reader lifts the int columns
+    it reads.  Numerators and denominators are read one column at a time.
     """
-    if not isinstance(sizes[0], Fraction):
-        return Lift(sizes, feet, 1, float)
-    size_dens = list(map(_denominator, sizes))
-    scale = math.lcm(*set(size_dens))
-    ints = list(map(mul, map(_numerator, sizes), map(floordiv, repeat(scale), size_dens)))
-    square = scale * scale
     ratios = dens is not None
     if ratios:
-        nums = feet
+        (size_nums, nums), (size_dens, dens) = (sizes, feet), dens
         gcds = list(map(math.gcd, nums, dens))
         if gcds.count(1) < len(gcds):
             nums = list(map(floordiv, nums, gcds))
             dens = list(map(floordiv, dens, gcds))
-    else:
+    elif isinstance(sizes[0], Fraction):
+        size_nums, size_dens = map(_numerator, sizes), list(map(_denominator, sizes))
         nums, dens = list(map(_numerator, feet)), list(map(_denominator, feet))
+    else:
+        return Lift(sizes, feet, 1, float)
+    scale = math.lcm(*set(size_dens))
+    ints = list(map(mul, size_nums, map(floordiv, repeat(scale), size_dens)))
+    square = scale * scale
     distinct = set(dens)
     bound = square.bit_length() + 2 * max(distinct, default=1).bit_length()
     q = square
     for den in distinct:
         q = math.lcm(q, den)
         if q.bit_length() > bound:
-            return Lift(sizes, list(map(Fraction, nums, dens)) if ratios else feet, 1, Fraction)
+            if ratios:
+                sizes = list(map(Fraction, size_nums, size_dens))
+                feet = list(map(Fraction, nums, dens))
+            return Lift(sizes, feet, 1, Fraction)
     lifted = list(map(mul, nums, map(floordiv, repeat(q), dens)))
     return Lift(ints, lifted, q // square, partial(Fraction, denominator=q))
 
@@ -174,7 +177,7 @@ def _lifted_floats(values: Sequence, back) -> list[float]:
 def _read_column(literals: Sequence[str]) -> tuple[list[float] | None, Backend]:
     """Check a non-empty column of literals of one backend; read it too if
     it is a decimal column.  An exact column comes back as None: its
-    literals are read by :func:`_fractions` or :func:`_ints`.
+    literals are read by :func:`_distinct` or :func:`_ints`.
 
     The first literal decides the backend, and every literal must then
     match that grammar whole.  A column is checked whole in C: decimals by
@@ -266,14 +269,19 @@ def _ints(literals: Collection[str]) -> list[int]:
         raise _too_many_digits(literals) from None
 
 
-def _fractions(literals: Sequence[str]) -> list[Fraction]:
-    """The values of checked ``p/q`` literals, with one ``Fraction`` per
+def _distinct(literals: Sequence[str], make) -> list:
+    """``make(p, q)`` of each checked ``p/q`` literal, called once per
     distinct literal: sizes repeat (footpoints mostly do not, and are read
     by :func:`_ints`)."""
     distinct = dict.fromkeys(literals)
     parts = _ints(distinct)
-    value = dict(zip(distinct, map(Fraction, parts[0::2], parts[1::2])))
+    value = dict(zip(distinct, map(make, parts[0::2], parts[1::2])))
     return list(map(value.__getitem__, literals))
+
+
+def _lowest(p: int, q: int) -> tuple[int, int]:
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def scalars(literals: Sequence[str]) -> tuple[list[Scalar], Backend]:
@@ -281,7 +289,7 @@ def scalars(literals: Sequence[str]) -> tuple[list[Scalar], Backend]:
     are exact and decimal literals are float (see :func:`_read_column`).
     Exact columns hold one ``Fraction`` per distinct literal."""
     values, backend = _read_column(literals)
-    return _fractions(literals) if values is None else values, backend
+    return _distinct(literals, Fraction) if values is None else values, backend
 
 
 def parse_scalar(text: str) -> Scalar:

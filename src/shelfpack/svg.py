@@ -72,8 +72,8 @@ def render_svg(placement: Placement, scale: float = 40.0) -> str:
     # above: margin <= cx <= the right wall's x, and r and cy lie in
     # [0, baseline_y].  The circles need no check per value.
     circles = (
-        _CIRCLE % (_MARGIN + scale * (x - left), baseline_y - r, r, disk.id)
-        for disk, x, r in zip(placement.disks, feet, map(scale.__mul__, radii))
+        _CIRCLE % (_MARGIN + scale * (x - left), baseline_y - r, r, disk_id)
+        for disk_id, x, r in zip(placement._ids, feet, map(scale.__mul__, radii))
     )
     parts.extend(circles)
     parts.append(
@@ -81,5 +81,6 @@ def render_svg(placement: Placement, scale: float = 40.0) -> str:
         f'text-anchor="middle" font-family="monospace" font-size="12">'
         f"span = {_fmt(width_world)}</text>"
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    # the closing newline joins in too: one copy of the drawing, not two
+    parts += ["</svg>", ""]
+    return "\n".join(parts)

@@ -142,6 +142,7 @@ def with_lift(placement: Placement, lifted: tuple) -> Placement:
     object.__setattr__(copy, "disks", placement.disks)
     object.__setattr__(copy, "footpoints", placement.footpoints)
     object.__setattr__(copy, "_lift", lifted)
+    object.__setattr__(copy, "_ids", placement._ids)
     return copy
 
 

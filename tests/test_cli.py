@@ -4,6 +4,7 @@ import gc
 import io
 import math
 import os
+import pickle
 import random
 import stat
 import subprocess
@@ -20,6 +21,13 @@ from shelfpack.files import read_placement
 from shelfpack.geometry import Disk, span, verify
 from shelfpack.errors import PreconditionError
 from shelfpack.greedy import greedy_solve
+from shelfpack.hardness import (
+    PartitionSolution,
+    ThreePartitionInstance,
+    build_certificate,
+    build_instance,
+    decode_partition,
+)
 from shelfpack.linear import is_linear_case, solve_linear
 from shelfpack.oracle import exact_solve, hidden_in_linear_prefix
 from shelfpack.scalars import display_scalar, lift
@@ -571,6 +579,14 @@ class TestGenhard:
         assert not out.exists()
         assert not (tmp_path / "h.instance.json").exists()
 
+    def test_non_ascii_group_digit_exits_2(self, tmp_path, capsys):
+        src = write(tmp_path / "3p.txt", "1 12\n4 4 4\n")
+        groups = write(tmp_path / "groups.txt", "1 2 \uff13\n")
+        out = tmp_path / "h.instance"
+        assert main(["genhard", src, "--out", str(out), "--certificate", groups]) == 2
+        assert "non-integer token in groups input: '\uff13'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_m3_counts(self, tmp_path, capsys):
         src = write(tmp_path / "3p.txt", "3 100\n30 33 37 26 35 39 31 32 37\n")
         rc = main(["genhard", src, "--out", str(tmp_path / "h.instance")])
@@ -583,6 +599,7 @@ class TestGenhard:
         [
             ("2 100\n30 33 37 26 35 x\n", "non-integer token in 3-Partition input"),
             ("0 100\n", "m must be at least 1, got 0"),
+            ("1 1_2\n4 4 \u0664\n", "non-integer token in 3-Partition input: '1_2'"),
         ],
     )
     def test_unparsable_source_exits_2(self, tmp_path, capsys, text, message):
@@ -951,9 +968,10 @@ class TestParserReuse:
 
 
 class TestExactPlacementsStayIntegers:
-    """An exact placement goes from file to file as integers: ``Fraction``s
-    are built for the distinct sizes and a few results, never one per
-    footpoint, and a read placement is lifted once."""
+    """An exact placement goes from file to file as integers: a solve
+    builds ``Fraction``s for the distinct sizes and a few results, never
+    one per footpoint; a verify builds only its few result ``Fraction``s
+    and lifts the read placement once."""
 
     N = 1000
 
@@ -977,7 +995,7 @@ class TestExactPlacementsStayIntegers:
         files.write_instance(path, disks)
         return path, len(set(sizes))
 
-    def test_verify_builds_fractions_for_distinct_sizes_and_lifts_once(
+    def test_verify_builds_only_result_fractions_lifts_once(
         self, tmp_path, monkeypatch, capsys
     ):
         path, distinct = self.instance(tmp_path)
@@ -996,7 +1014,9 @@ class TestExactPlacementsStayIntegers:
         assert main(["verify", str(out)]) == 0
         assert "accepted" in capsys.readouterr().out
         assert lifts == [self.N]
-        assert distinct < len(made) <= distinct + 10, len(made)
+        # the tolerance, and the span report's two walls and span: the
+        # reader parses sizes as int pairs, not one Fraction each
+        assert len(made) <= 4 < distinct, made
 
     def test_solve_builds_no_fraction_per_footpoint(self, tmp_path, monkeypatch, capsys):
         path, distinct = self.instance(tmp_path)
@@ -1007,3 +1027,136 @@ class TestExactPlacementsStayIntegers:
         assert distinct < len(made) <= distinct + 20, len(made)
         monkeypatch.undo()
         assert files.read_placement(out) == greedy_solve(files.read_instance(path)[0]).placement
+
+
+def _disks_built(placement) -> bool:
+    """Whether the ``disks`` slot of ``placement`` is set, read past the
+    placement's ``__getattr__``, which would build it."""
+    try:
+        geometry.Placement.disks.__get__(placement)
+    except AttributeError:
+        return False
+    return True
+
+
+class TestReadPlacementsBuildNoDisks:
+    """The file reader keeps a placement's id column and lift, and builds
+    its disks only when they are read: verify, render, the writer and the
+    decoder never read them, and a read placement behaves as the
+    placement built from its disks and footpoints."""
+
+    @staticmethod
+    def placement_file(tmp_path, exact):
+        rng = random.Random(30)
+        sizes = [Fraction(rng.randint(1, 60), rng.choice((7, 11, 13, 20))) for _ in range(200)]
+        if not exact:
+            sizes = [float(s) for s in sizes]
+        placement = greedy_solve([Disk(f"d{i}", s) for i, s in enumerate(sizes)]).placement
+        path = tmp_path / "p.placement"
+        files.write_placement(path, placement)
+        return path
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_read_placement_is_the_placement_of_its_disks(self, tmp_path, exact):
+        path = self.placement_file(tmp_path, exact)
+        read = files.read_placement(path)
+        built = geometry.Placement(read.disks, read.footpoints)
+        assert _disks_built(built)
+        checks = [
+            lambda p: p == built and built == p,
+            lambda p: hash(p) == hash(built),
+            lambda p: repr(p) == repr(built),
+            lambda p: pickle.loads(pickle.dumps(p)) == built,
+            lambda p: list(p) == list(built) and len(p) == len(built),
+        ]
+        for check in checks:
+            fresh = files.read_placement(path)
+            assert not _disks_built(fresh)
+            assert check(fresh)
+            assert fresh.disks == built.disks and fresh.footpoints == built.footpoints
+        # one Fraction per distinct exact size, shared by its disks
+        if exact:
+            sizes = files.read_placement(path).disks
+            assert len({id(d.size) for d in sizes}) == len({d.size for d in sizes})
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_cli_verify_render_and_writer_leave_disks_unbuilt(
+        self, tmp_path, monkeypatch, capsys, exact
+    ):
+        path = self.placement_file(tmp_path, exact)
+        read = []
+
+        def recorded(source):
+            read.append(read_placement(source))
+            return read[-1]
+
+        monkeypatch.setattr(files, "read_placement", recorded)
+        assert main(["verify", str(path)]) == 0
+        assert "accepted" in capsys.readouterr().out
+        assert main(["render", str(path), "--out", str(tmp_path / "p.svg")]) == 0
+        assert len(read) == 2 and not any(map(_disks_built, read))
+        placement = files.parse_placement(path.read_text())
+        assert files.format_placement(placement) == path.read_text()
+        assert not _disks_built(placement)
+
+    def test_decode_partition_leaves_disks_unbuilt(self, tmp_path):
+        hi = build_instance(ThreePartitionInstance((30, 33, 37, 26, 35, 39), 100))
+        groups = PartitionSolution(((1, 2, 3), (4, 5, 6)))
+        path = tmp_path / "cert.placement"
+        files.write_placement(path, build_certificate(hi, groups))
+        placement = files.read_placement(path)
+        assert decode_partition(hi, placement) == groups
+        assert not _disks_built(placement)
+
+
+# (file body, exit code, the first line verify prints): the same as when the
+# reader still built one Disk per row
+_READER_CASES = {
+    "non-positive size": (
+        "a 1/1 0/1\nb 0/1 5/1\n", 2, "error: line 3: disk 'b' has non-positive size 0"
+    ),
+    "negative size": (
+        "a 1/1 0/1\nb -2/4 5/1\n", 2, "error: line 3: disk 'b' has non-positive size -1/2"
+    ),
+    "non-positive float size": (
+        "a 1.0 0.0\nb 0.0 5.0\n", 2, "error: line 3: disk 'b' has non-positive size 0.0"
+    ),
+    "float radius out of range": (
+        "a 1.0 0.0\nb 1e200 1e300\n", 2,
+        "error: line 3: disk 'b' has size 1e+200, whose radius leaves the float range",
+    ),
+    "id starting with #": ("a 1/1 0/1\n#b 1/1 5/1\n", 0, "span: 2 (exact)"),
+    "duplicate ids": (
+        "a 1/1 0/1\na 1/1 5/1\n", 2,
+        "error: not a valid placement: duplicate disk id 'a' in placement",
+    ),
+    "coinciding footpoints": (
+        "a 1/1 5/1\nb 1/1 0/1\nc 1/1 5/1\n", 2,
+        "error: not a valid placement: footpoints of 'a' and 'c' coincide",
+    ),
+    "infinite footpoint": (
+        "a 1.0 0.0\nb 1.0 1e400\n", 2,
+        "error: not a valid placement: disk 'b' has footpoint inf",
+    ),
+    "unsorted rows": ("a 1/1 5/1\nb 1/1 0/1\n", 0, "span: 7 (exact)"),
+    "non-reduced literals": ("a 2/4 0/1\nb 2/4 6/4\n", 0, "span: 2 (exact)"),
+    # footpoint denominators 101, 103 and 107 make Q pass its bound: the
+    # columns stay Fractions
+    "past the Q bound": (
+        "a 1/1 0/1\nb 1/1 203/101\nc 1/1 433/107\nd 1/1 625/103\n", 0, "span: 831/103 (exact)"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READER_CASES))
+def test_reader_errors_and_exit_codes(tmp_path, capsys, case):
+    body, code, first = _READER_CASES[case]
+    path = write(tmp_path / "case.placement", "shelfpack-placement v1\n" + body)
+    assert main(["verify", path]) == code
+    captured = capsys.readouterr()
+    assert (captured.err if code == 2 else captured.out).splitlines()[0] == first
+    if code == 0:
+        placement = read_placement(path)
+        assert not _disks_built(placement)
+        assert placement == geometry.Placement(placement.disks, placement.footpoints)
+        assert (placement._lift.back is Fraction) == (case == "past the Q bound")

@@ -204,6 +204,21 @@ class TestAuxiliaryFormats:
         sol = parse_groups("1 2 3\n4 5 6\n")
         assert sol.groups == ((1, 2, 3), (4, 5, 6))
 
+    # int() takes underscores and any script's digits; the files take
+    # [+-]?[0-9]+ in ASCII, as instance files do, and name any other token
+    @pytest.mark.parametrize("token", ["1_2", "\u0664", "\uff13", "+-4", "4-", "+", "0x4", "4.0"])
+    def test_integer_tokens_are_ascii_digits(self, token):
+        with pytest.raises(ParseError) as refused:
+            parse_3partition(f"1 12\n4 4 {token}\n")
+        assert str(refused.value) == f"non-integer token in 3-Partition input: {token!r}"
+        with pytest.raises(ParseError) as refused:
+            parse_groups(f"1 2 {token}\n")
+        assert str(refused.value) == f"non-integer token in groups input: {token!r}"
+
+    def test_signed_integer_tokens_are_read(self):
+        assert parse_3partition("+1 +12\n4 -4 04\n") == ThreePartitionInstance((4, -4, 4), 12)
+        assert parse_groups("-1 +2 03\n").groups == ((-1, 2, 3),)
+
     def test_parse_groups_bad_count(self):
         with pytest.raises(ParseError):
             parse_groups("1 2 3 4\n")
