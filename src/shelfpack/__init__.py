@@ -8,9 +8,9 @@ instances, a greedy 4/3-approximation with certificates, an exact
 subset-DP oracle, a 3-Partition hardness-instance toolkit, and file/CLI
 plumbing.
 
-Every solver returns a :class:`Placement`: a column of disks and a column
-of footpoints, sorted by footpoint.  ``Placement(disks, footpoints)`` is
-its only constructor and checks every placement once, whoever builds it.
+Every solver returns a :class:`Placement`: an id column and one lift of
+its sizes and footpoints, sorted by footpoint, with its disks built when
+first read.  Every placement passes one set of checks, whoever builds it.
 
 ``import shelfpack`` loads no submodule.  Each public name is imported
 from its home module at its first access (``shelfpack.greedy_solve``,

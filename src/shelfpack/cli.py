@@ -66,7 +66,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .geometry import Disk, best_support_lower_bound, by_size, verify
+from .geometry import Disk, _compact_columns, best_support_lower_bound, by_size, verify
 from .scalars import Backend, Scalar, display_scalar, parse_scalar
 
 # What the commands load at their first use, by module.  Each name
@@ -74,12 +74,12 @@ from .scalars import Backend, Scalar, display_scalar, parse_scalar
 # commands call through the module (``_cli.name``), which after the first
 # call is one dict lookup, where an import statement costs about 40 us
 # with cold caches.  The public solvers are bound here only because
-# bench/spans.py wraps them on this module; they go when ROADMAP item 5
+# bench/spans.py wraps them on this module; they go when ROADMAP item 2
 # deletes spans.py.
 _LAZY = {
     "greedy": ("_greedy", "greedy_solve"),
     "hardness": ("build_certificate", "build_instance"),
-    "linear": ("_linear", "_linear_placement", "is_linear_case", "solve_linear"),
+    "linear": ("_linear", "_linear_order", "is_linear_case", "solve_linear"),
     "oracle": ("OracleConfig", "_check_cap", "_hidden", "_subset_dp", "exact_solve"),
     "svg": ("render_svg",),
 }
@@ -157,7 +157,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if linear:
         mode = "linear"  # the paper's O(n log n) solver is exact here
     if mode == "linear":
-        placement, extent = _cli._linear_placement(order, sizes, back)
+        placement, extent = _compact_columns(order, sizes, back, _cli._linear_order(sizes))
     elif mode == "exact":
         hidden = _cli._hidden(order, sizes, back)  # proved without the DP
         if hidden:

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DomainError, ParseError
-from .geometry import Disk, Placement, _disk_column, _placed, _valid_column
+from .geometry import Disk, Placement, _disk_column, _placement, _valid_column
 from .scalars import (
     Backend,
     Scalar,
@@ -126,9 +126,9 @@ def parse_instance(text: str) -> tuple[list[Disk], Backend]:
     return _disks(numbers, ids, sizes), backend
 
 
-def format_instance(disks: Sequence[Disk]) -> str:
-    sizes = _format_column([d.size for d in disks])
-    rows = map(" ".join, zip([d.id for d in disks], sizes))
+def format_instance(disks: Iterable[Disk]) -> str:
+    disks = list(disks)  # read once: an iterator is empty the second time
+    rows = map(" ".join, zip([d.id for d in disks], _format_column([d.size for d in disks])))
     return "\n".join([INSTANCE_HEADER, *rows, ""])
 
 
@@ -147,12 +147,10 @@ def parse_placement(text: str) -> Placement:
         sizes, feet, dens = values[: len(ids)], values[len(ids) :], None
     if not _valid_column(ids, sizes, int):  # floats or int numerators; raises
         _disks(numbers, ids, sizes if dens is None else list(map(Fraction, sizes, size_dens)))
-    placement = object.__new__(Placement)
     try:
-        _placed(placement, ids, lift(sizes, feet, dens))
+        return _placement(ids, lift(sizes, feet, dens))
     except DomainError as exc:
         raise ParseError(f"not a valid placement: {exc}") from exc
-    return placement
 
 
 def format_placement(placement: Placement) -> str:
@@ -269,7 +267,7 @@ def read_instance(path: str | Path) -> tuple[list[Disk], Backend]:
     return parse_instance(Path(path).read_text(encoding="utf-8"))
 
 
-def write_instance(path: str | Path, disks: Sequence[Disk]) -> None:
+def write_instance(path: str | Path, disks: Iterable[Disk]) -> None:
     _write_text(path, format_instance(disks))
 
 

@@ -137,29 +137,27 @@ class Placement(_Frozen):
     ``Placement(disks, footpoints)`` is the one public way to build a
     placement, and it checks everything a placement promises: at least one
     disk, one footpoint per disk, every footpoint a scalar (ints become
-    exact, float footpoints must be finite), one backend over sizes and
-    footpoints, unique ids and strictly increasing footpoints.  The
-    columns are sorted by footpoint first; an offender is named in
-    footpoint order.
+    exact, float footpoints must be finite; a :class:`Lift` is not one),
+    one backend over sizes and footpoints, unique ids and strictly
+    increasing footpoints.  The columns are sorted by footpoint first; an
+    offender is named in footpoint order.
 
     A placement is its id column and one :class:`Lift` of its columns (see
     :func:`~shelfpack.scalars.lift`), kept outside equality, hash and repr:
     the order checks run on the lift, as integers for exact data, and
     :func:`span`, :func:`verify`, the file writer, the SVG and
-    ``decode_partition`` read the ids and the lift, never the disks.  The
-    solvers and the file reader pass a ``Lift`` as the footpoints; its
-    types and backend are trusted.  The reader builds no disks: it runs
-    the same checks (:func:`_placed`) on its own checked id column, and
-    the disks are built from the lift when first read, as the footpoints
-    of every placement are.
+    ``decode_partition`` read the ids and the lift.  The solvers and the
+    file reader hand their own id column and lift to :func:`_placement`,
+    which runs the same checks (:func:`_placed`).  ``disks`` and
+    ``footpoints`` are built from the ids and the lift when first read, so
+    the disks read back as plain :class:`Disk` objects, whatever went in.
     """
 
     __slots__ = ("disks", "footpoints", "_lift", "_ids")
     __match_args__ = ("disks", "footpoints")
 
-    def __init__(self, disks: Sequence[Disk], footpoints: Sequence[Scalar] | Lift) -> None:
-        disks, kept = tuple(disks), footpoints
-        feet = kept.feet if type(kept) is Lift else tuple(kept)
+    def __init__(self, disks: Sequence[Disk], footpoints: Sequence[Scalar]) -> None:
+        disks, feet = tuple(disks), tuple(footpoints)
         if not disks:
             raise DomainError("a placement must contain at least one disk")
         if len(disks) != len(feet):
@@ -167,18 +165,15 @@ class Placement(_Frozen):
                 f"a placement needs one footpoint per disk, got {len(disks)} "
                 f"disks and {len(feet)} footpoints"
             )
-        if type(kept) is not Lift:  # plain footpoints: coerced, named on failure, lifted
-            coerced = []
-            for disk, x in zip(disks, feet):
-                try:
-                    coerced.append(coerce(x))
-                except DomainError as exc:
-                    raise DomainError(f"disk {disk.id!r} has footpoint {x!r}") from exc
-            sizes = [d.size for d in disks]
-            unified_backend(sizes + coerced)
-            kept = lift(sizes, coerced)
-        order = _placed(self, [d.id for d in disks], kept)
-        _SET_DISKS(self, disks if order is None else tuple(map(disks.__getitem__, order)))
+        coerced = []
+        for disk, x in zip(disks, feet):
+            try:
+                coerced.append(coerce(x))
+            except DomainError as exc:
+                raise DomainError(f"disk {disk.id!r} has footpoint {x!r}") from exc
+        sizes = [d.size for d in disks]
+        unified_backend(sizes + coerced)
+        _placed(self, [d.id for d in disks], lift(sizes, coerced))
 
     def __getattr__(self, name: str):
         # called only for an unset slot: the disks or the footpoints, built
@@ -213,8 +208,7 @@ class Placement(_Frozen):
         )
 
     def __reduce__(self):
-        # the kept lift goes through the constructor, which trusts a Lift
-        return type(self), (self.disks, self._lift)
+        return _placement, (self._ids, self._lift)
 
     @property
     def backend(self) -> Backend:
@@ -227,23 +221,29 @@ class Placement(_Frozen):
         return zip(self.disks, self.footpoints)
 
 
-_SET_DISKS, _SET_LIFT, _SET_IDS = (
-    Placement.disks.__set__, Placement._lift.__set__, Placement._ids.__set__
-)
+_SET_LIFT, _SET_IDS = Placement._lift.__set__, Placement._ids.__set__
 
 
-def _placed(placement: Placement, ids: list[str], kept: Lift) -> list[int] | None:
+def _placement(ids: list[str], lifted: Lift) -> Placement:
+    """The placement of the id column ``ids`` and the lift of its sizes
+    and footpoints, whose types and backend are trusted: how the solvers,
+    the file reader and unpickling build one."""
+    placement = object.__new__(Placement)
+    _placed(placement, ids, lifted)
+    return placement
+
+
+def _placed(placement: Placement, ids: list[str], kept: Lift) -> None:
     """Set ``ids`` and ``kept`` on ``placement``, sorted by footpoint, after
     the checks of :class:`Placement` that a file also needs: finite float
-    footpoints, unique ids, no coinciding footpoints.  The sorting order,
-    or None if the footpoints were in order."""
+    footpoints, unique ids, no coinciding footpoints."""
     sizes, points, _, back = kept
     if back is float and not all(map(math.isfinite, points)):
         x, disk_id = next((x, i) for x, i in zip(points, ids) if not math.isfinite(x))
         raise DomainError(f"disk {disk_id!r} has footpoint {x!r}")
     # compaction and parsed files deliver footpoints in order already
-    order = None
-    if not all(map(lt, points, points[1:])):
+    ordered = all(map(lt, points, points[1:]))
+    if not ordered:
         order = sorted(range(len(points)), key=points.__getitem__)
         ids = list(map(ids.__getitem__, order))
         points = list(map(points.__getitem__, order))
@@ -254,15 +254,14 @@ def _placed(placement: Placement, ids: list[str], kept: Lift) -> list[int] | Non
             if disk_id in seen:
                 raise DomainError(f"duplicate disk id {disk_id!r} in placement")
             seen.add(disk_id)
-    if order is not None:
+    if not ordered:
         for k in range(1, len(points)):
             if points[k - 1] == points[k]:
                 raise DomainError(
                     f"footpoints of {ids[k - 1]!r} and {ids[k]!r} coincide"
                 )
     _SET_IDS(placement, ids)
-    _SET_LIFT(placement, kept)  # the footpoints slot stays unset until read
-    return order
+    _SET_LIFT(placement, kept)  # disks and footpoints stay unset until read
 
 
 class SpanReport(NamedTuple):
@@ -350,7 +349,7 @@ def by_size(disks: Iterable[Disk], empty_message: str) -> tuple:
     return [items[i] for i in rank], [sizes[i] for i in rank], back
 
 
-def compact(order: Sequence[Disk]) -> Placement:
+def compact(order: Iterable[Disk]) -> Placement:
     """Left-compact ``order``: give each disk the smallest feasible footpoint.
 
     The first wall is normalized to coordinate 0, so every footpoint is
@@ -360,13 +359,14 @@ def compact(order: Sequence[Disk]) -> Placement:
     span-minimal for that order.
 
     The sizes must share one backend; exact sizes run as integers (see
-    :func:`~shelfpack.scalars.lift`), and the footpoints go to the
-    :class:`Placement` as a :class:`Lift` over D**2.  The placement checks
-    the output once: unique ids, and float footpoints that did not
+    :func:`~shelfpack.scalars.lift`), and the footpoints go to
+    :func:`_placement` as a :class:`Lift` over D**2, which checks the
+    output once: unique ids, and float footpoints that did not
     overflow.
     """
+    order = list(order)  # read once: an iterator is empty the second time
     lifted = _lifted_sizes(order, "cannot compact an empty order")
-    return Placement(order, lifted._replace(feet=_compacted(lifted.sizes)))
+    return _placement([d.id for d in order], lifted._replace(feet=_compacted(lifted.sizes)))
 
 
 def _compacted(sizes: Sequence) -> list:
@@ -385,7 +385,7 @@ def _compact_columns(order: Sequence[Disk], sizes: Sequence, back, chain: Sequen
     sizes = [sizes[k] for k in chain]
     feet = _compacted(sizes)
     extent = max(map(add, feet, map(mul, sizes, sizes)))
-    return Placement([order[k] for k in chain], Lift(sizes, feet, 1, back)), extent
+    return _placement([order[k].id for k in chain], Lift(sizes, feet, 1, back)), extent
 
 
 def span(placement: Placement) -> SpanReport:

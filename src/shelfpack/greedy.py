@@ -14,11 +14,11 @@ neighbour at f takes x = f - 2ab, stepped down an ulp at a time while the
 rounded x + 2ab, as :func:`~shelfpack.geometry.verify` forms it, exceeds
 f; in a gap, never below where it touches its left neighbour.  Exact sizes
 arrive as integers over their common denominator, so no ``Fraction`` is
-reduced inside the loop and no footpoint moves.  The output goes to
-:class:`Placement` in footpoint order, by the neighbour links, as a
-:class:`~shelfpack.scalars.Lift` of the loop's sizes and footpoints, and
-it rejects duplicate ids, coinciding footpoints and float footpoints that
-overflowed.  The certificate comes from the loop as well: the span from
+reduced inside the loop and no footpoint moves.  The id column and a
+:class:`~shelfpack.scalars.Lift` of the loop's sizes and footpoints go out
+in footpoint order, by the neighbour links, as one :class:`Placement`,
+which rejects duplicate ids, coinciding footpoints and float footpoints
+that overflowed.  The certificate comes from the loop as well: the span from
 the walls it tracks, the lower bound from one prefix pass over the sizes.
 """
 
@@ -29,7 +29,7 @@ from math import inf, nextafter
 from operator import floordiv, truediv
 from typing import Iterable, NamedTuple, Sequence
 
-from .geometry import Disk, Placement, by_size, prefix_support_bound
+from .geometry import Disk, Placement, _placement, by_size, prefix_support_bound
 from .scalars import Lift, Scalar
 
 
@@ -173,12 +173,12 @@ def _greedy(order: list, sizes: list, back, chain: Sequence[int] = (0,), feet=No
         push(heap, (-div(gap * unit, width), ids[li], li, ri))
 
     # the links run left to right, so the columns go out in footpoint order
-    # and the Placement need not sort them
+    # and the placement need not sort them
     walk = []
     k = head
     while k >= 0:
         walk.append(k)
         k = right_nb[k]
-    disks, sizes, foot = [list(map(column.__getitem__, walk)) for column in (order, sizes, foot)]
-    return Placement(disks, Lift(sizes, foot, 1, back)), right_wall - left_wall, in_gaps
+    ids, sizes, foot = [list(map(column.__getitem__, walk)) for column in (ids, sizes, foot)]
+    return _placement(ids, Lift(sizes, foot, 1, back)), right_wall - left_wall, in_gaps
 

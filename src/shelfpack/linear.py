@@ -101,15 +101,8 @@ def solve_linear(disks: Iterable[Disk]) -> tuple[Placement, SpanReport]:
     order, sizes, back = by_size(disks, _EMPTY)
     if not _linear(sizes):  # tested on the sizes by_size lifted
         raise PreconditionError("not a linear-case instance")
-    placement, _ = _linear_placement(order, sizes, back)
+    placement, _ = _compact_columns(order, sizes, back, _linear_order(sizes))
     return placement, span(placement)
-
-
-def _linear_placement(order: list, sizes: list, back) -> tuple:
-    """:func:`solve_linear` on the columns of
-    :func:`~shelfpack.geometry.by_size`, which must be the linear case:
-    the placement and its span, lifted."""
-    return _compact_columns(order, sizes, back, _linear_order(sizes))
 
 
 def _linear_order(sizes: Sequence) -> list[int]:

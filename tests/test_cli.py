@@ -1061,7 +1061,7 @@ class TestReadPlacementsBuildNoDisks:
         path = self.placement_file(tmp_path, exact)
         read = files.read_placement(path)
         built = geometry.Placement(read.disks, read.footpoints)
-        assert _disks_built(built)
+        assert not _disks_built(built)
         checks = [
             lambda p: p == built and built == p,
             lambda p: hash(p) == hash(built),
@@ -1107,6 +1107,69 @@ class TestReadPlacementsBuildNoDisks:
         placement = files.read_placement(path)
         assert decode_partition(hi, placement) == groups
         assert not _disks_built(placement)
+
+
+class TestEveryPlacementBuildsDisksOnFirstRead:
+    """Every placement is an id column and one lift: the solvers, the
+    certificate and ``solve`` build no disks, and once read the disks make
+    it the placement of its disks and footpoints."""
+
+    @staticmethod
+    def assert_built_on_first_read(placement):
+        assert not _disks_built(placement)
+        restored = pickle.loads(pickle.dumps(placement))
+        assert not _disks_built(restored)  # pickled as the id column and lift
+        built = geometry.Placement(placement.disks, placement.footpoints)
+        assert _disks_built(placement) and type(placement.disks[0]) is Disk
+        for p in (placement, restored):
+            assert p == built and built == p and hash(p) == hash(built)
+            assert repr(p) == repr(built) and list(p) == list(built)
+            assert pickle.loads(pickle.dumps(p)) == built
+        assert repr(pickle.loads(pickle.dumps(built))) == repr(placement)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_library_solvers(self, exact):
+        spread = make_disks([Fraction(5), Fraction(4), Fraction(3), Fraction(2)])
+        chain = make_disks([Fraction(10), Fraction(9), Fraction(8), Fraction(7)])
+        if not exact:
+            spread, chain = ([Disk(d.id, float(d.size)) for d in ds] for ds in (spread, chain))
+        placements = [
+            geometry.compact(spread),
+            greedy_solve(spread).placement,
+            solve_linear(chain)[0],
+            exact_solve(spread)[0],
+        ]
+        if exact:  # on floats the linear prefix proves nothing
+            placements.append(hidden_in_linear_prefix(spread)[0])
+            hi = build_instance(ThreePartitionInstance((30, 33, 37, 26, 35, 39), 100))
+            placements.append(build_certificate(hi, PartitionSolution(((1, 2, 3), (4, 5, 6)))))
+        for placement in placements:
+            self.assert_built_on_first_read(placement)
+
+    @pytest.mark.parametrize(
+        "body, args, method",
+        [
+            ("shelfpack-instance v1\nd1 10/1\nd2 9/1\nd3 8/1\nd4 7/1\n", [], "exact (linear case)"),
+            (NONLINEAR_12, [], "greedy (4/3 approximation)"),
+            (HIDDEN_12, ["--mode", "exact"], "exact (hidden in linear prefix)"),
+            (NONLINEAR_12, ["--mode", "exact", "--max-n", "12"], "exact (subset DP)"),
+        ],
+        ids=["linear", "greedy", "hidden", "dp"],
+    )
+    def test_cli_solve(self, tmp_path, monkeypatch, capsys, body, args, method):
+        written = []
+
+        def recorded(path, placement):
+            written.append(placement)
+            return write_placement(path, placement)
+
+        write_placement = files.write_placement
+        monkeypatch.setattr(files, "write_placement", recorded)
+        path = write(tmp_path / "p.instance", body)
+        assert main(["solve", path, "--out", str(tmp_path / "p.placement"), *args]) == 0
+        assert f"method: {method}" in capsys.readouterr().out
+        (placement,) = written
+        self.assert_built_on_first_read(placement)
 
 
 # (file body, exit code, the first line verify prints): the same as when the

@@ -239,8 +239,9 @@ def _typed(lifted):
 
 def from_lift(disks, feet):
     """``Placement(disks, feet)`` built as the solvers and the reader build
-    it: the footpoints handed over as a ``Lift`` of the disks' sizes."""
-    return Placement(disks, lift([d.size for d in disks], feet))
+    it: the id column and a ``Lift`` of the sizes and footpoints handed to
+    the private constructor."""
+    return geometry._placement([d.id for d in disks], lift([d.size for d in disks], feet))
 
 
 def lift_cases(rng):
@@ -303,18 +304,19 @@ class TestKeptLift:
 
     def test_a_lift_is_refused_as_plain_footpoints_are(self):
         floats = make_disks([1.0, 2.0, 0.5])
-        exact = make_disks([F(1), F(2), F(1, 2)])
         cases = [
-            (floats, [0.0, 3.0, math.inf]),  # an overflowed float footpoint
-            (floats, [math.nan, -math.inf, 3.0]),
-            (floats, [0.0, 3.0]),  # one footpoint short
-            (exact, [F(0), F(3)]),
-            (exact, [F(0), F(3), F(5), F(7)]),  # one too many
+            [0.0, 3.0, math.inf],  # an overflowed float footpoint
+            [math.nan, -math.inf, 3.0],
         ]
-        for disks, feet in cases:
-            want = _outcome(lambda: Placement(disks, feet))
+        for feet in cases:
+            want = _outcome(lambda: Placement(floats, feet))
             assert want[0] == "error", feet
-            assert _outcome(lambda: from_lift(disks, feet)) == want, feet
+            assert _outcome(lambda: from_lift(floats, feet)) == want, feet
+        # only the private constructor takes a Lift: Placement reads one as
+        # its four fields, which are not footpoints, whatever the disk count
+        for disks in (floats, make_disks([F(1), F(2), F(1, 2), F(3)])):
+            with pytest.raises(DomainError):
+                Placement(disks, compact(disks)._lift)
 
     def test_span_and_verify_read_the_kept_lift(self):
         rng = random.Random(107)
@@ -854,3 +856,29 @@ class TestBySize:
                     ref_placement, ref_report = solve(disks)
                 assert format_placement(placement) == format_placement(ref_placement)
                 assert repr(report) == repr(ref_report)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_disks_given_as_an_iterator_are_read_once(exact):
+    # every public function taking disks answers a generator as the list
+    spread = [F(5), F(4), F(3), F(2)]
+    chain = [F(10), F(9), F(8), F(7)]
+    if not exact:
+        spread, chain = [float(v) for v in spread], [float(v) for v in chain]
+    spread, chain = make_disks(spread), make_disks(chain)
+    feet = [0, 20, 40, 60] if exact else [0.0, 20.0, 40.0, 60.0]
+    calls = [
+        (compact, spread),
+        (greedy_solve, spread),
+        (solve_linear, chain),
+        (exact_solve, spread),
+        (oracle.hidden_in_linear_prefix, spread),
+        (linear.is_linear_case, spread),
+        (best_support_lower_bound, spread),
+        (lambda disks: Placement(disks, feet), spread),
+        (files.format_instance, spread),
+    ]
+    for fn, disks in calls:
+        want = fn(disks)
+        got = fn(d for d in disks)
+        assert got == want and repr(got) == repr(want), fn
