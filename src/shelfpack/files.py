@@ -24,9 +24,9 @@ order: the header, an empty body, the number of tokens on a line (first
 such line), the literals (a mix of rational and decimal literals; else
 the first literal that is neither, then the first zero denominator,
 sizes before footpoints), duplicate ids in an instance (first repeated
-line), the disks (first line with a non-positive or non-finite size),
-and last the placement as a whole (duplicate ids, non-finite
-footpoints, coinciding footpoints; named as
+line), the disks (first line with a size ``Disk`` refuses, or a
+positive decimal that reads 0.0), and last the placement as a whole
+(duplicate ids, non-finite footpoints, coinciding footpoints; named as
 :class:`~shelfpack.geometry.Placement` names them).
 """
 
@@ -47,8 +47,8 @@ from .scalars import (
     _format_column,
     _format_lifted,
     _ints,
-    _lowest,
     _read_column,
+    _reduced,
     _too_many_digits,
     format_scalar,
     lift,
@@ -102,16 +102,18 @@ def _tokens(text: str) -> list[str]:
     return [tok for _, tokens in _rows(map(str.split, text.splitlines()), 1) for tok in tokens]
 
 
-def _disks(numbers: Sequence[int], ids: Sequence[str], sizes: Sequence[Scalar]) -> list[Disk]:
-    try:
-        return _disk_column(ids, sizes)
-    except DomainError:
-        for number, disk_id, size in zip(numbers, ids, sizes):
+def _disks(numbers: Sequence[int], ids: list, sizes: Sequence[Scalar], literals: list) -> list[Disk]:
+    """The disks of split columns, checked once; a ParseError names a bad line."""
+    if not _valid_column(ids, sizes, Fraction, True):
+        for number, disk_id, size, text in zip(numbers, ids, sizes, literals):
+            positive = text[0] != "-" and text.upper().partition("E")[0].strip("+.0")
             try:
+                if positive and size == 0.0 and isinstance(size, float):
+                    raise DomainError(f"disk {disk_id!r} has a size below the float range")
                 Disk(disk_id, size)
             except DomainError as exc:
                 raise ParseError(f"line {number}: {exc}") from exc
-        raise
+    return _disk_column(ids, sizes, True)
 
 
 def parse_instance(text: str) -> tuple[list[Disk], Backend]:
@@ -123,7 +125,7 @@ def parse_instance(text: str) -> tuple[list[Disk], Backend]:
             if disk_id in seen:
                 raise ParseError(f"line {number}: duplicate disk id {disk_id!r}")
             seen.add(disk_id)
-    return _disks(numbers, ids, sizes), backend
+    return _disks(numbers, ids, sizes, literals), backend
 
 
 def format_instance(disks: Iterable[Disk]) -> str:
@@ -135,18 +137,18 @@ def format_instance(disks: Iterable[Disk]) -> str:
 def parse_placement(text: str) -> Placement:
     """The placement of the file's id column and one lift of its columns;
     its disks are built when first read."""
-    numbers, (ids, sizes, feet) = _columns(
+    numbers, (ids, literals, feet) = _columns(
         text, PLACEMENT_HEADER, "placement", "<id> <size> <footpoint>"
     )
-    values, _ = _read_column(sizes + feet)
+    values, _ = _read_column(literals + feet)
     if values is None:  # exact: both columns stay ints
         parts = _ints(feet)
-        sizes, size_dens = zip(*_distinct(sizes, _lowest))
+        sizes, size_dens = zip(*_distinct(literals, lambda p, q: zip(*_reduced(p, q))))
         feet, dens = parts[0::2], (size_dens, parts[1::2])
     else:
         sizes, feet, dens = values[: len(ids)], values[len(ids) :], None
-    if not _valid_column(ids, sizes, int):  # floats or int numerators; raises
-        _disks(numbers, ids, sizes if dens is None else list(map(Fraction, sizes, size_dens)))
+    if not _valid_column(ids, sizes, int, True):  # floats or int numerators; raises
+        _disks(numbers, ids, sizes if dens is None else list(map(Fraction, sizes, size_dens)), literals)
     try:
         return _placement(ids, lift(sizes, feet, dens))
     except DomainError as exc:

@@ -89,19 +89,21 @@ class Disk(_Frozen):
 _SET_ID, _SET_SIZE = Disk.id.__set__, Disk.size.__set__
 
 
-def _valid_column(ids: list, sizes: Sequence, exact: type = Fraction) -> bool:
+def _valid_column(ids: list, sizes: Sequence, exact: type = Fraction, tokens: bool = False) -> bool:
     """Whether ``Disk`` takes each id with its size as it is, checked once
     per column: ``str`` tokens (joined and split again they come back
     unchanged) none of which starts with ``#``, and positive sizes, all of
     type ``exact`` (the file reader's int numerators have positive
-    denominators) or all finite floats with radii that are normal floats."""
-    try:
-        joined = " ".join(ids)
-        # one character search settles the usual column with no '#' at all
-        if joined.split() != ids or ("#" in joined and (joined[0] == "#" or " #" in joined)):
+    denominators) or all finite floats with radii that are normal floats.
+    ``tokens`` skips the id half, for the ids a file's ``str.split()`` made."""
+    if not tokens:
+        try:
+            joined = " ".join(ids)
+            # one character search settles the usual column with no '#' at all
+            if joined.split() != ids or ("#" in joined and (joined[0] == "#" or " #" in joined)):
+                return False
+        except TypeError:  # an id that is not a str
             return False
-    except TypeError:  # an id that is not a str
-        return False
     kinds = set(map(type, sizes))
     if len(sizes) != len(ids) or kinds not in ({exact}, {float}):
         return False
@@ -115,14 +117,12 @@ def _valid_column(ids: list, sizes: Sequence, exact: type = Fraction) -> bool:
     )
 
 
-def _disk_column(ids: Sequence[str], sizes: Sequence[Scalar]) -> list[Disk]:
+def _disk_column(ids: list[str], sizes: Sequence[Scalar], checked: bool = False) -> list[Disk]:
     """``list(map(Disk, ids, sizes))``, with the checks run once per column
-    when it passes :func:`_valid_column`, and no ``Disk.__init__``.  Any
-    other columns go through ``Disk`` one element at a time, which names
-    the first offender."""
-    if not isinstance(ids, list):  # the token check compares with a list
-        ids = list(ids)
-    if _valid_column(ids, sizes):
+    when it passes :func:`_valid_column` (or was ``checked`` before), and
+    no ``Disk.__init__``.  Any other columns go through ``Disk`` one
+    element at a time, which names the first offender."""
+    if checked or _valid_column(ids, sizes):
         disks = list(map(object.__new__, repeat(Disk, len(ids))))
         list(map(_SET_ID, disks, ids))
         list(map(_SET_SIZE, disks, sizes))
@@ -185,7 +185,7 @@ class Placement(_Frozen):
                 d = math.isqrt(q // c)
                 size_of = {s: Fraction(s, d) for s in set(sizes)}
                 sizes = list(map(size_of.__getitem__, sizes))
-            value = tuple(_disk_column(self._ids, sizes))
+            value = tuple(_disk_column(self._ids, sizes, True))  # checked on entry
         elif name == "footpoints":
             value = tuple(map(self._lift.back, self._lift.feet))
         else:
@@ -292,38 +292,44 @@ def _wall_gap_overflows(z, a) -> bool:
     return (z + a) * (z + a) > 2 * a * a
 
 
-def _reach(sizes: Sequence, feet: Sequence, stack: list, k: int, x, pair) -> tuple:
-    """``max(x, max_{j<k} feet[j] + pair*sizes[j]*sizes[k])`` and the j
-    that attains it (the largest such j on a tie), or -1 if ``x`` does;
-    then push k onto ``stack``.
+def _staircase(sizes: Sequence, feet: list, pair, tolerance=None):
+    """For each disk k in order, the largest of x and every feet[j] +
+    pair*sizes[j]*sizes[k], j < k, and the j attaining it (the largest on
+    a tie; -1 if x does).  With ``tolerance`` None this compacts: x is
+    sizes[k]**2 and the maxima fill ``feet``, which comes back.  Else x is
+    feet[k] + tolerance; the first (j, k, maximum) with j >= 0 or None.
 
-    ``feet[:k]`` increase, and ``stack`` holds the earlier disks that can
-    still attain the maximum for a later disk: a staircase of strictly
-    decreasing sizes from bottom to top.  A disk j is dropped once a later
-    disk k has ``sizes[j] <= sizes[k]``: for every later disk m, j's
-    candidate is then at most k's, and on a tie k is the later one.  The
-    scan runs down from the top and stops at the first kept j with
-    feet[j] + pair*sizes[bottom]*sizes[k] <= x, x being the running
-    maximum: every kept i below j has feet[i] < feet[j] and
-    sizes[i] <= sizes[bottom].  Rounded float ``+`` and ``*`` are monotone,
-    so both arguments hold on either backend, and the result is the full
-    maximum.
+    ``feet`` increase; ``stack`` keeps the earlier disks that can still
+    attain a later maximum, by strictly decreasing size: j goes once a
+    later k has sizes[j] <= sizes[k], whose candidate is then at least j's
+    for every later disk, and later on a tie.  The search runs down from
+    the top to the first kept j with feet[j] + pair*sizes[bottom]*sizes[k]
+    <= x, as every kept i below j has feet[i] < feet[j] and sizes[i] <=
+    sizes[bottom].  Rounded float ``+`` and ``*`` are monotone, and c = 1
+    makes pair*sizes[k] exact, so float candidates round as the greedy's.
     """
-    s = sizes[k]
-    arg = -1
-    if stack:
-        reach = pair * sizes[stack[0]] * s
-        for j in reversed(stack):
-            xj = feet[j]
-            if xj + reach <= x:
-                break
-            c = xj + pair * sizes[j] * s
-            if c > x:
-                x, arg = c, j
-        while stack and sizes[stack[-1]] <= s:
-            stack.pop()
-    stack.append(k)
-    return x, arg
+    stack: list = []
+    for k, s in enumerate(sizes):
+        x = s * s if tolerance is None else feet[k] + tolerance
+        arg = -1
+        if stack:
+            ps = pair * s
+            reach = ps * sizes[stack[0]]
+            for j in reversed(stack):
+                xj = feet[j]
+                if xj + reach <= x:
+                    break
+                c = xj + ps * sizes[j]
+                if c > x:
+                    x, arg = c, j
+            while stack and sizes[stack[-1]] <= s:
+                stack.pop()
+        if tolerance is None:
+            feet.append(x)
+        elif arg >= 0:
+            return arg, k, x
+        stack.append(k)
+    return feet if tolerance is None else None
 
 
 def _lifted_sizes(disks: Iterable[Disk], empty_message: str) -> Lift:
@@ -353,10 +359,10 @@ def compact(order: Iterable[Disk]) -> Placement:
     """Left-compact ``order``: give each disk the smallest feasible footpoint.
 
     The first wall is normalized to coordinate 0, so every footpoint is
-    x_k = max(size_k**2, max_{j<k} x_j + 2 size_j size_k), found by
-    :func:`_reach`.  This is the componentwise-minimal solution of the
-    separation system for the given footpoint order and therefore
-    span-minimal for that order.
+    x_k = max(size_k**2, max_{j<k} x_j + 2 size_j size_k), found by the
+    one scan loop :func:`_staircase`, which :func:`verify` runs too.  This
+    is the componentwise-minimal solution of the separation system for the
+    given footpoint order and therefore span-minimal for that order.
 
     The sizes must share one backend; exact sizes run as integers (see
     :func:`~shelfpack.scalars.lift`), and the footpoints go to
@@ -371,11 +377,7 @@ def compact(order: Iterable[Disk]) -> Placement:
 
 def _compacted(sizes: Sequence) -> list:
     """:func:`compact`'s footpoints for sizes already lifted, in order."""
-    feet: list = []
-    stack: list = []
-    for k, s in enumerate(sizes):
-        feet.append(_reach(sizes, feet, stack, k, s * s, 2)[0])
-    return feet
+    return _staircase(sizes, [], 2)
 
 
 def _compact_columns(order: Sequence[Disk], sizes: Sequence, back, chain: Sequence[int]) -> tuple:
@@ -416,14 +418,14 @@ def verify(placement: Placement, tolerance: Scalar) -> VerificationResult:
 
     The exact backend requires tolerance exactly 0.  A float placement
     takes any tolerance as a float; one beyond the float range is a
-    :class:`DomainError`.  Disk k is overlapped when :func:`_reach`,
-    started at x_k + tolerance, finds an earlier disk j with
-    x_j + 2 s_j s_k beyond it, evaluated as :func:`compact` builds it, so
-    float compactions pass at tolerance 0.  A rejection names the first
-    overlapped disk in footpoint order, the earlier disk that overlaps it
-    most and their deficit x_j + 2 s_j s_k - x_k; the span report comes
-    either way.  The check reads the placement's kept lift, so exact data
-    is checked on integers without lifting again (see :class:`Placement`).
+    :class:`DomainError`.  Disk k is overlapped when compaction's scan,
+    :func:`_staircase`, started at x_k + tolerance, finds an earlier disk
+    j with x_j + 2 s_j s_k beyond it, so float compactions pass at
+    tolerance 0; the span report, a pass of its own, comes either way.  A
+    rejection names the first overlapped disk in footpoint order, the
+    earlier disk that overlaps it most and their deficit
+    x_j + 2 s_j s_k - x_k.  The check reads the placement's kept lift, so
+    exact data is checked on integers without lifting again.
     """
     tolerance = coerce(tolerance)
     if tolerance < 0:
@@ -438,14 +440,11 @@ def verify(placement: Placement, tolerance: Scalar) -> VerificationResult:
     ids = placement._ids
     sizes, feet, c, back = placement._lift
     report = _span(ids, sizes, feet, c, back)
-    pair = 2 * c
-    stack = [0]
-    for k in range(1, len(feet)):
-        x, j = _reach(sizes, feet, stack, k, feet[k] + tolerance, pair)
-        if j >= 0:
-            overlap = Violation(ids[j], ids[k], back(x - feet[k]))
-            return VerificationResult(False, report, overlap)
-    return VerificationResult(True, report, None)
+    found = _staircase(sizes, feet, 2 * c, tolerance)
+    if found is None:
+        return VerificationResult(True, report, None)
+    j, k, x = found
+    return VerificationResult(False, report, Violation(ids[j], ids[k], back(x - feet[k])))
 
 
 def best_support_lower_bound(disks: Iterable[Disk]) -> Scalar:

@@ -130,11 +130,7 @@ def lift(sizes: Sequence, feet: Sequence = (), dens: tuple | None = None) -> Lif
     """
     ratios = dens is not None
     if ratios:
-        (size_nums, nums), (size_dens, dens) = (sizes, feet), dens
-        gcds = list(map(math.gcd, nums, dens))
-        if gcds.count(1) < len(gcds):
-            nums = list(map(floordiv, nums, gcds))
-            dens = list(map(floordiv, dens, gcds))
+        (size_nums, size_dens), (nums, dens) = (sizes, dens[0]), _reduced(feet, dens[1])
     elif isinstance(sizes[0], Fraction):
         size_nums, size_dens = map(_numerator, sizes), list(map(_denominator, sizes))
         nums, dens = list(map(_numerator, feet)), list(map(_denominator, feet))
@@ -270,18 +266,21 @@ def _ints(literals: Collection[str]) -> list[int]:
 
 
 def _distinct(literals: Sequence[str], make) -> list:
-    """``make(p, q)`` of each checked ``p/q`` literal, called once per
-    distinct literal: sizes repeat (footpoints mostly do not, and are read
-    by :func:`_ints`)."""
+    """The values ``make(numerators, denominators)`` gives the distinct
+    ones of checked ``p/q`` literals, mapped back to every literal: sizes
+    repeat (footpoints mostly do not, and are read by :func:`_ints`)."""
     distinct = dict.fromkeys(literals)
     parts = _ints(distinct)
-    value = dict(zip(distinct, map(make, parts[0::2], parts[1::2])))
+    value = dict(zip(distinct, make(parts[0::2], parts[1::2])))
     return list(map(value.__getitem__, literals))
 
 
-def _lowest(p: int, q: int) -> tuple[int, int]:
-    g = math.gcd(p, q)
-    return p // g, q // g
+def _reduced(nums: list[int], dens: list[int]) -> tuple[list[int], list[int]]:
+    """Each ``nums[i]/dens[i]`` in lowest terms, by one ``gcd`` map."""
+    gcds = list(map(math.gcd, nums, dens))
+    if gcds.count(1) < len(gcds):
+        return list(map(floordiv, nums, gcds)), list(map(floordiv, dens, gcds))
+    return nums, dens
 
 
 def scalars(literals: Sequence[str]) -> tuple[list[Scalar], Backend]:
@@ -289,7 +288,7 @@ def scalars(literals: Sequence[str]) -> tuple[list[Scalar], Backend]:
     are exact and decimal literals are float (see :func:`_read_column`).
     Exact columns hold one ``Fraction`` per distinct literal."""
     values, backend = _read_column(literals)
-    return _distinct(literals, Fraction) if values is None else values, backend
+    return _distinct(literals, partial(map, Fraction)) if values is None else values, backend
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -9,6 +9,7 @@ import os
 import re
 import statistics
 import time
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -158,6 +159,38 @@ def naive_compact(order: Sequence[Disk]) -> Placement:
                 x = c
         feet.append(x)
     return Placement(order, feet)
+
+
+def naive_staircase(sizes: Sequence) -> list:
+    """Reference for the scan of ``geometry._compacted``: each footpoint is
+    the largest of s**2 and x_j + 2*s_j*s over every earlier disk j."""
+    feet: list = []
+    for s in sizes:
+        x = s * s
+        for sj, xj in zip(sizes, feet):
+            c = xj + 2 * sj * s
+            if c > x:
+                x = c
+        feet.append(x)
+    return feet
+
+
+def all_pairs_violation(placement: Placement, tolerance) -> Optional[tuple]:
+    """Reference for ``verify``'s violation, checking every pair: (left id,
+    right id, deficit) for the first disk k in footpoint order that an
+    earlier disk j reaches past x_k + tolerance, with x_j + 2*s_j*s_k, and
+    the j that reaches furthest (the later one on a tie); None if no disk
+    is overlapped."""
+    placed = list(placement)
+    for k, (right, y) in enumerate(placed):
+        best = None
+        for j, (left, x) in enumerate(placed[:k]):
+            reach = x + 2 * left.size * right.size
+            if reach > y + tolerance and (best is None or reach >= best[0]):
+                best = (reach, left.id)
+        if best is not None:
+            return best[1], right.id, best[0] - y
+    return None
 
 
 def naive_greedy(disks: Iterable[Disk]) -> GreedyResult:
@@ -380,6 +413,19 @@ def _reference_rows(text: str, kind: str, usage: str) -> list[tuple[int, list[st
     return rows
 
 
+def _reference_disk(number: int, disk_id: str, literal: str) -> Disk:
+    """The disk of one row, or the ParseError that names its line.  A
+    decimal literal whose exact value is positive but whose float is 0.0
+    lies below the float range."""
+    size = reference_scalar(literal)
+    try:
+        if size == 0.0 and isinstance(size, float) and Decimal(literal) > 0:
+            raise DomainError(f"disk {disk_id!r} has a size below the float range")
+        return Disk(disk_id, size)
+    except DomainError as exc:
+        raise ParseError(f"line {number}: {exc}") from exc
+
+
 def reference_parse_instance(text: str) -> tuple[list[Disk], Backend]:
     rows = _reference_rows(text, "instance", "<id> <size>")
     disks: list[Disk] = []
@@ -388,11 +434,7 @@ def reference_parse_instance(text: str) -> tuple[list[Disk], Backend]:
         if disk_id in seen:
             raise ParseError(f"line {number}: duplicate disk id {disk_id!r}")
         seen.add(disk_id)
-        size = reference_scalar(literal)
-        try:
-            disks.append(Disk(disk_id, size))
-        except DomainError as exc:
-            raise ParseError(f"line {number}: {exc}") from exc
+        disks.append(_reference_disk(number, disk_id, literal))
     backend = Backend.EXACT if _REF_RATIONAL.match(rows[0][1][1]) else Backend.FLOAT
     return disks, backend
 
@@ -402,10 +444,7 @@ def reference_parse_placement(text: str) -> Placement:
     disks: list[Disk] = []
     feet = []
     for number, (disk_id, size_lit, foot_lit) in rows:
-        try:
-            disks.append(Disk(disk_id, reference_scalar(size_lit)))
-        except DomainError as exc:
-            raise ParseError(f"line {number}: {exc}") from exc
+        disks.append(_reference_disk(number, disk_id, size_lit))
         feet.append(reference_scalar(foot_lit))
     try:
         return Placement(disks, feet)

@@ -1173,7 +1173,8 @@ class TestEveryPlacementBuildsDisksOnFirstRead:
 
 
 # (file body, exit code, the first line verify prints): the same as when the
-# reader still built one Disk per row
+# reader still built one Disk per row, but that a positive size read as 0.0
+# is named below the float range, as solve --backend float names it
 _READER_CASES = {
     "non-positive size": (
         "a 1/1 0/1\nb 0/1 5/1\n", 2, "error: line 3: disk 'b' has non-positive size 0"
@@ -1183,6 +1184,12 @@ _READER_CASES = {
     ),
     "non-positive float size": (
         "a 1.0 0.0\nb 0.0 5.0\n", 2, "error: line 3: disk 'b' has non-positive size 0.0"
+    ),
+    "positive float size read as 0.0": (
+        "a 1.0 0.0\nb 1e-400 5.0\n", 2, "error: line 3: disk 'b' has a size below the float range"
+    ),
+    "negative float size read as -0.0": (
+        "a 1.0 0.0\nb -1e-400 5.0\n", 2, "error: line 3: disk 'b' has non-positive size -0.0"
     ),
     "float radius out of range": (
         "a 1.0 0.0\nb 1e200 1e300\n", 2,

@@ -441,6 +441,30 @@ def test_nearly_canonical_files_parse_as_the_reference_does(exact, placement, ed
     assert outcomes[1] == "error"
 
 
+@pytest.mark.parametrize("placement", [False, True], ids=["instance", "placement"])
+def test_a_positive_size_read_as_zero_is_below_the_float_range(placement):
+    # a positive decimal whose float underflows to 0.0 is named as too
+    # small for floats, as solve --backend float names a tiny exact size;
+    # a negative or zero literal that reads 0.0 stays non-positive
+    parse = parse_placement if placement else parse_instance
+    reference = reference_parse_placement if placement else reference_parse_instance
+    below = "line 3: disk 'b' has a size below the float range"
+    for literal, message in (
+        ("1e-400", below),
+        ("+.5E-999", below),
+        ("0.00001e-320", below),
+        ("-1e-400", "line 3: disk 'b' has non-positive size -0.0"),
+        ("0e5", "line 3: disk 'b' has non-positive size 0.0"),
+        ("0.000e-400", "line 3: disk 'b' has non-positive size 0.0"),
+        ("1e-200", "line 3: disk 'b' has size 1e-200, whose radius leaves the float range"),
+    ):
+        rows = [["a", "1.0", "0.0"], ["b", literal, "5.0"], ["c", "1e-400", "9.0"]]
+        head = HEADER if placement else "shelfpack-instance v1\n"
+        text = head + "".join(" ".join(row[: 2 + placement]) + "\n" for row in rows)
+        assert _outcome(parse, text) == ("error", message), literal
+        assert _outcome(reference, text) == ("error", message), literal
+
+
 def _inject(rng, rows, kind, exact, placement):
     """Put one fault of ``kind`` into row k of a valid file; None if the
     kind does not apply to this file type and backend."""
@@ -460,6 +484,10 @@ def _inject(rng, rows, kind, exact, placement):
         row[column] = rng.choice(["1e999", "+1E999"] + (["-1e999"] if column == 2 else []))
     elif kind == "non-positive size":
         row[1] = rng.choice(["0/1", "-1/2", "-0/7"] if exact else ["0", "-0.0", "-2.5", "0e5", ".0"])
+    elif kind == "positive size read as 0.0":
+        if exact:
+            return None
+        row[1] = rng.choice(["1e-400", "+2.5E-999", ".5e-330", "0.00001e-320"])
     elif kind == "duplicate id":
         row[0] = rows[other][0]
     elif kind == "wrong arity":
@@ -484,6 +512,7 @@ FAULTS = [
     "zero denominator",
     "1e999",
     "non-positive size",
+    "positive size read as 0.0",
     "duplicate id",
     "wrong arity",
     "mixed literals",

@@ -6,11 +6,13 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import (
+    all_pairs_violation,
     brute_min_span,
     doubling_ratio,
     fresh_lift,
     make_disks,
     naive_compact,
+    naive_staircase,
     random_linear_disks,
     reference_by_size,
     reference_placement,
@@ -23,6 +25,8 @@ from shelfpack.scalars import Backend, coerce, lift
 from shelfpack.geometry import (
     Disk,
     Placement,
+    SpanReport,
+    _compacted,
     _disk_column,
     _wall_gap_overflows,
     best_support_lower_bound,
@@ -732,6 +736,102 @@ class TestVerify:
         for _ in range(5):
             disks = make_disks([rng.uniform(1, 6) for _ in range(6)])
             assert verify(exact_solve(disks)[0], 0).ok
+
+
+def scan_sizes(rng, n, exact):
+    """Sizes k/1000 for three orders: random with a size ratio up to 50,
+    strictly decreasing (every disk stays on the staircase), and a few
+    values repeated (ties)."""
+    ks = [rng.randint(1000, 50000) for _ in range(n)]
+    kind = rng.randrange(3)
+    if kind == 1:
+        ks = sorted(set(ks), reverse=True)
+    elif kind == 2:
+        ks = [rng.choice(ks[:3]) for _ in ks]
+    return [F(k, 1000) if exact else k / 1000 for k in ks]
+
+
+def scan_placements(rng, exact):
+    """Compactions of :func:`scan_sizes` of 1 to 60 disks, most with a few
+    footpoints pulled left towards their predecessor, so that they
+    overlap; the footpoints stay in order."""
+    for _ in range(150):
+        order = make_disks(scan_sizes(rng, rng.randint(1, 60), exact))
+        feet = list(compact(order).footpoints)
+        for _ in range(rng.randint(0, 3) if len(feet) > 1 else 0):
+            k = rng.randrange(1, len(feet))
+            t = F(rng.randint(1, 999), 1000) if exact else rng.randint(1, 999) / 1000
+            feet[k] = feet[k - 1] + (feet[k] - feet[k - 1]) * t
+        yield Placement(order, feet)
+
+
+class TestSeparationScan:
+    """The one scan loop that compaction and ``verify`` share, against
+    checks of every pair."""
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_verify_matches_an_all_pairs_check(self, exact):
+        rng = random.Random(3232)
+        rejected = 0
+        for p in scan_placements(rng, exact):
+            for tolerance in (0,) if exact else (0.0, 1e-3, 0.5):
+                result = verify(p, tolerance)
+                want = all_pairs_violation(p, tolerance)
+                assert result.ok == (want is None)
+                assert result.violation == (None if want is None else tuple(want))
+                assert result.report == span(p)
+                rejected += not result.ok
+        assert rejected >= 100
+
+    def test_a_tolerance_equal_to_the_deficit_is_accepted(self):
+        # one footpoint pulled left overlaps that disk alone; a tolerance of
+        # its deficit accepts it, and one just below rejects the same pair
+        rng = random.Random(3233)
+        tried = 0
+        for _ in range(200):
+            order = make_disks(scan_sizes(rng, rng.randint(2, 60), False))
+            feet = list(compact(order).footpoints)
+            if len(feet) < 2:
+                continue
+            k = rng.randrange(1, len(feet))
+            feet[k] -= (feet[k] - feet[k - 1]) * rng.randint(1, 200) / 1000
+            p = Placement(order, feet)
+            want = all_pairs_violation(p, 0.0)
+            if want is None:  # disk k was held off by its own radius
+                continue
+            left, right, deficit = want
+            assert want == verify(p, 0.0).violation
+            assert verify(p, deficit).ok
+            below = deficit - 4 * math.ulp(feet[k] + deficit)
+            assert verify(p, below).violation[:2] == (left, right)
+            tried += 1
+        assert tried >= 100
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_tied_walls_name_the_smallest_id(self, exact):
+        # x and c share the left wall, c and a the right one: c (size 3)
+        # reaches 9 from its footpoint, the unit disks 1 from theirs
+        one = F(1) if exact else 1.0
+        p = Placement(
+            [Disk("x", one), Disk("c", 3 * one), Disk("a", one)], [-8 * one, 0 * one, 8 * one]
+        )
+        for placement in (p, parse_placement(format_placement(p))):
+            result = verify(placement, 0)
+            assert result.ok and result.violation is None
+            assert result.report == SpanReport(-9 * one, 9 * one, 18 * one, "c", "a")
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_compacted_is_the_naive_maximum(self, exact):
+        # bit for bit on floats, and on the integers S over D that exact
+        # sizes lift to
+        rng = random.Random(3234)
+        for _ in range(300):
+            sizes = scan_sizes(rng, rng.randint(1, 60), exact)
+            if exact:
+                sizes = lift(sizes).sizes
+            got, want = _compacted(sizes), naive_staircase(sizes)
+            assert list(map(type, got)) == list(map(type, want))
+            assert list(map(repr, got)) == list(map(repr, want))
 
 
 class TestSupportLowerBound:

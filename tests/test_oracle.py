@@ -2,13 +2,14 @@ import hashlib
 import random
 from fractions import Fraction as F
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
 from helpers import brute_min_span, make_disks, random_linear_disks
 from shelfpack import geometry
 from shelfpack.errors import DomainError, PreconditionError
-from shelfpack.files import format_placement
+from shelfpack.files import format_placement, read_instance
 from shelfpack.geometry import by_size, compact, span, verify
 from shelfpack.greedy import greedy_solve
 from shelfpack.linear import _linear_prefix, is_linear_case, solve_linear
@@ -35,6 +36,25 @@ class TestFixedInstances:
     def test_hiding_beats_any_chain(self):
         _, report = exact_solve(make_disks([F(10), F(9), F(8), F(6), F(4)]))
         assert report.span == 533
+
+
+# The worst greedy spans over the optimum found so far, by hill-climbing
+# exact sizes k/1000 at n = 7: greedy span, optimum span and their ratio.
+# The paper proves 4/3; both lie just below 2/sqrt(3) = 1.15470.
+WORST_GREEDY = {
+    "greedy_worst_a.instance": ("954725933/1000000", "827159583/1000000", F(954725933, 827159583)),
+    "greedy_worst_b.instance": ("1057765063/1000000", "916117799/1000000", F(1057765063, 916117799)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORST_GREEDY))
+def test_worst_known_greedy_ratios(name):
+    disks, _ = read_instance(Path(__file__).parent / "data" / name)
+    greedy, optimum = span(greedy_solve(disks).placement).span, exact_solve(disks)[1].span
+    recorded_greedy, recorded_optimum, recorded_ratio = WORST_GREEDY[name]
+    assert (greedy, optimum) == (F(recorded_greedy), F(recorded_optimum))
+    assert greedy / optimum == recorded_ratio <= F(4, 3)
+    assert 3 * recorded_ratio**2 < 4  # below 2/sqrt(3)
 
 
 class TestAgainstEnumeration:
