@@ -150,7 +150,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if mode == "exact":  # only --mode exact loads the oracle
         max_n = _cli.OracleConfig(max_n=args.max_n).max_n  # checked on every exact call
     # one sort and one lift for the dispatch and every solver
-    order, sizes, back = by_size(disks, "solve requires at least one disk")
+    order, sizes, back, ranks = by_size(disks, "solve requires at least one disk")
     linear = mode != "greedy" and _cli._linear(sizes)
     if mode == "linear" and not linear:
         raise PreconditionError("not a linear-case instance")
@@ -159,7 +159,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if mode == "linear":
         placement, extent = _compact_columns(order, sizes, back, _cli._linear_order(sizes))
     elif mode == "exact":
-        hidden = _cli._hidden(order, sizes, back)  # proved without the DP
+        hidden = _cli._hidden(order, sizes, back, ranks)  # proved without the DP
         if hidden:
             mode = "hidden"
             placement, extent = hidden
@@ -168,7 +168,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             placement, extent = _cli._subset_dp(order, sizes, back)
     else:  # greedy, forced or as auto's fallback
         mode = "greedy"
-        placement, extent, _ = _cli._greedy(order, sizes, back)
+        placement, extent, _ = _cli._greedy(order, sizes, back, ranks)
 
     span = back(extent)
     # lifts the sizes again, sorted already; bench/spans.py times the

@@ -143,14 +143,16 @@ class Placement(_Frozen):
     offender is named in footpoint order.
 
     A placement is its id column and one :class:`Lift` of its columns (see
-    :func:`~shelfpack.scalars.lift`), kept outside equality, hash and repr:
-    the order checks run on the lift, as integers for exact data, and
-    :func:`span`, :func:`verify`, the file writer, the SVG and
-    ``decode_partition`` read the ids and the lift.  The solvers and the
-    file reader hand their own id column and lift to :func:`_placement`,
-    which runs the same checks (:func:`_placed`).  ``disks`` and
-    ``footpoints`` are built from the ids and the lift when first read, so
-    the disks read back as plain :class:`Disk` objects, whatever went in.
+    :func:`~shelfpack.scalars.lift`), on which equality, hash and repr do
+    not depend: equality compares two lifts of one scale (the same c and
+    Q) column by column, and any others by value.  The order checks run on
+    the lift, as integers for exact data, and :func:`span`,
+    :func:`verify`, the file writer, the SVG and ``decode_partition`` read
+    the ids and the lift.  The solvers and the file reader hand their own
+    id column and lift to :func:`_placement`, which runs the same checks
+    (:func:`_placed`).  ``disks`` and ``footpoints`` are built from the ids
+    and the lift when first read, so the disks read back as plain
+    :class:`Disk` objects, whatever went in.
     """
 
     __slots__ = ("disks", "footpoints", "_lift", "_ids")
@@ -194,9 +196,13 @@ class Placement(_Frozen):
         return value
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.disks, self.footpoints) == (other.disks, other.footpoints)
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self._lift, other._lift
+        if mine.c == theirs.c and _over(mine.back) == _over(theirs.back):
+            # one scale: the lifted columns compare as their values do
+            return (self._ids, mine.sizes, mine.feet) == (other._ids, theirs.sizes, theirs.feet)
+        return (self.disks, self.footpoints) == (other.disks, other.footpoints)
 
     def __hash__(self) -> int:
         return hash((self.disks, self.footpoints))
@@ -346,13 +352,15 @@ def _lifted_sizes(disks: Iterable[Disk], empty_message: str) -> Lift:
 def by_size(disks: Iterable[Disk], empty_message: str) -> tuple:
     """The solvers' front end: the disks and their sizes as
     :func:`_lifted_sizes` checks and lifts them, by decreasing size, ties
-    by id, and the map ``back``.  Exact sizes sort as integers over D."""
-    items = list(disks)
+    by id, the map ``back``, and each disk's rank in id order, by which
+    the greedy breaks ties between gaps.  Exact sizes sort as integers
+    over D."""
+    # two stable sorts, the disks by id and then their id ranks by size;
+    # reverse keeps ties in id order
+    items = sorted(disks, key=attrgetter("id"))
     sizes, _, _, back = _lifted_sizes(items, empty_message)
-    # two stable sorts, by id and then by size; reverse keeps ties in order
-    rank = sorted(range(len(items)), key=[d.id for d in items].__getitem__)
-    rank.sort(key=sizes.__getitem__, reverse=True)
-    return [items[i] for i in rank], [sizes[i] for i in rank], back
+    ranks = sorted(range(len(items)), key=sizes.__getitem__, reverse=True)
+    return list(map(items.__getitem__, ranks)), list(map(sizes.__getitem__, ranks)), back, ranks
 
 
 def compact(order: Iterable[Disk]) -> Placement:
@@ -418,7 +426,9 @@ def verify(placement: Placement, tolerance: Scalar) -> VerificationResult:
 
     The exact backend requires tolerance exactly 0.  A float placement
     takes any tolerance as a float; one beyond the float range is a
-    :class:`DomainError`.  Disk k is overlapped when compaction's scan,
+    :class:`DomainError`, and so is a float placement whose span leaves
+    the float range, as every deficit is then within it.  Disk k is
+    overlapped when compaction's scan,
     :func:`_staircase`, started at x_k + tolerance, finds an earlier disk
     j with x_j + 2 s_j s_k beyond it, so float compactions pass at
     tolerance 0; the span report, a pass of its own, comes either way.  A
@@ -440,6 +450,8 @@ def verify(placement: Placement, tolerance: Scalar) -> VerificationResult:
     ids = placement._ids
     sizes, feet, c, back = placement._lift
     report = _span(ids, sizes, feet, c, back)
+    if not exact and report.span == math.inf:
+        raise DomainError("the span of this placement leaves the float range")
     found = _staircase(sizes, feet, 2 * c, tolerance)
     if found is None:
         return VerificationResult(True, report, None)

@@ -3,7 +3,10 @@
 Disks are placed in decreasing size order.  Each disk goes into the widest
 gap that can hold it; if no gap fits, it extends an end, preferring an end
 placement that does not grow the span.  A priority queue keyed by gap fit
-size keeps the whole run in O(n log n).
+size keeps the whole run in O(n log n): a heap of one number per gap,
+with the left disk's id rank folded into exact keys and bit-for-bit float
+ties settled by id in a small side heap.  A gap too narrow for the
+smallest disk is never pushed.
 
 The input is checked, lifted and sorted once by the solvers' shared front
 end, :func:`~shelfpack.geometry.by_size`.  The loop then runs on plain
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 from math import inf, nextafter
-from operator import floordiv, truediv
 from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import Disk, Placement, _placement, by_size, prefix_support_bound
@@ -49,7 +51,9 @@ class Certificate(NamedTuple):
 class GreedyResult(NamedTuple):
     placement: Placement
     certificate: Certificate
-    queue_ops: int  # heap pushes plus pops: 3 per gap placement, 1 per end placement
+    # the paper's queue operations, pushes plus pops: 3 per gap placement,
+    # 1 per end placement; the heap makes fewer, as it skips narrow gaps
+    queue_ops: int
 
 
 def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
@@ -66,23 +70,26 @@ def greedy_solve(disks: Iterable[Disk]) -> GreedyResult:
     4. Otherwise extend at the left if its end disk is strictly larger
        than the right one, else at the right.
 
-    Gaps are ranked by (-fit, left id, left index, right index), where a
-    gap between sizes a and b with footpoints g apart has fit g / (2(a+b)).
+    The widest gap is the one of largest fit, ties going to the gap whose
+    left disk has the smallest id, where a gap between sizes a and b with
+    footpoints g apart has fit g / (2(a+b)).
     """
-    order, sizes, back = by_size(disks, "greedy_solve requires at least one disk")
-    placement, extent, in_gaps = _greedy(order, sizes, back)
+    order, sizes, back, ranks = by_size(disks, "greedy_solve requires at least one disk")
+    placement, extent, in_gaps = _greedy(order, sizes, back, ranks)
     extent = back(extent)
     lower_bound = back(prefix_support_bound(sizes))
     certificate = Certificate(extent, lower_bound, extent / lower_bound)
-    # a gap placement pops one entry and pushes two, an end placement pushes one
+    # in the paper's queue a gap placement pops one entry and pushes two,
+    # and an end placement pushes one
     ops = len(sizes) - 1 + 2 * in_gaps
     return GreedyResult(placement, certificate, ops)
 
 
-def _greedy(order: list, sizes: list, back, chain: Sequence[int] = (0,), feet=None) -> tuple:
+def _greedy(order: list, sizes: list, back, ranks, chain: Sequence[int] = (0,), feet=None) -> tuple:
     """The greedy's loop on :func:`~shelfpack.geometry.by_size`'s columns,
     started from the largest disk alone at 0 or from a placed chain.
 
+    ``ranks`` are the disks' ranks in id order, as ``by_size`` gives them.
     ``chain`` holds indices 0 to m - 1 of the columns in footpoint order,
     at the increasing footpoints ``feet`` (lifted, as the loop's own), and
     every neighbour pair in it a gap; disks m to n - 1 are then placed by
@@ -91,18 +98,27 @@ def _greedy(order: list, sizes: list, back, chain: Sequence[int] = (0,), feet=No
     """
     if feet is None:
         feet = [sizes[0] * 0]
-    exact = not isinstance(sizes[0], float)
-    # Exact sizes are integers over their common denominator D, so
-    # footpoints and walls are integers over D**2.  An exact fit g/w is
-    # keyed by the integer floor(g * unit / w).  Two different fits g/w and
-    # g'/w' differ by at least 1/(w w'), and every w = 2(a+b) is at most
-    # 4 max(size), so with unit at least (4 max(size))**2 the keys differ
-    # too: they order fits exactly as the fits themselves, and
-    # floor(g * unit / w) >= d * unit exactly when g/w >= d.
-    unit = 1 << 2 * (4 * max(sizes)).bit_length() if exact else 1
-    div = floordiv if exact else truediv
     ids = [d.id for d in order]
     n = len(sizes)
+    exact = not isinstance(sizes[0], float)
+    # A gap's key orders it in the heap: the negated fit itself for floats.
+    # Exact sizes are integers over their common denominator D, so
+    # footpoints and walls are integers over D**2, and a gap g apart of
+    # width w = 2(a+b) has fit g/w.  Two different fits g/w and g'/w'
+    # differ by at least 1/(w w'), and every w is at most 4 max(size), so
+    # with unit above 2n (4 max(size))**2 the floors of g * unit / w of
+    # different fits lie more than n apart.  The key is the left disk's id
+    # rank, below n, minus that floor: it orders gaps by fit and then by
+    # left id, and no two gaps share one.  The floor is at least d * unit
+    # exactly when g/w >= d, which is when the key is at most
+    # bias - d * unit, with bias = n - 1.
+    unit, bias = 1, 0
+    if exact:
+        unit = 1 << 2 * (4 * sizes[0]).bit_length() + (2 * n).bit_length()
+        bias = n - 1
+    # a gap whose key is above the cutoff fits no disk, the smallest
+    # included, so it is never pushed
+    cutoff = bias - sizes[-1] * unit
     foot: list = [feet[0]] * n
     right_nb = [-1] * n  # the right neighbour of each placed disk, or -1
     for k, x in zip(chain, feet):
@@ -110,25 +126,48 @@ def _greedy(order: list, sizes: list, back, chain: Sequence[int] = (0,), feet=No
     head, tail = chain[0], chain[-1]
     left_wall = min(foot[k] - sizes[k] * sizes[k] for k in chain)
     right_wall = max(foot[k] + sizes[k] * sizes[k] for k in chain)
-    # Heap entries: (-fit, left id, left index, right index); -fit is the
-    # float itself or the negated exact key.  Only the top gap is ever
-    # split, and it is split when it is taken, so every entry is a pair of
-    # neighbours: there are no stale entries to skip.
-    heap: list[tuple] = []
+    # The heap holds one key per pushed gap, and ``where`` maps each key to
+    # its gap's left index; the right one is right_nb[left].  Float keys
+    # that tie bit for bit map to -1 instead, and their gaps wait in
+    # ``tied`` as (key, left id rank, left index), so the smallest left id
+    # goes first.  Only the top gap is ever split, and it is split when it
+    # is taken, so every key is a gap between neighbours: none is stale.
+    heap: list = []
+    where: dict = {}
+    tied: list[tuple] = []
+    push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
+
+    def tie(key, li: int) -> None:
+        # the gap at li ties with the gap or gaps ``key`` maps to
+        old = where[key]
+        if old >= 0:
+            where[key] = -1
+            push(tied, (key, ranks[old], old))
+        push(tied, (key, ranks[li], li))
+
     for li, ri in zip(chain, chain[1:]):
         right_nb[li] = ri
         gap, width = foot[ri] - foot[li], 2 * (sizes[li] + sizes[ri])
-        heap.append((-div(gap * unit, width), ids[li], li, ri))
+        key = ranks[li] - gap * unit // width if exact else -gap / width
+        if key <= cutoff:
+            if where.setdefault(key, li) != li:
+                tie(key, li)
+            heap.append(key)
     heapq.heapify(heap)
-    push, replace = heapq.heappush, heapq.heapreplace
     in_gaps = 0
 
     for k in range(len(chain), n):
         d = sizes[k]
-        if heap and -heap[0][0] >= d * unit:
-            # the widest gap fits: its entry becomes its left half, and the
-            # right half is pushed
-            _, _, li, ri = heap[0]
+        if heap and heap[0] <= bias - d * unit:
+            # the widest gap fits: its key gives way to its left half's, and
+            # its right half's is pushed, each if the smallest disk fits it
+            key = heap[0]
+            li = where.pop(key)
+            if li < 0:
+                li = pop(tied)[2]
+                if tied and tied[0][0] == key:
+                    where[key] = -1
+            ri = right_nb[li]
             x = foot[li] + 2 * sizes[li] * d
             if sizes[li] > sizes[ri]:
                 w = 2 * sizes[ri] * d
@@ -140,9 +179,19 @@ def _greedy(order: list, sizes: list, back, chain: Sequence[int] = (0,), feet=No
             right_nb[k] = ri
             right_nb[li] = k
             gap, width = x - foot[li], 2 * (sizes[li] + d)
-            replace(heap, (-div(gap * unit, width), ids[li], li, k))
+            key = ranks[li] - gap * unit // width if exact else -gap / width
+            if key <= cutoff:
+                if where.setdefault(key, li) != li:
+                    tie(key, li)
+                replace(heap, key)
+            else:
+                pop(heap)
             gap, width = foot[ri] - x, 2 * (d + sizes[ri])
-            push(heap, (-div(gap * unit, width), ids[k], k, ri))
+            key = ranks[k] - gap * unit // width if exact else -gap / width
+            if key <= cutoff:
+                if where.setdefault(key, k) != k:
+                    tie(key, k)
+                push(heap, key)
             in_gaps += 1
             # The disk is no larger than either neighbour and sits between
             # their footpoints, so it stays inside the walls: only end
@@ -170,7 +219,11 @@ def _greedy(order: list, sizes: list, back, chain: Sequence[int] = (0,), feet=No
             if not fits_right:
                 right_wall = x + d * d
         gap, width = foot[ri] - foot[li], 2 * (sizes[li] + sizes[ri])
-        push(heap, (-div(gap * unit, width), ids[li], li, ri))
+        key = ranks[li] - gap * unit // width if exact else -gap / width
+        if key <= cutoff:
+            if where.setdefault(key, li) != li:
+                tie(key, li)
+            push(heap, key)
 
     # the links run left to right, so the columns go out in footpoint order
     # and the placement need not sort them

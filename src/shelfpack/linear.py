@@ -98,7 +98,7 @@ def solve_linear(disks: Iterable[Disk]) -> tuple[Placement, SpanReport]:
     (m**2 + 2 m a + b**2) - (a**2 + 2 b m + m**2) = (a - b)(2m - a - b).
     m goes first iff that is negative; ties keep it on the right.
     """
-    order, sizes, back = by_size(disks, _EMPTY)
+    order, sizes, back, _ = by_size(disks, _EMPTY)
     if not _linear(sizes):  # tested on the sizes by_size lifted
         raise PreconditionError("not a linear-case instance")
     placement, _ = _compact_columns(order, sizes, back, _linear_order(sizes))

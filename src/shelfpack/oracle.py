@@ -58,7 +58,7 @@ def hidden_in_linear_prefix(disks: Iterable[Disk]) -> Optional[tuple[Placement, 
     return found[0], span(found[0])
 
 
-def _hidden(order: list, sizes: list, back) -> Optional[tuple]:
+def _hidden(order: list, sizes: list, back, ranks: list) -> Optional[tuple]:
     """:func:`hidden_in_linear_prefix` on the columns of
     :func:`~shelfpack.geometry.by_size`: the placement and its span,
     lifted, or None."""
@@ -67,7 +67,7 @@ def _hidden(order: list, sizes: list, back) -> Optional[tuple]:
     chain = _linear_order(sizes[: _linear_prefix(sizes)])
     feet = _compacted([sizes[k] for k in chain])
     bound = max(x + sizes[k] * sizes[k] for k, x in zip(chain, feet))  # the left wall is 0
-    placement, extent, _ = _greedy(order, sizes, back, chain, feet)
+    placement, extent, _ = _greedy(order, sizes, back, ranks, chain, feet)
     return (placement, extent) if extent == bound else None
 
 
@@ -106,7 +106,8 @@ def exact_solve(
     cfg = config or OracleConfig()
     items = list(disks)
     _check_cap(len(items), cfg.max_n)
-    placement, _ = _subset_dp(*by_size(items, "exact_solve requires at least one disk"))
+    order, sizes, back, _ = by_size(items, "exact_solve requires at least one disk")
+    placement, _ = _subset_dp(order, sizes, back)
     return placement, span(placement)
 
 

@@ -81,14 +81,16 @@ def gap_fit_size(a, b, footpoint_gap):
 
 def reference_by_size(disks: Iterable[Disk], empty_message: str) -> tuple:
     """``geometry.by_size`` the plain way: sort the disks on their unlifted
-    sizes by (-size, id), then lift the sorted sizes."""
+    sizes by (-size, id), then lift the sorted sizes; each disk's id rank
+    is its index among the sorted ids."""
     order = sorted(disks, key=lambda d: (-d.size, d.id))
     if not order:
         raise DomainError(empty_message)
     sizes = [d.size for d in order]
     unified_backend(sizes)
     sizes, _, _, back = lift(sizes)
-    return order, sizes, back
+    ids = sorted(d.id for d in order)
+    return order, sizes, back, [ids.index(d.id) for d in order]
 
 
 def reference_placement(disks: Sequence[Disk], feet: Sequence) -> tuple[tuple, tuple]:

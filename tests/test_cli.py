@@ -1080,6 +1080,15 @@ class TestReadPlacementsBuildNoDisks:
             assert len({id(d.size) for d in sizes}) == len({d.size for d in sizes})
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_equality_on_one_scale_leaves_disks_unbuilt(self, tmp_path, exact):
+        text = self.placement_file(tmp_path, exact).read_text()
+        p, q, source = (files.parse_placement(text) for _ in range(3))
+        renamed = files.parse_placement(text.replace("\nd7 ", "\nx7 "))
+        shifted = geometry.Placement(source.disks, [x + 1 for x in source.footpoints])
+        assert p == q and p != renamed and p != shifted and shifted != p
+        assert not any(map(_disks_built, (p, q, renamed)))
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     def test_cli_verify_render_and_writer_leave_disks_unbuilt(
         self, tmp_path, monkeypatch, capsys, exact
     ):
@@ -1209,6 +1218,16 @@ _READER_CASES = {
         "error: not a valid placement: disk 'b' has footpoint inf",
     ),
     "unsorted rows": ("a 1/1 5/1\nb 1/1 0/1\n", 0, "span: 7 (exact)"),
+    # the walls are finite, the span is not; and one where a wall and the
+    # deficit are not either
+    "span beyond the float range": (
+        "a 1e100 -1e308\nb 1e100 1e308\n", 3,
+        "error: the span of this placement leaves the float range",
+    ),
+    "wall beyond the float range": (
+        "a 1e154 0.0\nb 1e154 1e308\n", 3,
+        "error: the span of this placement leaves the float range",
+    ),
     "non-reduced literals": ("a 2/4 0/1\nb 2/4 6/4\n", 0, "span: 2 (exact)"),
     # footpoint denominators 101, 103 and 107 make Q pass its bound: the
     # columns stay Fractions
@@ -1224,7 +1243,7 @@ def test_reader_errors_and_exit_codes(tmp_path, capsys, case):
     path = write(tmp_path / "case.placement", "shelfpack-placement v1\n" + body)
     assert main(["verify", path]) == code
     captured = capsys.readouterr()
-    assert (captured.err if code == 2 else captured.out).splitlines()[0] == first
+    assert (captured.err if code in (2, 3) else captured.out).splitlines()[0] == first
     if code == 0:
         placement = read_placement(path)
         assert not _disks_built(placement)

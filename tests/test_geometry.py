@@ -2,6 +2,7 @@ import math
 import random
 import sys
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
@@ -21,7 +22,7 @@ from helpers import (
 )
 from shelfpack import files, geometry, linear, oracle
 from shelfpack.errors import BackendMismatchError, DomainError
-from shelfpack.scalars import Backend, coerce, lift
+from shelfpack.scalars import Backend, Lift, coerce, lift
 from shelfpack.geometry import (
     Disk,
     Placement,
@@ -352,9 +353,13 @@ class TestKeptLift:
     def test_equality_hash_and_repr_ignore_the_kept_lift(self):
         disks = make_disks([F(1), F(2), F(1, 2)])
         p = Placement(disks, [F(9), F(1), F(4)])
-        q = with_lift(Placement(disks[::-1], [F(4), F(1), F(9)]), ("other",))
-        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
-        assert "_lift" not in repr(p) and "other" not in repr(q)
+        # the same values kept over Q = 3 D**2 instead of D**2: the lifted
+        # columns differ, and equality compares the values
+        sizes, feet, c, _ = p._lift
+        other = Lift(sizes, [3 * x for x in feet], 3 * c, partial(F, denominator=3 * 4))
+        q = with_lift(Placement(disks[::-1], [F(4), F(1), F(9)]), other)
+        assert p == q and q == p and hash(p) == hash(q) and repr(p) == repr(q)
+        assert "_lift" not in repr(p) and "denominator" not in repr(q)
         assert p != Placement(disks, [F(9), F(1), F(5)])
 
     def test_replace_checks_and_lifts_again(self):
@@ -925,9 +930,9 @@ class TestBySize:
         rng = random.Random(83)
         for _ in range(40):
             disks = tied_disks(rng, self.SPREAD, rng.randint(1, 60), exact)
-            order, sizes, back = by_size(disks, "test")
-            ref_order, ref_sizes, ref_back = reference_by_size(disks, "test")
-            assert order == ref_order and sizes == ref_sizes
+            order, sizes, back, ranks = by_size(disks, "test")
+            ref_order, ref_sizes, ref_back, ref_ranks = reference_by_size(disks, "test")
+            assert order == ref_order and sizes == ref_sizes and ranks == ref_ranks
             assert back(sizes[0] * sizes[0]) == order[0].radius
             assert all(isinstance(s, int if exact else float) for s in sizes)
 

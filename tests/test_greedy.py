@@ -191,8 +191,8 @@ class TestAgainstNaiveGreedy:
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_tie_heavy(self, exact):
-        # few distinct sizes in long runs, so gaps tie on fit and the
-        # (left id, left index, right index) order decides
+        # few distinct sizes in long runs, so gaps tie on fit and the left
+        # id decides
         rng = random.Random(59)
         for _ in range(60):
             dens = (1, 2, 3, 7)
@@ -203,6 +203,20 @@ class TestAgainstNaiveGreedy:
             self.assert_same(disks, exact)
         self.assert_same(make_disks([F(1)] * 200), exact)
         self.assert_same(make_disks([F(4)] * 3 + [F(2)] * 40 + [F(1)] * 90), exact)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_ties_between_left_disks_of_different_sizes(self, exact):
+        # Powers of two keep float footpoints exact, so the gaps of tangent
+        # pairs (a, b) and (b, a) tie bit for bit.  Ids rise with size: of
+        # two tied gaps whose left disks differ in size, the smaller left
+        # disk comes later in index order but has the smaller id, and its
+        # gap must go first.
+        rng = random.Random(61)
+        for _ in range(60):
+            sizes = sorted(F(2) ** rng.randint(-3, 2) for _ in range(rng.randint(3, 80)))
+            disks = [Disk(f"d{i:02d}", s) for i, s in enumerate(sizes)]
+            rng.shuffle(disks)
+            self.assert_same(disks, exact)
 
     def test_fits_closer_than_float_precision(self):
         # z, then y on its right, then c on its left: the gaps (c, z) and

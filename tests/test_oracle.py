@@ -319,7 +319,7 @@ class TestHiddenInLinearPrefix:
     def test_one_scan_finds_the_longest_linear_prefix(self):
         for disks in self.instances(103, 3):
             for column in (disks, make_disks([float(d.size) for d in disks])):
-                _, sizes, _ = by_size(column, "empty")
+                _, sizes, _, _ = by_size(column, "empty")
                 assert _linear_prefix(sizes) == len(self.longest_linear_prefix(column))
 
     def test_floats_never_certify(self):
