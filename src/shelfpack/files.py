@@ -213,8 +213,12 @@ def format_sidecar(hi: HardnessInstance) -> str:
         "bound": hi.source.bound,
         "elements": list(hi.source.elements),
         "budget": format_scalar(hi.budget),
-        "roles": {disk_id: role.value for disk_id, role in sorted(hi.roles.items())},
-        "element_index": dict(sorted(hi.element_index.items())),
+        # the encoder sorts the keys.  ``_value_`` is the attribute behind a
+        # role's ``value`` property; the property, or a map from role to
+        # value (an Enum hashes by a Python call), costs three to four
+        # times as much per disk
+        "roles": {disk_id: role._value_ for disk_id, role in hi.roles.items()},
+        "element_index": dict(hi.element_index),
     }
     # the bytes of json.dumps(payload, indent=2, sort_keys=True) + "\n", from
     # the C encoder, which json uses only without ``indent``: each value is

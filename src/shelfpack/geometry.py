@@ -17,7 +17,17 @@ from operator import add, attrgetter, lt, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import DomainError
-from .scalars import Backend, Lift, Scalar, _over, coerce, lift, unified_backend
+from .scalars import (
+    Backend,
+    Lift,
+    Scalar,
+    _fractions,
+    _numerators,
+    _over,
+    coerce,
+    lift,
+    unified_backend,
+)
 
 
 # A float size must have a radius size*size that is a normal float: an
@@ -108,7 +118,7 @@ def _valid_column(ids: list, sizes: Sequence, exact: type = Fraction, tokens: bo
     if len(sizes) != len(ids) or kinds not in ({exact}, {float}):
         return False
     if kinds == {exact}:
-        return min(map(attrgetter("numerator"), sizes)) > 0
+        return min(sizes if exact is int else _numerators(sizes)) > 0
     # x*x is monotone for x > 0, so the extremes bound every radius
     low, high = min(sizes), max(sizes)
     return (
@@ -184,12 +194,17 @@ class Placement(_Frozen):
             sizes, _, c, back = self._lift
             q = _over(back)
             if q is not None:  # one Fraction S/D per distinct integer S over D
-                d = math.isqrt(q // c)
-                size_of = {s: Fraction(s, d) for s in set(sizes)}
+                distinct = list(set(sizes))
+                over = [math.isqrt(q // c)] * len(distinct)
+                size_of = dict(zip(distinct, _fractions(distinct, over)))
                 sizes = list(map(size_of.__getitem__, sizes))
             value = tuple(_disk_column(self._ids, sizes, True))  # checked on entry
         elif name == "footpoints":
-            value = tuple(map(self._lift.back, self._lift.feet))
+            feet, q = self._lift.feet, _over(self._lift.back)
+            if q is None:
+                value = tuple(map(self._lift.back, feet))
+            else:
+                value = tuple(_fractions(feet, [q] * len(feet)))
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         object.__setattr__(self, name, value)

@@ -21,8 +21,11 @@ reduced inside the loop and no footpoint moves.  The id column and a
 :class:`~shelfpack.scalars.Lift` of the loop's sizes and footpoints go out
 in footpoint order, by the neighbour links, as one :class:`Placement`,
 which rejects duplicate ids, coinciding footpoints and float footpoints
-that overflowed.  The certificate comes from the loop as well: the span from
-the walls it tracks, the lower bound from one prefix pass over the sizes.
+that overflowed.  Only an end placement moves a wall, so only there can
+a float span leave the float range: the loop then stops with a
+:class:`~shelfpack.errors.DomainError` naming that disk.  The
+certificate comes from the loop as well: the span from the walls it
+tracks, the lower bound from one prefix pass over the sizes.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import heapq
 from math import inf, nextafter
 from typing import Iterable, NamedTuple, Sequence
 
+from .errors import DomainError
 from .geometry import Disk, Placement, _placement, by_size, prefix_support_bound
 from .scalars import Lift, Scalar
 
@@ -218,6 +222,10 @@ def _greedy(order: list, sizes: list, back, ranks, chain: Sequence[int] = (0,), 
             tail = k
             if not fits_right:
                 right_wall = x + d * d
+        # a wall moved only if neither end kept it; only then can the span,
+        # with it the footpoint, have left the float range
+        if not (fits_left or fits_right) and right_wall - left_wall == inf:
+            raise DomainError(f"placing disk {ids[k]!r} takes the span beyond the float range")
         gap, width = foot[ri] - foot[li], 2 * (sizes[li] + sizes[ri])
         key = ranks[li] - gap * unit // width if exact else -gap / width
         if key <= cutoff:

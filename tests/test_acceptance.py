@@ -102,7 +102,7 @@ def test_criterion_2_reduction_round_trip():
 
 
 def test_criterion_3_linear_case_optimality():
-    with criterion(3, "linear solver matches the oracle on 200 random instances"):
+    with criterion(3, "linear solver matches the oracle on 750 random instances"):
         start = time.perf_counter()
         rng = random.Random(303)
         for _ in range(200):
@@ -116,6 +116,32 @@ def test_criterion_3_linear_case_optimality():
             _, lin = solve_linear(disks)
             _, orc = exact_solve(disks)
             assert abs(lin.span - orc.span) <= 1e-9 * orc.span
+
+        # sizes k/1000 within a factor 2 of a smallest k/1000 log-uniform
+        # on [1, 1000], exact and as the same sizes in floats; and exact
+        # sizes on the paper's boundary a*b = z*(a + b): the largest a, a
+        # second largest b with the wall gap overflowed (b/a > 1/sqrt(2)),
+        # the smallest z = ab/(a + b), and the others in between
+        cases = []
+        for _ in range(200):
+            low = round(1000 * 1000 ** rng.random())
+            ks = [rng.randint(low, 2 * low) for _ in range(rng.randint(2, 8))]
+            cases += [[F(k, 1000) for k in ks], [k / 1000 for k in ks]]
+        for _ in range(150):
+            a = F(rng.randint(100, 100000), rng.randint(1, 1000))
+            b = a * F(rng.randint(7072, 10000), 10000)
+            z = a * b / (a + b)
+            middle = [z + (b - z) * F(rng.randint(0, 100), 100) for _ in range(rng.randint(0, 5))]
+            cases.append([a, b, z, *middle])
+        for sizes in cases:
+            disks = make_disks(sizes)
+            assert is_linear_case(disks), sizes
+            _, lin = solve_linear(disks)
+            _, orc = exact_solve(disks)
+            if isinstance(sizes[0], float):
+                assert abs(lin.span - orc.span) <= 1e-9 * orc.span
+            else:
+                assert lin.span == orc.span
 
         # fixed case, exact backend
         fixed = make_disks([F(10), F(9), F(8), F(7)])

@@ -157,6 +157,19 @@ class TestSolve:
         assert "disk 'd2' has a size beyond the float range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["auto", "greedy"])
+    def test_greedy_span_beyond_the_float_range_exits_3(self, tmp_path, capsys, mode):
+        # d3, the second disk placed, would sit 2 * 1e154 * 1e154 = inf right
+        # of d0; the greedy stops there and names it
+        rows = "".join(f"d{i} {1e154 / (1 + i % 3)!r}\n" for i in range(9))
+        path = write(tmp_path / "wide.instance", "shelfpack-instance v1\n" + rows)
+        out = tmp_path / "f.placement"
+        assert main(["solve", path, "--mode", mode, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: placing disk 'd3' takes the span beyond the float range\n"
+        )
+        assert not out.exists()
+
     def test_float_backend_below_the_float_range_exits_3(self, tmp_path, capsys):
         # the float of a positive size rounds to 0.0: not a non-positive size
         path = write(
@@ -969,9 +982,10 @@ class TestParserReuse:
 
 class TestExactPlacementsStayIntegers:
     """An exact placement goes from file to file as integers: a solve
-    builds ``Fraction``s for the distinct sizes and a few results, never
-    one per footpoint; a verify builds only its few result ``Fraction``s
-    and lifts the read placement once."""
+    calls ``Fraction.__new__`` only for a few results, never once per
+    footpoint, nor once per distinct size, whose values the reader sets
+    in the slots; a verify builds only its few result ``Fraction``s and
+    lifts the read placement once."""
 
     N = 1000
 
@@ -1024,7 +1038,8 @@ class TestExactPlacementsStayIntegers:
         made = self.count_fractions(monkeypatch)
         assert main(["solve", str(path), "--out", str(out)]) == 0
         assert "method: greedy" in capsys.readouterr().out
-        assert distinct < len(made) <= distinct + 20, len(made)
+        # the span, the bound and the ratio
+        assert len(made) <= 20 < distinct, made
         monkeypatch.undo()
         assert files.read_placement(out) == greedy_solve(files.read_instance(path)[0]).placement
 

@@ -290,6 +290,23 @@ class TestInputBoundary:
         with pytest.raises(BackendMismatchError):
             solver([Disk("a", 2.0), Disk("b", F(1)), Disk("c", F(1, 2))])
 
+    @pytest.mark.parametrize(
+        "sizes, named",
+        [
+            # sorted d0, d3, d6, d1, ...: d3, the second disk placed, would
+            # sit 2 * 1e154 * 1e154 = inf right of d0
+            ([1e154 / (1 + i % 3) for i in range(9)], "d3"),
+            # d1 lands at a finite footpoint with a finite right wall, but
+            # the span from the left wall overflows
+            ([7.7e153, 7.7e153, 1.0], "d1"),
+        ],
+    )
+    def test_greedy_stops_at_the_disk_whose_span_overflows(self, sizes, named):
+        disks = [Disk(f"d{i}", size) for i, size in enumerate(sizes)]
+        message = f"^placing disk '{named}' takes the span beyond the float range$"
+        with pytest.raises(DomainError, match=message):
+            greedy_solve(disks)
+
     @pytest.mark.parametrize("solver", [greedy_solve, compact])
     @pytest.mark.parametrize("size", [1e154, 1e200])
     def test_float_footpoints_overflowing_to_infinity(self, solver, size):

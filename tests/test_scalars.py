@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from shelfpack.errors import BackendMismatchError, DomainError, ParseError
 from shelfpack.scalars import (
     Backend,
     _format_column,
+    _fractions,
     backend_of,
     coerce,
     display_scalar,
@@ -215,3 +217,27 @@ def test_one_fraction_per_distinct_exact_literal():
     assert values[3] == values[0] and values[3] is not values[0]
     with pytest.raises(ParseError, match="zero denominator in rational literal '3/0'"):
         scalars(["1/2", "1/2", "3/0", "1/2", "4/0"])
+
+
+def test_fraction_slot_layout():
+    """The exact readers, lifts and writers read ``Fraction``'s two slots
+    and :func:`_fractions` sets them: a Python whose ``Fraction`` keeps its
+    value otherwise must fail here, not give wrong numbers."""
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    pairs = [(3, 4), (-7, 2), (0, 1), (5, 1), (10**40 + 1, 3**50), (-1, 10**30), (6, 8), (0, 7)]
+    built = _fractions(*map(list, zip(*pairs)))
+    for value, (p, q) in zip(built, pairs):
+        made = Fraction(p, q)
+        assert type(value) is Fraction
+        assert (value._numerator, value._denominator) == (made.numerator, made.denominator)
+        assert value == made and hash(value) == hash(made)
+        for show in (str, repr, format_scalar):
+            assert show(value) == show(made)
+        assert pickle.loads(pickle.dumps(value)) == made
+        for other in (Fraction(2, 3), 1, 0.5):
+            assert value + other == made + other and value * other == made * other
+            assert (value < other) == (made < other)
+        assert value - made == 0 and math.floor(value) == math.floor(made)
+        assert float(value) == float(made)
+    # the reader's values are slot-built, one per distinct literal
+    assert scalars(["6/8", "-2/4", "6/8"])[0] == [Fraction(3, 4), Fraction(-1, 2), Fraction(3, 4)]
