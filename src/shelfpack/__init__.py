@@ -49,7 +49,6 @@ _HOMES = {
         "build_certificate",
         "build_instance",
         "decode_partition",
-        "partition_disk_size",
         "validate_3partition",
     ),
     "linear": ("is_linear_case", "solve_linear"),

@@ -15,7 +15,8 @@ compacted span.
 
 ``solve`` sorts and lifts the sizes once
 (:func:`~shelfpack.geometry.by_size`), tests the linear case on that
-column and runs the solver it picks on it: the private kernel that the
+column's first two sizes and its last (:func:`~shelfpack.linear._linear`)
+and runs the solver it picks on it: the private kernel that the
 public solver wraps, which returns the placement with its span.  The
 printed lower bound is one :func:`~shelfpack.geometry.best_support_lower_bound`
 call on the sorted disks, which lifts them a second time.

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DomainError, ParseError
-from .geometry import Disk, Placement, _disk_column, _placement, _valid_column
+from .geometry import Disk, Placement, _disk_column, _placement, _valid_sizes
 from .scalars import (
     Backend,
     Scalar,
@@ -104,7 +104,7 @@ def _tokens(text: str) -> list[str]:
 
 def _disks(numbers: Sequence[int], ids: list, sizes: Sequence[Scalar], literals: list) -> list[Disk]:
     """The disks of split columns, checked once; a ParseError names a bad line."""
-    if not _valid_column(ids, sizes, Fraction, True):
+    if not _valid_sizes(sizes, Fraction):
         for number, disk_id, size, text in zip(numbers, ids, sizes, literals):
             positive = text[0] != "-" and text.upper().partition("E")[0].strip("+.0")
             try:
@@ -113,7 +113,7 @@ def _disks(numbers: Sequence[int], ids: list, sizes: Sequence[Scalar], literals:
                 Disk(disk_id, size)
             except DomainError as exc:
                 raise ParseError(f"line {number}: {exc}") from exc
-    return _disk_column(ids, sizes, True)
+    return _disk_column(ids, sizes)
 
 
 def parse_instance(text: str) -> tuple[list[Disk], Backend]:
@@ -147,7 +147,7 @@ def parse_placement(text: str) -> Placement:
         feet, dens = parts[0::2], (size_dens, parts[1::2])
     else:
         sizes, feet, dens = values[: len(ids)], values[len(ids) :], None
-    if not _valid_column(ids, sizes, int, True):  # floats or int numerators; raises
+    if not _valid_sizes(sizes, int):  # floats or int numerators; raises
         _disks(numbers, ids, sizes if dens is None else list(map(Fraction, sizes, size_dens)), literals)
     try:
         return _placement(ids, lift(sizes, feet, dens))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from itertools import repeat
 from operator import add, attrgetter, lt, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -99,26 +98,17 @@ class Disk(_Frozen):
 _SET_ID, _SET_SIZE = Disk.id.__set__, Disk.size.__set__
 
 
-def _valid_column(ids: list, sizes: Sequence, exact: type = Fraction, tokens: bool = False) -> bool:
-    """Whether ``Disk`` takes each id with its size as it is, checked once
-    per column: ``str`` tokens (joined and split again they come back
-    unchanged) none of which starts with ``#``, and positive sizes, all of
-    type ``exact`` (the file reader's int numerators have positive
-    denominators) or all finite floats with radii that are normal floats.
-    ``tokens`` skips the id half, for the ids a file's ``str.split()`` made."""
-    if not tokens:
-        try:
-            joined = " ".join(ids)
-            # one character search settles the usual column with no '#' at all
-            if joined.split() != ids or ("#" in joined and (joined[0] == "#" or " #" in joined)):
-                return False
-        except TypeError:  # an id that is not a str
-            return False
+def _valid_sizes(sizes: Sequence, exact: type) -> bool:
+    """Whether ``Disk`` takes each of ``sizes`` as it is, checked once per
+    column: positive sizes, all of type ``exact`` (the file reader's int
+    numerators have positive denominators) or all finite floats with radii
+    that are normal floats.  The ids need no check: a file's come from
+    ``str.split()`` and never start with ``#``."""
     kinds = set(map(type, sizes))
-    if len(sizes) != len(ids) or kinds not in ({exact}, {float}):
-        return False
     if kinds == {exact}:
         return min(sizes if exact is int else _numerators(sizes)) > 0
+    if kinds != {float}:
+        return False
     # x*x is monotone for x > 0, so the extremes bound every radius
     low, high = min(sizes), max(sizes)
     return (
@@ -127,17 +117,14 @@ def _valid_column(ids: list, sizes: Sequence, exact: type = Fraction, tokens: bo
     )
 
 
-def _disk_column(ids: list[str], sizes: Sequence[Scalar], checked: bool = False) -> list[Disk]:
-    """``list(map(Disk, ids, sizes))``, with the checks run once per column
-    when it passes :func:`_valid_column` (or was ``checked`` before), and
-    no ``Disk.__init__``.  Any other columns go through ``Disk`` one
-    element at a time, which names the first offender."""
-    if checked or _valid_column(ids, sizes):
-        disks = list(map(object.__new__, repeat(Disk, len(ids))))
-        list(map(_SET_ID, disks, ids))
-        list(map(_SET_SIZE, disks, sizes))
-        return disks
-    return list(map(Disk, ids, sizes))
+def _disk_column(ids: list[str], sizes: Sequence[Scalar]) -> list[Disk]:
+    """``list(map(Disk, ids, sizes))`` for a proven column, with no
+    ``Disk.__init__``: the file reader's after :func:`_valid_sizes`, the
+    reduction's generated one and a placement's, checked on entry."""
+    disks = list(map(object.__new__, repeat(Disk, len(ids))))
+    list(map(_SET_ID, disks, ids))
+    list(map(_SET_SIZE, disks, sizes))
+    return disks
 
 
 class Placement(_Frozen):
@@ -198,7 +185,7 @@ class Placement(_Frozen):
                 over = [math.isqrt(q // c)] * len(distinct)
                 size_of = dict(zip(distinct, _fractions(distinct, over)))
                 sizes = list(map(size_of.__getitem__, sizes))
-            value = tuple(_disk_column(self._ids, sizes, True))  # checked on entry
+            value = tuple(_disk_column(self._ids, sizes))
         elif name == "footpoints":
             feet, q = self._lift.feet, _over(self._lift.back)
             if q is None:

@@ -97,8 +97,9 @@ def _greedy(order: list, sizes: list, back, ranks, chain: Sequence[int] = (0,), 
     ``chain`` holds indices 0 to m - 1 of the columns in footpoint order,
     at the increasing footpoints ``feet`` (lifted, as the loop's own), and
     every neighbour pair in it a gap; disks m to n - 1 are then placed by
-    the rules of :func:`greedy_solve`.  Returns the placement, its extent
-    (lifted) and the number of gap placements.
+    the rules of :func:`greedy_solve`.  A chain of two or more disks, the
+    oracle's, needs exact sizes, whose keys never tie.  Returns the
+    placement, its extent (lifted) and the number of gap placements.
     """
     if feet is None:
         feet = [sizes[0] * 0]
@@ -151,11 +152,9 @@ def _greedy(order: list, sizes: list, back, ranks, chain: Sequence[int] = (0,), 
 
     for li, ri in zip(chain, chain[1:]):
         right_nb[li] = ri
-        gap, width = foot[ri] - foot[li], 2 * (sizes[li] + sizes[ri])
-        key = ranks[li] - gap * unit // width if exact else -gap / width
+        key = ranks[li] - (foot[ri] - foot[li]) * unit // (2 * (sizes[li] + sizes[ri]))
         if key <= cutoff:
-            if where.setdefault(key, li) != li:
-                tie(key, li)
+            where[key] = li
             heap.append(key)
     heapq.heapify(heap)
     in_gaps = 0

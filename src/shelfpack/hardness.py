@@ -21,11 +21,10 @@ Frame and filler sizes (with their defining exact-fit identities):
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import DomainError, InconsistencyError, PreconditionError
+from .errors import InconsistencyError, PreconditionError
 from .geometry import Disk, Placement, _disk_column, compact, verify
 from .scalars import Backend, _fractions, _over, lift
 
@@ -76,14 +75,6 @@ class HardnessInstance(NamedTuple):
         return hash(self[:3])
 
 
-def partition_disk_size(element: int, bound: int) -> Fraction:
-    """Size encoding one element: (17/99) * ((3/100) * element/bound + 99/100),
-    formed as the one fraction 17 * (3*element + 99*bound) / (9900*bound)."""
-    if bound <= 0 or element <= 0:
-        raise DomainError("element and bound must be positive")
-    return Fraction(17 * (3 * element + 99 * bound), 9900 * bound)
-
-
 def validate_3partition(inst: ThreePartitionInstance) -> None:
     """Check the 3-Partition invariants; raise PreconditionError naming the
     first violation."""
@@ -130,12 +121,12 @@ def _build_family(
         roles.update(dict.fromkeys(block, role))
     element_index = {f"part-{idx}": idx for idx in range(1, len(elements) + 1)}
     ids += element_index
-    # partition_disk_size of each element, as one column
+    # each element disk's size, the module docstring's formula, as the one
+    # fraction 17 * (3a + 99B) / (9900B)
     nums = [17 * (3 * a + 99 * bound) for a in elements]
     sizes += _fractions(nums, [9900 * bound] * len(nums))
     roles.update(dict.fromkeys(element_index, DiskRole.PARTITION))
-    # the ids are distinct tokens and the sizes positive Fractions, so the
-    # column is checked once rather than disk by disk
+    # the ids are distinct tokens and the sizes positive Fractions
     return tuple(_disk_column(ids, sizes)), roles, element_index
 
 
@@ -218,9 +209,11 @@ def build_certificate(hi: HardnessInstance, sol: PartitionSolution) -> Placement
 def decode_partition(hi: HardnessInstance, placement: Placement) -> PartitionSolution:
     """Read a 3-partition back out of any exact placement within budget.
 
-    Bins element disks by which frame gap contains their footpoint.  Any
-    bin without exactly three element disks, or a group sum differing from
-    B, contradicts the reduction and is reported as an inconsistency.
+    Bins element disks by which frame gap contains their footpoint, in one
+    walk over the placement's id column in footpoint order: the first
+    element disk outside every gap, in that order, is named.  Any bin
+    without exactly three element disks, or a group sum differing from B,
+    contradicts the reduction and is reported as an inconsistency.
     """
     if placement.backend is not Backend.EXACT:
         raise PreconditionError("decoding requires the exact backend")
@@ -250,22 +243,18 @@ def decode_partition(hi: HardnessInstance, placement: Placement) -> PartitionSol
         raise PreconditionError(
             f"span {result.report.span} exceeds the budget {hi.budget}"
         )
-    # bisect on the placement's kept lift: integers, in footpoint order
-    footpoints = dict(zip(ids, placement._lift.feet))
-    outer = sorted(
-        footpoints[d.id] for d in disks if role_of[d.id] is DiskRole.OUTER_FRAME
-    )
+    # the id column is in footpoint order: an element disk's gap is the
+    # number of outer frames before it, minus one
     bins: list[list[int]] = [[] for _ in range(m)]
-    for disk in disks:
-        if role_of[disk.id] is not DiskRole.PARTITION:
-            continue
-        x = footpoints[disk.id]
-        g = bisect_left(outer, x) - 1  # outer[g] < x <= outer[g + 1]
-        if not 0 <= g < m or x == outer[g + 1]:
-            raise InconsistencyError(
-                f"element disk {disk.id!r} lies in no frame gap"
-            )
-        bins[g].append(element_index[disk.id])
+    g = -1
+    for disk_id in ids:
+        role = role_of[disk_id]
+        if role is DiskRole.OUTER_FRAME:
+            g += 1
+        elif role is DiskRole.PARTITION:
+            if not 0 <= g < m:
+                raise InconsistencyError(f"element disk {disk_id!r} lies in no frame gap")
+            bins[g].append(element_index[disk_id])
     groups = []
     for g, indices in enumerate(bins):
         if len(indices) != 3:

@@ -4,7 +4,8 @@ In such *linear case* instances every optimal placement is a chain of
 pairwise touching disks, so only the left-to-right order matters.  The
 optimal order interleaves large and small disks outward from the middle
 and can be written down after one sort, on integers for exact data
-(:func:`~shelfpack.geometry.by_size`); it is compacted once.
+(:func:`~shelfpack.geometry.by_size`); it is compacted once.  One
+predicate, :func:`_hides_nowhere`, decides the linear case.
 """
 
 from __future__ import annotations
@@ -23,41 +24,45 @@ _EMPTY = "the linear-case test needs at least one disk"
 def is_linear_case(disks: Iterable[Disk]) -> bool:
     """Whether the smallest disk can hide in no gap and no wall gap.
 
-    With a, b the two largest sizes and z the smallest, the instance is
-    linear iff 1/z <= 1/a + 1/b and z > (sqrt(2) - 1) a.  The first
-    comparison, evaluated as a*b <= z*(a + b), admits equality, as the
-    paper's radius ratio of at most four does: a disk that fits the gap
-    of two touching disks exactly touches both, so it cannot hide there.
-    The second has the irrational boundary (sqrt(2) - 1) a, which no
-    rational or float size attains, so it stays strict.  Both are
+    With a, b the two largest sizes and z the smallest, found in linear
+    passes, the instance is linear iff 1/z <= 1/a + 1/b and
+    z > (sqrt(2) - 1) a (see :func:`_hides_nowhere`).  Both are
     homogeneous of degree 2 in the sizes, so they are read from the sizes
     lifted once (see :func:`~shelfpack.geometry._lifted_sizes`): exact
     sizes as the integers S = size*D over their common denominator D,
-    floats as they are.
+    floats as they are.  A lone disk has no gap to hide in.
     """
-    return _linear(_lifted_sizes(disks, _EMPTY).sizes)
+    sizes = _lifted_sizes(disks, _EMPTY).sizes
+    return len(sizes) == 1 or _hides_nowhere(*heapq.nlargest(2, sizes), min(sizes))
+
+
+def _hides_nowhere(a, b, z) -> bool:
+    """Whether a size-``z`` disk hides in no gap and no wall gap of disks
+    whose two largest sizes are a >= b.  The first comparison,
+    1/z <= 1/a + 1/b evaluated as a*b <= z*(a + b), admits equality, as
+    the paper's radius ratio of at most four does: a disk that fits the
+    gap of two touching disks exactly touches both, so it cannot hide
+    there.  The second, z > (sqrt(2) - 1) a, has an irrational boundary,
+    which no rational or float size attains, so it stays strict."""
+    return a * b <= z * (a + b) and _wall_gap_overflows(z, a)
 
 
 def _linear(sizes: Sequence) -> bool:
-    """:func:`is_linear_case` on the lifted sizes; a, b and z come from
-    linear passes over them."""
-    if len(sizes) == 1:
-        return True  # a lone disk has no gap to hide in
-    a, b = heapq.nlargest(2, sizes)
-    z = min(sizes)
-    return a * b <= z * (a + b) and _wall_gap_overflows(z, a)
+    """:func:`is_linear_case` on lifted sizes in decreasing order: a and b
+    are the first two and z the last, read without a pass over them."""
+    return len(sizes) == 1 or _hides_nowhere(sizes[0], sizes[1], sizes[-1])
 
 
 def _linear_prefix(sizes: Sequence) -> int:
     """The length K of the longest linear-case prefix of lifted ``sizes``
     in decreasing order.  The prefixes of lengths 1 to K are exactly the
     linear ones: a and b stay the first two sizes, and both comparisons
-    of :func:`_linear` only get harder as z shrinks."""
+    of :func:`_hides_nowhere` only get harder as z shrinks."""
     a = sizes[0]
     b = sizes[1] if len(sizes) > 1 else a
     k = 1
     for z in sizes[1:]:
-        if not (a * b <= z * (a + b) and _wall_gap_overflows(z, a)):
+        if not _hides_nowhere(a, b, z):
             break
         k += 1
     return k

@@ -268,19 +268,17 @@ def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", int)()
 
 
-def _too_many_digits(texts: Iterable[str]) -> ParseError | None:
+def _too_many_digits(texts: Iterable[str]) -> ParseError:
     """A ParseError naming the first of ``texts`` that spells a number of
-    more digits than ``int`` reads (``sys.get_int_max_str_digits()``), or
-    None."""
+    more digits than ``int`` reads (``sys.get_int_max_str_digits()``),
+    the one fault that makes ``int`` fail on checked literals."""
     limit = _digit_limit()
-    for text in texts:
-        if limit and any(sum(map(str.isdecimal, part)) > limit for part in text.split("/")):
-            return ParseError(
-                f"literal {text[:20]}... ({len(text)} characters) has a number of "
-                f"more than {limit} digits, the most that int() reads "
-                "(sys.set_int_max_str_digits)"
-            )
-    return None
+    text = next(t for t in texts if any(sum(map(str.isdecimal, p)) > limit for p in t.split("/")))
+    return ParseError(
+        f"literal {text[:20]}... ({len(text)} characters) has a number of "
+        f"more than {limit} digits, the most that int() reads "
+        "(sys.set_int_max_str_digits)"
+    )
 
 
 def _too_many_digits_to_write() -> DomainError:

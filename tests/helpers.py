@@ -34,6 +34,15 @@ def make_disks(sizes: Sequence, prefix: str = "d") -> list[Disk]:
     return [Disk(f"{prefix}{i}", s) for i, s in enumerate(sizes)]
 
 
+def partition_disk_size(element: int, bound: int) -> Fraction:
+    """Size encoding one element of a 3-Partition instance:
+    (17/99) * ((3/100) * element/bound + 99/100), formed as the one
+    fraction 17 * (3*element + 99*bound) / (9900*bound)."""
+    if bound <= 0 or element <= 0:
+        raise DomainError("element and bound must be positive")
+    return Fraction(17 * (3 * element + 99 * bound), 9900 * bound)
+
+
 def module_env() -> dict[str, str]:
     """``os.environ`` with the imported ``shelfpack``'s source directory
     first on ``PYTHONPATH``, for a ``python -m shelfpack`` subprocess."""

@@ -9,11 +9,12 @@ import math
 from fractions import Fraction as F
 from operator import eq, gt, lt
 
+from helpers import partition_disk_size
 from shelfpack import hardness as h
 
 # The smallest element disk, at a_i = B/4, just below every size the
 # reduction allows (it needs a_i > B/4).
-SIZE_MIN_ELEMENT = h.partition_disk_size(1, 4)
+SIZE_MIN_ELEMENT = partition_disk_size(1, 4)
 
 # Three element disks fit between the inner frames of one gap iff their
 # sizes sum to at most this.
@@ -49,7 +50,7 @@ IDENTITIES = [
     ("end disk fills the end slot with zero slack", 2 * f + 4 * f * e + f * f, eq, 1),
     ("gap size budget for three element disks", GAP_SIZE_BUDGET, eq, F(17, 33)),
     ("three average element disks exactly meet the budget",
-     3 * h.partition_disk_size(1, 3), eq, F(17, 33)),
+     3 * partition_disk_size(1, 3), eq, F(17, 33)),
     ("minimum element size at a_i > B/4", F(17, 99) * F(399, 400), eq, F(2261, 13200)),
     ("five inner frames overflow a gap by 0.1912", width("gap", "O F F F F F O"), eq, F("2.1912")),
     ("three inner frames overflow an end by 0.2045", width("end", "O F F F"), eq, F("1.2045")),

@@ -29,7 +29,6 @@ PUBLIC_API = {
     "exact_solve",
     "greedy_solve",
     "is_linear_case",
-    "partition_disk_size",
     "render_svg",
     "solve_linear",
     "span",

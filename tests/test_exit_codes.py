@@ -208,3 +208,21 @@ def test_output_past_the_digit_limit_exits_3_and_writes_nothing(tmp_path, capsys
     assert stdout == "" and "Traceback" not in err
     assert err.startswith("error: ") and "more than 4300 digits" in err
     assert not out.exists()
+
+
+def test_genhard_output_past_the_digit_limit_exits_3_and_writes_nothing(tmp_path, capsys, digit_limit):
+    # B = 3k + 1 has 4,298 digits and reads; the element disks' sizes lie
+    # over 9900B, of more than 4,300 digits, so the instance writer refuses
+    # them before the instance or the sidecar is opened
+    digit_limit(4300)
+    k = 10**4297 + 7
+    source, out = tmp_path / "long.3p", tmp_path / "long.instance"
+    source.write_text(f"1 {3 * k + 1}\n{k} {k} {k + 1}\n")
+    assert main(["genhard", str(source), "--out", str(out)]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "Traceback" not in err
+    assert err == (
+        "error: a value has a numerator or denominator of more than 4300 digits, "
+        "the most that str() writes (sys.set_int_max_str_digits)\n"
+    )
+    assert not out.exists() and not (tmp_path / "long.instance.json").exists()

@@ -14,6 +14,7 @@ from helpers import (
     make_disks,
     naive_compact,
     naive_staircase,
+    partition_disk_size,
     random_linear_disks,
     reference_by_size,
     reference_placement,
@@ -29,6 +30,7 @@ from shelfpack.geometry import (
     SpanReport,
     _compacted,
     _disk_column,
+    _valid_sizes,
     _wall_gap_overflows,
     best_support_lower_bound,
     by_size,
@@ -41,7 +43,6 @@ from shelfpack.hardness import (
     SIZE_INNER,
     SIZE_LARGE_FILLER,
     SIZE_SMALL_FILLER,
-    partition_disk_size,
 )
 from shelfpack.files import format_placement, parse_placement
 from shelfpack.greedy import greedy_solve
@@ -138,7 +139,7 @@ class FloatSize(float):
 # may hold a '#' but not start with one: files read such a line as a comment.
 ID_ROWS = ["a", "\u03a9", 3, None, b"a", "", "a b", "a\tb", " a", "a\u00a0b",
            "#a", "#", "a#b", "a #b"]
-SCALAR_ROWS = [1.5, F(3, 2), True, False, 2, 0, FloatSize(1.5), 0.0, -0.0,
+SCALAR_ROWS = [1.5, -1.5, F(3, 2), True, False, 2, 0, FloatSize(1.5), 0.0, -0.0,
                math.inf, -math.inf, math.nan, F(-1, 2), F(0), 1e-320,
                1e-200, 1e200, FloatSize(1e200), 1.3e154, F(1, 10**200)]
 
@@ -152,25 +153,51 @@ def _built(build):
         return "error", str(exc), str(exc.__cause__)
 
 
+def _file_id(disk_id) -> bool:
+    """Whether a file can hold ``disk_id``: a token of ``str.split()``
+    that the reader does not take for a comment."""
+    return isinstance(disk_id, str) and disk_id.split() == [disk_id] and disk_id[0] != "#"
+
+
+def _proven_column(ids, sizes):
+    """The instance reader's build of a column of file ids: the trusted
+    builder when the size check proves the sizes, else ``Disk`` one at a
+    time."""
+    if _valid_sizes(sizes, F):
+        return [(d.id, d.size) for d in _disk_column(ids, sizes)]
+    return [(d.id, d.size) for d in map(Disk, ids, sizes)]
+
+
 class TestColumnProofs:
     @pytest.mark.parametrize("first", [None, 1.0, F(1)], ids=["alone", "float", "exact"])
     def test_disk_column_builds_what_disk_builds(self, first):
+        # the size check passes a column only when Disk keeps every size as
+        # it is; on the reader's columns, all floats or all Fractions, it
+        # passes exactly those that Disk takes.  Disk alone refuses the ids
+        # no file holds
         for disk_id in ID_ROWS:
             for size in SCALAR_ROWS:
                 ids, sizes = [disk_id], [size]
                 if first is not None:  # one valid row before and after
                     ids, sizes = ["z", *ids, "y"], [first, *sizes, first]
                 want = _built(lambda: [(d.id, d.size) for d in map(Disk, ids, sizes)])
-                got = _built(lambda: [(d.id, d.size) for d in _disk_column(ids, sizes)])
-                assert got == want, (disk_id, size, first)
+                if not _file_id(disk_id):
+                    assert want[0] == "error" and "disk id" in want[1], (disk_id, size)
+                    continue
+                assert _built(lambda: _proven_column(ids, sizes)) == want, (disk_id, size, first)
+                if set(map(type, sizes)) in ({F}, {float}):
+                    assert _valid_sizes(sizes, F) is (want[0] == "ok"), (size, first)
 
     def test_disk_column_of_one_type(self):
         for size in SCALAR_ROWS:
             ids, sizes = ["a", "b", "c"], [size] * 3
             want = _built(lambda: [(d.id, d.size) for d in map(Disk, ids, sizes)])
-            got = _built(lambda: [(d.id, d.size) for d in _disk_column(ids, sizes)])
-            assert got == want, size
+            assert _built(lambda: _proven_column(ids, sizes)) == want, size
         assert _disk_column(("a", "b"), (2.0, 0.5)) == [Disk("a", 2.0), Disk("b", 0.5)]
+        # a placement file's exact sizes are checked as int numerators over
+        # positive denominators
+        columns = ([2, 3], [2, 0], [-1], [True], [2, F(1)], [2.0])
+        assert [_valid_sizes(c, int) for c in columns] == [True, False, False, False, False, True]
 
     def test_float_radius_must_be_a_normal_float(self):
         # the radius size*size must be a normal float: below its least
@@ -186,9 +213,8 @@ class TestColumnProofs:
             for sizes in ([size], [1.0, size, 2.0], [size, size]):
                 ids = [f"d{i}" for i in range(len(sizes))]
                 want = _built(lambda: [(d.id, d.size) for d in map(Disk, ids, sizes)])
-                got = _built(lambda: [(d.id, d.size) for d in _disk_column(ids, sizes)])
-                assert got == want, (size, sizes)
-                assert (want[0] == "ok") is ok, (size, want)
+                assert _built(lambda: _proven_column(ids, sizes)) == want, (size, sizes)
+                assert (want[0] == "ok") is ok is _valid_sizes(sizes, F), (size, want)
         with pytest.raises(DomainError) as error:
             Disk("a", 1e-200)
         assert str(error.value) == "disk 'a' has size 1e-200, whose radius leaves the float range"

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import footpoint_distance, fresh_lift, unlifted, with_lift
+from helpers import footpoint_distance, fresh_lift, partition_disk_size, unlifted, with_lift
 from identities import GAP_SIZE_BUDGET, SIZE_MIN_ELEMENT, check_identities
 from shelfpack.errors import (
     DomainError,
@@ -27,7 +27,6 @@ from shelfpack.hardness import (
     build_certificate,
     build_instance,
     decode_partition,
-    partition_disk_size,
     validate_3partition,
 )
 
@@ -319,6 +318,23 @@ class TestDecodePreconditions:
             )
             with pytest.raises(InconsistencyError, match="lies in no frame gap"):
                 decode_partition(relabelled, cert)
+
+    def test_names_the_first_stray_element_disk_in_footpoint_order(self):
+        # end-0 and inner-1 both lie left of the first outer frame, end-0
+        # first, while the instance lists inner-1 first: relabelled as
+        # element disks, the one with the smaller footpoint is named
+        hi = build_instance(M2_INSTANCE)
+        cert = build_certificate(hi, M2_SOLUTION)
+        by_footpoint = [d.id for d in cert.disks]
+        listed = [d.id for d in hi.disks]
+        assert by_footpoint.index("end-0") < by_footpoint.index("inner-1") < by_footpoint.index("outer-0")
+        assert listed.index("inner-1") < listed.index("end-0")
+        relabelled = hi._replace(
+            roles={**hi.roles, "end-0": DiskRole.PARTITION, "inner-1": DiskRole.PARTITION},
+            element_index={**hi.element_index, "end-0": 1, "inner-1": 2},
+        )
+        with pytest.raises(InconsistencyError, match="^element disk 'end-0' lies in no frame gap$"):
+            decode_partition(relabelled, cert)
 
     def test_rejects_a_placement_missing_a_disk(self):
         hi = build_instance(M2_INSTANCE)

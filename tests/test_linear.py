@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -15,7 +16,7 @@ from helpers import (
 from shelfpack import geometry
 from shelfpack.errors import BackendMismatchError, DomainError, PreconditionError
 from shelfpack.geometry import Disk, compact, span
-from shelfpack.linear import is_linear_case, solve_linear
+from shelfpack.linear import _linear, _linear_prefix, is_linear_case, solve_linear
 from shelfpack.oracle import exact_solve
 from shelfpack.scalars import lift
 
@@ -87,6 +88,54 @@ class TestIsLinearCase:
         monkeypatch.setattr(geometry, "coerce", refused)
         assert is_linear_case(exact) is True and is_linear_case(floats) is True
         assert is_linear_case(spread) is False
+
+    @staticmethod
+    def boundary_instances(rng, n):
+        """Exact size columns of n disks, shuffled: a >= b the largest, and
+        z, the smallest, on or a hair off the gap boundary a*b = z*(a + b)
+        or the wall boundary z = (sqrt(2) - 1) a; the rest tie with a, b or
+        z or lie between z and b."""
+        a = F(rng.randint(50, 200), rng.randint(1, 9))
+        b = a if rng.random() < 0.3 else a * F(rng.randint(60, 100), 100)
+        hair = a / 10**12
+        gap = a * b / (a + b)
+        wall = a * F(math.isqrt(2 * 10**24) - 10**12, 10**12)  # just below
+        for z in (gap, gap - hair, gap + hair, wall, wall + hair, b):
+            if n < 3:
+                sizes = [a, z][:n]
+            else:
+                sizes = [a, b, z] + [
+                    rng.choice((a, b, z, z + (b - z) * F(rng.randint(0, 100), 100)))
+                    for _ in range(n - 3)
+                ]
+            rng.shuffle(sizes)
+            yield sizes
+
+    @staticmethod
+    def readings(sizes):
+        """_linear on the column by_size sorts, is_linear_case on the disks
+        as given, and whether the longest linear prefix is the column."""
+        disks = make_disks(sizes)
+        _, column, _, _ = geometry.by_size(disks, "no disks")
+        return _linear(column), is_linear_case(disks), _linear_prefix(column) == len(column)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_three_readings_agree(self, exact):
+        rng = random.Random(41 if exact else 43)
+        seen = set()
+        for n in range(1, 41):
+            for _ in range(3):
+                for sizes in self.boundary_instances(rng, n):
+                    if not exact:
+                        sizes = [float(x) for x in sizes]
+                    got = self.readings(sizes)
+                    assert got in ((True,) * 3, (False,) * 3), (got, sizes)
+                    seen.add((n > 1, got[0]))
+        assert seen == {(False, True), (True, True), (True, False)}
+        # float sizes whose (z + a)**2 overflows: a lone disk is linear
+        assert self.readings([1.3e154]) == (True,) * 3
+        for sizes in ([1.3e154, 1.3e154], [1.3e154, 1e153]):
+            assert len(set(self.readings(sizes))) == 1, sizes
 
 
 def linear_order(disks):
